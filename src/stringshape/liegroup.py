@@ -50,14 +50,21 @@ def vee6(m):
 
 
 def ad(t):
-    """Adjoint representation of a twist: ad(a) @ b is the se(3) bracket [a, b]."""
-    t = np.asarray(t, dtype=float)
-    w, v = hat(t[:3]), hat(t[3:])
-    out = np.zeros((6, 6))
-    out[:3, :3] = w
-    out[3:, 3:] = w
-    out[3:, :3] = v
-    return out
+    """Adjoint representation of a twist: ad(a) @ b is the se(3) bracket [a, b].
+
+    The blocks [[hat(w), 0], [hat(v), hat(w)]] are written out: assembling
+    them from hat() takes twice as long, and the Magnus body-Jacobian loop
+    calls ad three times per step.
+    """
+    wx, wy, wz, vx, vy, vz = np.asarray(t, dtype=float).tolist()
+    return np.array([
+        [0.0, -wz, wy, 0.0, 0.0, 0.0],
+        [wz, 0.0, -wx, 0.0, 0.0, 0.0],
+        [-wy, wx, 0.0, 0.0, 0.0, 0.0],
+        [0.0, -vz, vy, 0.0, -wz, wy],
+        [vz, 0.0, -vx, wz, 0.0, -wx],
+        [-vy, vx, 0.0, -wy, wx, 0.0],
+    ])
 
 
 def _rot_coeffs(theta):
@@ -147,19 +154,24 @@ _GL_HI = 0.5 + np.sqrt(3.0) / 6.0
 _BRACKET = np.sqrt(3.0) / 12.0
 
 
-def magnus_step(curvature_fn, s0, h):
-    """4th-order Magnus element Psi for one step of T' = T hat6([u; e3]).
+def magnus_element(eta1, eta2, h):
+    """Psi = (h/2)(eta1 + eta2) + (sqrt(3) h^2/12)[eta1, eta2] for one step of h.
 
-    Two-point collocation: Psi = (h/2)(eta1 + eta2) + (sqrt(3) h^2/12)[eta1, eta2]
-    with eta_j sampled at the Gauss-Legendre points of [s0, s0+h].  The bracket
-    order follows the right-multiplied convention of the backbone ODE; the
-    reversed order drops the scheme to second order.
+    eta1 and eta2 are the twists at the lower and upper Gauss-Legendre points
+    of the step.  The bracket order follows the right-multiplied convention of
+    the backbone ODE; the reversed order drops the scheme to second order.
     """
+    return 0.5 * h * (eta1 + eta2) + (_BRACKET * h * h) * (ad(eta1) @ eta2)
+
+
+def magnus_step(curvature_fn, s0, h):
+    """4th-order Magnus element Psi for one step of T' = T hat6([u; e3]),
+    with eta_j = [u; e3] sampled at the Gauss-Legendre points of [s0, s0+h]."""
     if h <= 0:
         raise ValueError("step size must be positive")
     e1 = np.concatenate([np.asarray(curvature_fn(s0 + _GL_LO * h), dtype=float), E3])
     e2 = np.concatenate([np.asarray(curvature_fn(s0 + _GL_HI * h), dtype=float), E3])
-    return 0.5 * h * (e1 + e2) + (_BRACKET * h * h) * (ad(e1) @ e2)
+    return magnus_element(e1, e2, h)
 
 
 def integrate_backbone(curvature_fn, length, n_steps, base=None):

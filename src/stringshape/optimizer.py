@@ -13,8 +13,9 @@ import numpy as np
 
 from .modal import ModalBasis
 from .routing import ConstantPitch, Helical, Mount, StringSpec
-from .sensing import SensorArray, body_jacobian_multi
-from .sensitivity import twist_scaling
+from .sensing import (SensorArray, aleph_gram, aleph_sv, body_jacobian_multi, exact_row,
+                      has_exact_row)
+from .sensitivity import noise_amp, twist_scaling
 
 PLANAR_REFERENCE_RADIUS = 0.25   # fixed end-anchored tendon, radius in units of L
 PLANAR_GRID_STEP = 0.004
@@ -36,16 +37,23 @@ def planar_basis():
     return ModalBasis(y=(0, 1, 2), length=1.0)
 
 
-def _planar_rows(anchors):
-    """Closed-form integral rows of [T0, T1, T2] over [0, a], a in units of L."""
+def _planar_rows(anchors, p):
+    """Closed-form integral rows of [T0, ..., T_{p-1}] (p <= 4) over [0, a],
+    a in units of L; anchors may be stacked along leading axes."""
     a = np.asarray(anchors, dtype=float)
-    return np.stack([a, a * a - a, 8.0 * a**3 / 3.0 - 4.0 * a * a + a], axis=-1)
+    cols = [a, a * a - a, 8.0 * a**3 / 3.0 - 4.0 * a * a + a]
+    if p > 3:
+        x = 2.0 * a - 1.0
+        cols.append(0.5 * (x**4 - 1.5 * x**2 + 0.5))
+    return np.stack(cols[:p], axis=-1)
 
 
 def planar_config_jacobian(radii, anchors):
-    """Constant J_lc for planar constant-pitch strings (rows -r_i * int phi)."""
-    rows = _planar_rows(anchors)
-    return -np.asarray(radii, dtype=float)[:, None] * rows
+    """Constant J_lc (p, p) for p planar constant-pitch strings on the
+    degree-(p-1) y-basis (rows -r_i * int phi); stacked anchors (..., p)
+    give stacked Jacobians (..., p, p)."""
+    radii = np.asarray(radii, dtype=float)
+    return -radii[:, None] * _planar_rows(anchors, len(radii))
 
 
 def _sym3_eigvals(a):
@@ -70,41 +78,19 @@ def _sym3_eigvals(a):
     return np.stack([lam_lo, lam_mid, lam_hi], axis=-1)
 
 
-def _config_index_grid(radii, axis):
-    """aleph(J_lc) over the (a1, a2) anchor grid, vectorized."""
-    a1, a2 = np.meshgrid(axis, axis, indexing="ij")
-    rows = _planar_rows(np.stack([a1, a2, np.ones_like(a1)], axis=-1))  # (n,n,3,3)
-    jac = -np.asarray(radii, dtype=float)[:, None] * rows
-    gram = np.einsum("...ki,...kj->...ij", jac, jac)
-    lam = np.clip(_sym3_eigvals(gram), 0.0, None)
-    sig = np.sqrt(lam)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(sig[..., 2] > 0, sig[..., 0] ** 2 / sig[..., 2], 0.0)
-    return out
-
-
-def _full_index_grid(radii, axis, gram_samples):
-    """Mean aleph of the length->twist map over samples, on the anchor grid.
+def _full_index(jac, gram_samples):
+    """Mean aleph of the length->twist map over samples for planar J_lc (..., 3, 3).
 
     gram_samples holds (S J_xc)^T (S J_xc) per workspace sample; with
     B = S J_xc J_lc^-1 the squared singular values of B are the eigenvalues
-    of J_lc^-T gram J_lc^-1, so each grid point costs one 3x3 inverse plus a
-    batch of closed-form symmetric eigensolves.
+    of J_lc^-T gram J_lc^-1, so each Jacobian costs one 3x3 inverse plus a
+    batch of closed-form symmetric eigensolves.  Singular J_lc score 0
+    (the identity stands in for them so that the batched inverse exists).
     """
-    a1, a2 = np.meshgrid(axis, axis, indexing="ij")
-    rows = _planar_rows(np.stack([a1, a2, np.ones_like(a1)], axis=-1))
-    jac = -np.asarray(radii, dtype=float)[:, None] * rows           # (n,n,3,3)
-    det = np.linalg.det(jac)
-    ok = np.abs(det) > 1e-300
-    inv = np.zeros_like(jac)
-    inv[ok] = np.linalg.inv(jac[ok])
+    ok = np.abs(np.linalg.det(jac)) > 1e-300
+    inv = np.linalg.inv(np.where(ok[..., None, None], jac, np.eye(3)))
     k = np.einsum("...ji,sjk,...kl->...sil", inv, gram_samples, inv)
-    lam = np.clip(_sym3_eigvals(k), 0.0, None)                       # (n,n,S,3)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(lam[..., 2] > 0, lam[..., 0] / np.sqrt(lam[..., 2]), 0.0)
-    out = vals.mean(axis=-1)
-    out[~ok] = 0.0
-    return out
+    return ok * aleph_gram(_sym3_eigvals(k)).mean(axis=-1)
 
 
 def planar_sample_grams(samples, c_l, basis=None, n_steps=100):
@@ -181,26 +167,23 @@ def planar_peak_search(r1, r2, objective="config", gram_samples=None,
     """
     radii = np.array([r1, r2, PLANAR_REFERENCE_RADIUS])
     axis = np.arange(grid_step, 1.0, grid_step)
+    a1, a2 = np.meshgrid(axis, axis, indexing="ij")
+    grid_jac = planar_config_jacobian(radii, np.stack([a1, a2, np.ones_like(a1)], axis=-1))
     if objective == "config":
-        values = _config_index_grid(radii, axis)
+        # The grid only seeds the refinement, so it takes the cheaper Gram
+        # route; the peak values come from the SVD in point().
+        values = aleph_gram(_sym3_eigvals(np.einsum("...ki,...kj->...ij", grid_jac, grid_jac)))
 
         def point(x):
-            jac = planar_config_jacobian(radii, [x[0], x[1], 1.0])
-            sv = np.linalg.svd(jac, compute_uv=False)
-            return sv[-1] ** 2 / sv[0] if sv[0] > 0 else 0.0
+            return noise_amp(planar_config_jacobian(radii, [x[0], x[1], 1.0]))
     elif objective == "full":
         if gram_samples is None:
             raise ValueError("objective='full' needs gram_samples")
-        values = _full_index_grid(radii, axis, gram_samples)
+        values = _full_index(grid_jac, gram_samples)
 
         def point(x):
-            jac = planar_config_jacobian(radii, [x[0], x[1], 1.0])
-            if abs(np.linalg.det(jac)) < 1e-300:
-                return 0.0
-            inv = np.linalg.inv(jac)
-            k = np.einsum("ji,sjk,kl->sil", inv, gram_samples, inv)
-            lam = np.clip(_sym3_eigvals(k), 0.0, None)
-            return float(np.where(lam[:, 2] > 0, lam[:, 0] / np.sqrt(lam[:, 2]), 0.0).mean())
+            return float(_full_index(planar_config_jacobian(radii, [x[0], x[1], 1.0]),
+                                     gram_samples))
     else:
         raise ValueError("objective must be 'config' or 'full'")
 
@@ -223,12 +206,8 @@ def planar_baseline_index(r1, r2, objective="config", gram_samples=None):
     radii = np.array([r1, r2, PLANAR_REFERENCE_RADIUS])
     jac = planar_config_jacobian(radii, [1.0 / 3.0, 2.0 / 3.0, 1.0])
     if objective == "config":
-        sv = np.linalg.svd(jac, compute_uv=False)
-        return float(sv[-1] ** 2 / sv[0])
-    inv = np.linalg.inv(jac)
-    k = np.einsum("ji,sjk,kl->sil", inv, gram_samples, inv)
-    lam = np.clip(_sym3_eigvals(k), 0.0, None)
-    return float(np.where(lam[:, 2] > 0, lam[:, 0] / np.sqrt(lam[:, 2]), 0.0).mean())
+        return noise_amp(jac)
+    return float(_full_index(jac, gram_samples))
 
 
 def optimal_planar_anchors(p, radii=None, grid_step=None):
@@ -249,26 +228,14 @@ def optimal_planar_anchors(p, radii=None, grid_step=None):
     axis = np.arange(grid_step, 1.0, grid_step)
     grids = np.meshgrid(*([axis] * (p - 1)), indexing="ij")
     anchors = np.stack([np.ones_like(grids[0])] + list(grids), axis=-1)  # (..., p)
-    # rows of the degree-(p-1) integral matrix, batched
-    a = anchors
-    rows = np.stack([a, a * a - a, 8.0 * a**3 / 3.0 - 4.0 * a * a + a,
-                     0.5 * ((2 * a - 1.0) ** 4 - 1.5 * (2 * a - 1.0) ** 2 + 0.5)][:p], axis=-1)
-    jac = -radii[:, None] * rows
-    sv = np.linalg.svd(jac, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(sv[..., 0] > 0, sv[..., -1] ** 2 / sv[..., 0], 0.0)
+    jac = planar_config_jacobian(radii, anchors)
+    vals = aleph_sv(np.linalg.svd(jac, compute_uv=False))
     flat = int(np.argmax(vals))
     idx = np.unravel_index(flat, vals.shape)
     best = [axis[k] for k in idx]
 
     def point(x):
-        anch = np.concatenate([[1.0], x])
-        rws = np.stack([anch, anch * anch - anch,
-                        8.0 * anch**3 / 3.0 - 4.0 * anch * anch + anch,
-                        0.5 * ((2 * anch - 1.0) ** 4 - 1.5 * (2 * anch - 1.0) ** 2 + 0.5)][:p],
-                       axis=-1)
-        s = np.linalg.svd(-radii[:, None] * rws, compute_uv=False)
-        return s[-1] ** 2 / s[0] if s[0] > 0 else 0.0
+        return noise_amp(planar_config_jacobian(radii, np.concatenate([[1.0], x])))
 
     refined, _ = _golden_refine(point, best, grid_step, 1.0 - grid_step, 2 * grid_step)
     return radii, np.concatenate([[1.0], refined])
@@ -397,17 +364,9 @@ def _cumulative_rows(space, c, sg, disk_nodes):
                               np.cumsum(0.5 * (g[1:] + g[:-1]) * ds, axis=0)])
         return cum
 
-    def exact_cum(path):
-        # constant-pitch strings on torsion-free bases integrate exactly
-        rows = np.zeros((len(disk_nodes), basis.m))
-        for k, node in enumerate(disk_nodes):
-            integ = basis.integral(0.0, sg[node])
-            rows[k] = path.r_y * integ[0] - path.r_x * integ[1]
-        return rows
-
     def rows_at_disks(path):
-        if isinstance(path, ConstantPitch) and not basis.has_torsion:
-            return exact_cum(path)
+        if has_exact_row(path, basis):
+            return np.array([exact_row(path, basis, 0.0, sg[node]) for node in disk_nodes])
         return cum_rows(path)[disk_nodes]
 
     designed = np.zeros((len(space.twist_rates), len(space.designed),
@@ -422,9 +381,8 @@ def _cumulative_rows(space, c, sg, disk_nodes):
     fixed = np.zeros((len(space.fixed), basis.m))
     for i, spec in enumerate(space.fixed):
         lo, hi = spec.span(basis.length)
-        if isinstance(spec.path, ConstantPitch) and not basis.has_torsion:
-            integ = basis.integral(lo, hi)
-            fixed[i] = spec.path.r_y * integ[0] - spec.path.r_x * integ[1]
+        if has_exact_row(spec.path, basis):
+            fixed[i] = exact_row(spec.path, basis, lo, hi)
         else:
             cum = cum_rows(spec.path)
             lo_i = int(round(lo / basis.length * (len(sg) - 1)))
@@ -433,54 +391,41 @@ def _cumulative_rows(space, c, sg, disk_nodes):
     return designed, fixed
 
 
-def _reduce_rows(space, string_rows):
-    """Apply composite folding to stacked per-string rows (..., n_strings, m)."""
-    direct = [i for i in range(string_rows.shape[-2])
-              if i not in {j for comp in space.composites for j in comp.members}]
-    parts = [string_rows[..., i, :] for i in direct]
-    for comp in space.composites:
-        acc = sum(sgn * string_rows[..., i, :] for sgn, i in zip(comp.signs, comp.members))
-        parts.append(acc)
-    return np.stack(parts, axis=-2)
-
-
 def _evaluate_chunk(payload):
-    """Evaluate one contiguous block of designs; pure function of its inputs."""
-    (space, anc, iws, des_rows, fix_rows, des0, fix0, jxc) = payload
+    """Evaluate one contiguous block of designs; pure function of its inputs.
+
+    channels is a SensorArray of the space: every design shares its string
+    count and composites, so its reduce folds the per-string rows of any of
+    them.  jxc holds the scaled body Jacobians as (objective, sample, 6, m).
+    """
+    (space, channels, anc, iws, des_rows, fix_rows, des0, fix0, jxc) = payload
     m = space.basis.m
     n_designed = len(space.designed)
     n_strings = n_designed + len(space.fixed)
     n_samp = des_rows.shape[0]
     nd = len(anc)
-    # straight-configuration screen
-    rows0 = np.zeros((nd, n_strings, m))
+    # straight-configuration screen; rows are string-major for the folding
+    rows0 = np.zeros((n_strings, nd, m))
     for i in range(n_designed):
-        rows0[:, i, :] = des0[iws, i, anc[:, i], :]
-    rows0[:, n_designed:, :] = fix0[None]
-    sv0 = np.linalg.svd(_reduce_rows(space, rows0), compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a0 = np.where(sv0[:, 0] > 0, sv0[:, -1] ** 2 / sv0[:, 0], 0.0)
+        rows0[i] = des0[iws, i, anc[:, i], :]
+    rows0[n_designed:] = fix0[:, None]
+    a0 = aleph_sv(np.linalg.svd(np.moveaxis(channels.reduce(rows0), 0, -2), compute_uv=False))
     bad = a0 < space.epsilon
     # per-sample Jacobians
-    rows = np.zeros((nd, n_samp, n_strings, m))
+    rows = np.zeros((n_strings, nd, n_samp, m))
     for i in range(n_designed):
-        rows[:, :, i, :] = des_rows[:, iws, i, anc[:, i], :].transpose(1, 0, 2)
-    rows[:, :, n_designed:, :] = fix_rows[None]
-    jlc = _reduce_rows(space, rows)
+        rows[i] = des_rows[:, iws, i, anc[:, i], :].transpose(1, 0, 2)
+    rows[n_designed:] = fix_rows.transpose(1, 0, 2)[:, None]
+    jlc = np.moveaxis(channels.reduce(rows), 0, -2)
     u_m, s_m, vt_m = np.linalg.svd(jlc, full_matrices=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_s = np.where(s_m[..., 0] > 0, s_m[..., -1] ** 2 / s_m[..., 0], 0.0)
-    bad |= a_s.mean(axis=1) < space.epsilon
+    bad |= aleph_sv(s_m).mean(axis=1) < space.epsilon
     inv_s = np.divide(1.0, s_m, out=np.zeros_like(s_m),
                       where=s_m > 1e-12 * s_m[..., :1])
     pinv = np.einsum("...ji,...j,...kj->...ik", vt_m, inv_s, u_m)
     ag = np.zeros((nd, len(space.s_objectives)))
-    for k, s_obj in enumerate(space.s_objectives):
-        b = jxc[s_obj][None] @ pinv
-        sv = np.linalg.svd(b, compute_uv=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(sv[..., 0] > 0, sv[..., -1] ** 2 / sv[..., 0], 0.0)
-        ag[:, k] = vals.mean(axis=1)
+    for k in range(len(space.s_objectives)):
+        sv = np.linalg.svd(jxc[k][None] @ pinv, compute_uv=False)
+        ag[:, k] = aleph_sv(sv).mean(axis=1)
     return a0, ag, bad
 
 
@@ -503,21 +448,23 @@ def brute_force_search(space, samples, objective_index=-1, chunk=400,
         raise ValueError("empty workspace sample set")
     basis = space.basis
     m = basis.m
-    n_strings = len(space.designed) + len(space.fixed)
-    p = n_strings - sum(len(c.members) for c in space.composites) + len(space.composites)
-    if p < m:
+    anchor_sets = [space.anchor_disks] * len(space.designed)
+    combos = np.array(list(itertools.product(*anchor_sets, range(len(space.twist_rates)))))
+    anchors = combos[:, :-1]
+    iw = combos[:, -1]
+    n_designs = len(combos)
+    channels = space.array_for(anchors[0], space.twist_rates[0])
+    if channels.p < m:
         raise ValueError("fewer measurement channels than basis columns")
 
     sg, disk_nodes = _grid_nodes(space, per_disk)
     scale = twist_scaling(space.c_l)
 
-    # Design-independent: body Jacobians at the objective arc lengths.
-    jxc = {s: [] for s in space.s_objectives}
-    for c in configs:
-        mats = body_jacobian_multi(basis, c, list(space.s_objectives), n_steps_total=n_steps)
-        for s, mat in zip(space.s_objectives, mats):
-            jxc[s].append(scale[:, None] * mat)
-    jxc = {s: np.array(v) for s, v in jxc.items()}
+    # Design-independent: body Jacobians at the objective arc lengths, kept
+    # by position so that a repeated arc length is one more column.
+    jxc = np.array([body_jacobian_multi(basis, c, list(space.s_objectives), n_steps_total=n_steps)
+                    for c in configs])                  # (S, n_objectives, 6, m)
+    jxc = scale[:, None] * np.moveaxis(jxc, 1, 0)
 
     # Per-sample cumulative rows for every string variant.
     des_rows = []
@@ -530,14 +477,8 @@ def brute_force_search(space, samples, objective_index=-1, chunk=400,
     fix_rows = np.array(fix_rows)      # (S, n_fixed, m)
     des0, fix0 = _cumulative_rows(space, np.zeros(m), sg, disk_nodes)
 
-    anchor_sets = [space.anchor_disks] * len(space.designed)
-    combos = np.array(list(itertools.product(*anchor_sets, range(len(space.twist_rates)))))
-    anchors = combos[:, :-1]
-    iw = combos[:, -1]
-    n_designs = len(combos)
-
     payloads = [
-        (space, anchors[c0:c0 + chunk], iw[c0:c0 + chunk],
+        (space, channels, anchors[c0:c0 + chunk], iw[c0:c0 + chunk],
          des_rows, fix_rows, des0, fix0, jxc)
         for c0 in range(0, n_designs, chunk)
     ]

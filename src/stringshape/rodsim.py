@@ -15,7 +15,8 @@ import numpy as np
 
 from .modal import ModalBasis, curvature
 from .optimizer import optimal_planar_anchors
-from .sensing import Reference, SensorArray, lengths
+from .routing import ConstantPitch
+from .sensing import Reference, SensorArray, exact_row, lengths
 
 
 class ShootingError(RuntimeError):
@@ -147,8 +148,8 @@ def planar_reconstruction_error(sol, rod, radii, anchors, p):
         sa = a * length
         cu = np.interp(sa, s, cum_u)
         ell.append(sa - r * length * cu)
-    rows = np.stack([basis.integral(0.0, a * length)[1] for a in anchors])
-    jac = -np.asarray(radii)[:, None] * length * rows
+    jac = np.stack([exact_row(ConstantPitch(r * length), basis, 0.0, a * length)
+                    for r, a in zip(radii, anchors)])
     c = np.linalg.solve(jac, np.asarray(ell) - np.asarray(anchors) * length)
 
     th_rec = _exact_theta(basis, c, length)

@@ -108,15 +108,6 @@ class StringSpec:
         return self.s_anchor, length
 
 
-def radial(path, s):
-    """Path offset r(s) in the moving frame; rows are [r_x, r_y, 0]."""
-    return path.radial(s)
-
-
-def radial_deriv(path, s):
-    return path.radial_deriv(s)
-
-
 def path_velocity(path, basis, c, s):
     """w'(s) = e3 - r x u + r' evaluated on the given arc lengths; shape (n, 3)."""
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))

@@ -97,7 +97,8 @@ class SensorArray:
         return len(self.direct_indices) + len(self.composites)
 
     def reduce(self, per_string):
-        """Fold per-string values/rows into measurement channels."""
+        """Fold per-string values or rows, strings along the first axis, into
+        measurement channels: direct strings in order, then the composites."""
         per_string = np.asarray(per_string, dtype=float)
         direct = [per_string[i] for i in self.direct_indices]
         comps = [
@@ -108,20 +109,45 @@ class SensorArray:
 
     def is_linear_class(self, basis):
         """Constant J_lc: every path constant-pitch and no torsion columns."""
-        return (not basis.has_torsion) and all(
-            isinstance(s.path, ConstantPitch) for s in self.strings
-        )
+        return all(has_exact_row(s.path, basis) for s in self.strings)
+
+
+# Both index helpers divide by 1 where the largest value is 0: the smallest
+# is 0 there too, so the index is 0 without a warning or a branch.
+
+def aleph_sv(sv):
+    """Noise amplification index sigma_min^2 / sigma_max from singular values
+    sorted descending along the last axis; 0 where sigma_max is 0."""
+    sv = np.asarray(sv)
+    top = sv[..., 0]
+    safe_top = top + (top == 0)
+    return sv[..., -1] ** 2 / safe_top
+
+
+def aleph_gram(lam):
+    """The same index from the Gram eigenvalues sigma^2 sorted ascending along
+    the last axis; negative round-off is clipped to zero."""
+    lam = np.maximum(lam, 0.0)
+    top = lam[..., -1]
+    return lam[..., 0] / np.sqrt(top + (top == 0))
+
+
+def has_exact_row(path, basis):
+    """Constant-pitch paths on a torsion-free basis integrate in closed form:
+    the tangential rate is 1 + r_y u_x - r_x u_y, affine in c."""
+    return isinstance(path, ConstantPitch) and not basis.has_torsion
+
+
+def exact_row(path, basis, lo, hi):
+    """Constant J_lc row r_y int Phi_x - r_x int Phi_y of a constant-pitch
+    string over [lo, hi]; the string length is hi - lo + row @ c."""
+    integ = basis.integral(lo, hi)
+    return path.r_y * integ[0] - path.r_x * integ[1]
 
 
 def _span_grid(spec, basis, n_quad):
     lo, hi = spec.span(basis.length)
     return np.linspace(lo, hi, n_quad)
-
-
-def _exact_string(spec, basis):
-    """Constant-pitch paths on a torsion-free basis integrate in closed form:
-    the tangential rate is 1 + r_y u_x - r_x u_y, affine in c."""
-    return isinstance(spec.path, ConstantPitch) and not basis.has_torsion
 
 
 def string_length(spec, basis, c, n_quad=80):
@@ -136,11 +162,9 @@ def string_length(spec, basis, c, n_quad=80):
     margin = float(tangential_margin(spec.path, basis, c, s).min())
     if margin <= 0.0:
         raise NotRealizableError(margin)
-    if _exact_string(spec, basis):
+    if has_exact_row(spec.path, basis):
         lo, hi = spec.span(basis.length)
-        integ = basis.integral(lo, hi)
-        row = spec.path.r_y * integ[0] - spec.path.r_x * integ[1]
-        return float(hi - lo + row @ basis.check_coeffs(c))
+        return float(hi - lo + exact_row(spec.path, basis, lo, hi) @ basis.check_coeffs(c))
     w = path_velocity(spec.path, basis, c, s)
     return float(np.trapezoid(np.linalg.norm(w, axis=1), s))
 
@@ -167,10 +191,8 @@ def lengths(array, basis, c, reference=Reference.DELTA_FROM_STRAIGHT):
 def _jacobian_row(spec, basis, c, n_quad):
     """d(length)/dc for one string: (r x w'/|w'|)^T Phi integrated over the span
     (exact for constant-pitch/torsion-free strings, trapezoid otherwise)."""
-    if _exact_string(spec, basis):
-        lo, hi = spec.span(basis.length)
-        integ = basis.integral(lo, hi)
-        return spec.path.r_y * integ[0] - spec.path.r_x * integ[1]
+    if has_exact_row(spec.path, basis):
+        return exact_row(spec.path, basis, *spec.span(basis.length))
     s = _span_grid(spec, basis, n_quad)
     w = path_velocity(spec.path, basis, c, s)
     wn = w / np.linalg.norm(w, axis=1, keepdims=True)
@@ -199,9 +221,7 @@ def linear_model(array, basis):
     base_len = []
     for spec in array.strings:
         lo, hi = spec.span(basis.length)
-        integ = basis.integral(lo, hi)             # (3, m)
-        r_x, r_y = spec.path.r_x, spec.path.r_y
-        rows.append(r_y * integ[0] - r_x * integ[1])
+        rows.append(exact_row(spec.path, basis, lo, hi))
         base_len.append(hi - lo)
     return array.reduce(base_len), array.reduce(rows)
 
@@ -218,24 +238,23 @@ def body_jacobian(basis, c, s, n_steps=100):
 def body_jacobian_multi(basis, c, s_list, n_steps_total=100, span=None):
     """J_xc at several arc lengths in one integration pass.
 
-    Every s in s_list must land on the integration grid of n_steps_total steps
-    over [0, span] (span defaults to the basis length); values are snapped to
-    the nearest node within half a step.
+    Every s in s_list must be a node of the integration grid of n_steps_total
+    steps over [0, span] (span defaults to the basis length), up to round-off;
+    any other arc length raises ValueError.
     """
     c = basis.check_coeffs(c)
     span = basis.length if span is None else span
     h = span / n_steps_total
-    targets = {}
+    nodes = []
     for s in s_list:
         k = int(round(s / h))
-        if abs(k * h - s) > 0.5 * h + 1e-12 or k < 0 or k > n_steps_total:
-            raise ValueError(f"arc length {s} not on the integration grid")
-        targets.setdefault(k, []).append(s)
+        if abs(k * h - s) > 1e-9 * h or k < 0 or k > n_steps_total:
+            raise ValueError(f"arc length {s} is not a node of the integration grid (step {h})")
+        nodes.append(k)
     out = {}
     jac = np.zeros((6, basis.m))
-    if 0 in targets:
+    if 0 in nodes:
         out[0] = jac.copy()
-    sq3h2 = np.sqrt(3.0) * h * h / 12.0
     glo, ghi = liegroup._GL_LO * h, liegroup._GL_HI * h
     for i in range(n_steps_total):
         s0 = i * h
@@ -243,18 +262,18 @@ def body_jacobian_multi(basis, c, s_list, n_steps_total=100, span=None):
         p2 = basis.matrix(s0 + ghi)
         e1 = np.concatenate([p1 @ c, E3])
         e2 = np.concatenate([p2 @ c, E3])
-        ad1, ad2 = liegroup.ad(e1), liegroup.ad(e2)
-        psi = 0.5 * h * (e1 + e2) + sq3h2 * (ad1 @ e2)
+        psi = liegroup.magnus_element(e1, e2, h)
         d1 = np.zeros((6, basis.m))
         d1[:3] = p1
         d2 = np.zeros((6, basis.m))
         d2[:3] = p2
-        dpsi = 0.5 * h * (d1 + d2) + sq3h2 * (ad1 @ d2 - ad2 @ d1)
+        dpsi = 0.5 * h * (d1 + d2) + (liegroup._BRACKET * h * h) * (
+            liegroup.ad(e1) @ d2 - liegroup.ad(e2) @ d1)
         step = liegroup.exp_se3(psi)
         jac = liegroup.adjoint(liegroup.inv_pose(step)) @ jac + liegroup.dexp_se3(psi, dpsi)
-        if (i + 1) in targets:
+        if (i + 1) in nodes:
             out[i + 1] = jac.copy()
-    return [out[int(round(s / h))] for s in s_list]
+    return [out[k] for k in nodes]
 
 
 @dataclass
@@ -264,11 +283,6 @@ class ShapeSolution:
     residual_norm: float
     aleph_config: float
     linear: bool
-
-
-def _aleph(a):
-    sv = np.linalg.svd(a, compute_uv=False)
-    return float(sv[-1] ** 2 / sv[0]) if sv[0] > 0 else 0.0
 
 
 def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
@@ -287,11 +301,11 @@ def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
 
     if array.is_linear_class(basis):
         base, jac = linear_model(array, basis)
-        aleph = _aleph(jac)
         sv = np.linalg.svd(jac, compute_uv=False)
         if sv[-1] < 1e-12 * sv[0]:
             raise SingularDesignError(
                 f"configuration-space Jacobian is singular (sigma ratio {sv[-1] / sv[0]:.2e})")
+        aleph = float(aleph_sv(sv))
         rhs = measured - base if reference is Reference.ABSOLUTE else measured
         c = np.linalg.lstsq(jac, rhs, rcond=None)[0]
         resid = jac @ c - rhs
@@ -313,7 +327,7 @@ def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
             raise SingularDesignError(
                 f"configuration-space Jacobian is singular at iterate {it} "
                 f"(sigma ratio {sv[-1] / sv[0]:.2e})")
-        aleph = float(sv[-1] ** 2 / sv[0])
+        aleph = float(aleph_sv(sv))
         step = np.linalg.lstsq(jac, -res, rcond=None)[0]
         # Backtracking: halve until the residual norm decreases (<= 20 times).
         alpha = 1.0
@@ -344,25 +358,24 @@ def forward_kinematics(basis, c, s_query, n_steps=100):
     """Poses at the requested arc lengths (k, 4, 4), base frame at identity.
 
     Integration runs segment by segment so that every query point is an exact
-    step boundary; step counts are apportioned by segment length.
+    step boundary; step counts are apportioned by segment length, so queries
+    on the uniform n_steps grid reproduce its poses.
     """
     c = basis.check_coeffs(c)
     s_query = np.atleast_1d(np.asarray(s_query, dtype=float))
     if np.any(s_query < -1e-12) or np.any(s_query > basis.length + 1e-12):
         raise ValueError("query arc length outside [0, L]")
     order = np.argsort(s_query)
-    fn = lambda s: curvature(basis, c, s)
     pose = np.eye(4)
     out = np.empty((len(s_query), 4, 4))
     s_prev = 0.0
     for idx in order:
         seg = s_query[idx] - s_prev
         if seg > 1e-14:
-            n = max(1, int(np.ceil(n_steps * seg / basis.length)))
-            h = seg / n
-            for i in range(n):
-                pose = pose @ liegroup.exp_se3(
-                    liegroup.magnus_step(fn, s_prev + i * h, h))
+            # the tolerance keeps round-off from adding a step to an on-grid segment
+            n = max(1, int(np.ceil(n_steps * seg / basis.length - 1e-9)))
+            pose = liegroup.integrate_backbone(
+                lambda s, s0=s_prev: curvature(basis, c, s0 + s), seg, n, base=pose)[-1]
             s_prev = s_query[idx]
         out[idx] = pose
     return out

@@ -17,16 +17,13 @@ import numpy as np
 
 from .modal import curvature
 from .routing import tangential_margin
-from .sensing import body_jacobian_multi, config_jacobian
+from .sensing import aleph_sv, body_jacobian_multi, config_jacobian
 
 
 def noise_amp(a):
     """sigma_min^2 / sigma_max; zero for an exactly rank-deficient matrix."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0.0
-    return float(sv[-1] ** 2 / sv[0])
+    return float(aleph_sv(np.linalg.svd(a, compute_uv=False)))
 
 
 def twist_scaling(c_l):

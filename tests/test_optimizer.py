@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stringshape.modal import ModalBasis
-from stringshape.optimizer import (DesignSpace, DesignedString, _sym3_eigvals,
+from stringshape.optimizer import (DesignSpace, DesignedString, _planar_rows, _sym3_eigvals,
                                    brute_force_search, improvement_beta,
                                    optimal_planar_anchors, planar_baseline_index,
                                    planar_config_jacobian, planar_peak_search)
@@ -22,6 +22,14 @@ def test_sym3_eigvals_against_numpy():
     # degenerate spectra
     np.testing.assert_allclose(_sym3_eigvals(np.eye(3)[None]), [[1, 1, 1]], atol=1e-12)
     np.testing.assert_allclose(_sym3_eigvals(np.zeros((1, 3, 3))), [[0, 0, 0]], atol=0)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_planar_rows_match_basis_integral(p):
+    basis = ModalBasis(y=tuple(range(p)), length=1.0)
+    anchors = np.array([0.0, 0.13, 0.5, 0.77, 1.0])
+    ref = np.stack([basis.integral(0.0, a)[1] for a in anchors])
+    np.testing.assert_allclose(_planar_rows(anchors, p), ref, rtol=0, atol=1e-15)
 
 
 def test_improvement_beta():
@@ -69,7 +77,7 @@ def _tiny_space():
              StringSpec(ConstantPitch(0.0, 0.06), 0.3))
     return DesignSpace(basis=basis, designed=designed, fixed=fixed,
                        anchor_disks=(1, 2, 3), n_disks=3, twist_rates=(0,),
-                       s_objectives=(0.2, 0.3), c_l=0.05)
+                       s_objectives=(0.15, 0.3), c_l=0.05)
 
 
 def test_brute_force_enumeration_and_determinism():
@@ -134,6 +142,20 @@ def test_brute_force_matches_global_index_on_helical_torsion_subspace():
         np.testing.assert_array_less(np.abs(res.aleph_g[idx] - gi), tol,
                                      err_msg=f"design {idx}")
         assert np.all(tol <= 1e-2 * gi), f"design {idx}: quadrature not resolved"
+
+
+def test_brute_force_repeated_objective_arc_length():
+    # objectives are kept by position: a repeated arc length is one more
+    # column with the same values
+    l_s = studies.SOFT_LENGTH / studies.SOFT_N_DISKS
+    space = replace(studies.soft_design_space(twist_rates=(1,)), anchor_disks=(3, 6, 9))
+    samples = studies.soft_workspace(2, seed=777)
+    rep = brute_force_search(replace(space, s_objectives=(4 * l_s, 4 * l_s, space.basis.length)),
+                             samples)
+    ref = brute_force_search(replace(space, s_objectives=(4 * l_s, space.basis.length)), samples)
+    np.testing.assert_array_equal(rep.aleph_g[:, 0], rep.aleph_g[:, 1])
+    np.testing.assert_array_equal(rep.aleph_g[:, 0], ref.aleph_g[:, 0])
+    np.testing.assert_array_equal(rep.aleph_g[:, 2], ref.aleph_g[:, 1])
 
 
 def test_brute_force_output_independent_of_jobs():

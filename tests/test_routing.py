@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from stringshape.modal import ModalBasis
 from stringshape.routing import (ConstantPitch, Helical, Mount, StringSpec, Tabulated,
-                                 path_velocity, radial, radial_deriv, realizable,
-                                 tangential_margin)
+                                 path_velocity, realizable, tangential_margin)
 
 
 def planar_basis():
@@ -15,39 +14,39 @@ def planar_basis():
 def test_degenerate_helix_equals_constant_pitch():
     h = Helical(r_s=0.03, omega=0.0, alpha=0.0)
     s = np.linspace(0, 1, 5)
-    np.testing.assert_allclose(radial(h, s), [[0.03, 0, 0]] * 5, atol=1e-16)
-    np.testing.assert_allclose(radial_deriv(h, s), np.zeros((5, 3)), atol=1e-16)
+    np.testing.assert_allclose(h.radial(s), [[0.03, 0, 0]] * 5, atol=1e-16)
+    np.testing.assert_allclose(h.radial_deriv(s), np.zeros((5, 3)), atol=1e-16)
 
 
 def test_helical_value_and_derivative_at_zero():
     h = Helical(r_s=0.03, omega=2.0, alpha=0.0)
-    np.testing.assert_allclose(radial(h, 0.0)[0], [0.03, 0, 0], atol=1e-16)
-    np.testing.assert_allclose(radial_deriv(h, 0.0)[0], [0, 0.06, 0], atol=1e-16)
+    np.testing.assert_allclose(h.radial(0.0)[0], [0.03, 0, 0], atol=1e-16)
+    np.testing.assert_allclose(h.radial_deriv(0.0)[0], [0, 0.06, 0], atol=1e-16)
 
 
 def test_helical_derivative_matches_fd():
     h = Helical(r_s=0.04, omega=5.0, alpha=0.7)
     s = np.linspace(0.01, 0.99, 13)
     eps = 1e-7
-    fd = (radial(h, s + eps) - radial(h, s - eps)) / (2 * eps)
-    np.testing.assert_allclose(radial_deriv(h, s), fd, atol=1e-6)
+    fd = (h.radial(s + eps) - h.radial(s - eps)) / (2 * eps)
+    np.testing.assert_allclose(h.radial_deriv(s), fd, atol=1e-6)
 
 
 def test_constant_pitch_is_constant():
     p = ConstantPitch(0.02, -0.01)
     s = np.linspace(0, 1, 9)
-    np.testing.assert_array_equal(radial(p, s), np.tile([0.02, -0.01, 0.0], (9, 1)))
-    np.testing.assert_array_equal(radial_deriv(p, s), np.zeros((9, 3)))
+    np.testing.assert_array_equal(p.radial(s), np.tile([0.02, -0.01, 0.0], (9, 1)))
+    np.testing.assert_array_equal(p.radial_deriv(s), np.zeros((9, 3)))
 
 
 def test_tabulated_matches_sampled_helix():
     h = Helical(r_s=0.03, omega=3.0, alpha=0.2)
     s_nodes = np.linspace(0, 1, 400)
-    r = radial(h, s_nodes)
+    r = h.radial(s_nodes)
     tab = Tabulated(tuple(s_nodes), tuple(r[:, 0]), tuple(r[:, 1]))
     s = np.linspace(0.05, 0.95, 7)
-    np.testing.assert_allclose(radial(tab, s), radial(h, s), atol=1e-5)
-    np.testing.assert_allclose(radial_deriv(tab, s), radial_deriv(h, s), atol=1e-3)
+    np.testing.assert_allclose(tab.radial(s), h.radial(s), atol=1e-5)
+    np.testing.assert_allclose(tab.radial_deriv(s), h.radial_deriv(s), atol=1e-3)
 
 
 def test_path_velocity_straight():

@@ -4,9 +4,10 @@ import pytest
 from stringshape.modal import ModalBasis, identity_basis
 from stringshape.routing import ConstantPitch, Helical, Mount, StringSpec
 from stringshape.sensing import (Composite, NotRealizableError, Reference, SensorArray,
-                                 SingularDesignError, body_jacobian, body_jacobian_multi,
-                                 config_jacobian, forward_kinematics, lengths,
-                                 linear_model, solve_shape, string_length)
+                                 SingularDesignError, aleph_gram, aleph_sv, body_jacobian,
+                                 body_jacobian_multi, config_jacobian, forward_kinematics,
+                                 lengths, linear_model, solve_shape, string_length)
+from stringshape.sensitivity import noise_amp
 from stringshape import liegroup as lg
 
 
@@ -248,6 +249,16 @@ def test_body_jacobian_multi_consistent():
     np.testing.assert_allclose(multi[0], single, atol=1e-9)
 
 
+def test_body_jacobian_multi_rejects_off_grid_arc_length():
+    basis = spatial_basis()
+    L = basis.length
+    h = L / 100
+    with pytest.raises(ValueError, match="not a node"):
+        body_jacobian_multi(basis, np.zeros(8), [0.4 * L + 0.3 * h], n_steps_total=100)
+    with pytest.raises(ValueError, match="not a node"):
+        body_jacobian_multi(basis, np.zeros(8), [L + h], n_steps_total=100)
+
+
 # ---------------------------------------------------------------------------
 # solve_shape
 # ---------------------------------------------------------------------------
@@ -309,6 +320,32 @@ def test_forward_kinematics_wrapper():
     poses = forward_kinematics(identity_basis(0.3), [0, kappa, 0], [0.3], n_steps=100)
     expect = [(1 - np.cos(kappa * 0.3)) / kappa, 0, np.sin(kappa * 0.3) / kappa]
     np.testing.assert_allclose(poses[0][:3, 3], expect, atol=1e-10)
+
+
+def test_forward_kinematics_matches_integrate_backbone_on_grid():
+    # forward_kinematics integrates segment by segment; on nodes of one
+    # uniform grid it must reproduce the single-pass integration
+    basis = spatial_basis()
+    c = np.random.default_rng(4).uniform(-2, 2, 8)
+    L = basis.length
+    ref = lg.integrate_backbone(lambda s: basis.matrix(s) @ c, L, 100)
+    nodes = [100, 0, 37, 60, 61]
+    poses = forward_kinematics(basis, c, [k * L / 100 for k in nodes], n_steps=100)
+    np.testing.assert_allclose(poses, ref[nodes], rtol=0, atol=1e-12)
+
+
+def test_batched_noise_amp_helpers_match_noise_amp():
+    rng = np.random.default_rng(11)
+    mats = rng.normal(size=(6, 5, 3))
+    mats[0] = 0.0  # zero matrix
+    mats[1, :, 2] = mats[1, :, 0] - 2.0 * mats[1, :, 1]  # rank 2
+    expect = np.array([noise_amp(a) for a in mats])
+    assert expect[0] == 0.0 and expect[1] < 1e-14
+    np.testing.assert_array_equal(aleph_sv(np.linalg.svd(mats, compute_uv=False)), expect)
+    lam = np.linalg.eigvalsh(np.swapaxes(mats, -1, -2) @ mats)
+    got = aleph_gram(lam)
+    assert got[0] == 0.0
+    np.testing.assert_allclose(got, expect, rtol=1e-10, atol=1e-14)
 
 
 def test_modal_direction_shape_families():
