@@ -211,12 +211,15 @@ def planar_baseline_index(r1, r2, objective="config", gram_samples=None):
 
 
 def optimal_planar_anchors(p, radii=None, grid_step=None):
-    """Anchor set maximizing aleph(J_lc) for p strings, first pinned at (0.25, L).
+    """Anchor set maximizing aleph(J_lc) for p <= 4 strings, first pinned at (0.25, L).
 
     Used by the reconstruction convergence study; free radii default to
     alternating +-0.25 (row signs do not affect singular values).  Returns
     (radii, anchors) in units of L.
     """
+    if p > 4:
+        raise ValueError(f"optimal_planar_anchors supports p <= 4 strings, got {p}: "
+                         "the closed-form rows stop at degree 3")
     if radii is None:
         radii = [PLANAR_REFERENCE_RADIUS] + [
             PLANAR_REFERENCE_RADIUS * (-1.0) ** i for i in range(1, p)]
@@ -224,7 +227,7 @@ def optimal_planar_anchors(p, radii=None, grid_step=None):
     if p == 1:
         return radii, np.array([1.0])
     if grid_step is None:
-        grid_step = {2: 0.002, 3: 0.01, 4: 0.04}.get(p, 0.05)
+        grid_step = {2: 0.002, 3: 0.01, 4: 0.04}[p]
     axis = np.arange(grid_step, 1.0, grid_step)
     grids = np.meshgrid(*([axis] * (p - 1)), indexing="ij")
     anchors = np.stack([np.ones_like(grids[0])] + list(grids), axis=-1)  # (..., p)
@@ -391,12 +394,38 @@ def _cumulative_rows(space, c, sg, disk_nodes):
     return designed, fixed
 
 
+# Gram eigenvalues carry an absolute error of about eps * lambda_max, so
+# lambda_min keeps a relative accuracy of about eps / ratio; below this ratio
+# lambda_min / lambda_max the index is recomputed from singular values.
+GRAM_RATIO_FLOOR = 1e-10
+
+
+def _aleph_rows(w):
+    """aleph of stacked (..., q, 6) matrices W from the eigenvalues of their
+    smaller Gram matrix, with singular values where the Gram is too ill
+    conditioned (eigenvalue ratio below GRAM_RATIO_FLOOR)."""
+    wt = np.swapaxes(w, -1, -2)
+    gram = w @ wt if w.shape[-2] <= w.shape[-1] else wt @ w
+    lam = np.maximum(np.linalg.eigvalsh(gram), 0.0)
+    val = aleph_gram(lam)
+    weak = lam[..., 0] < GRAM_RATIO_FLOOR * lam[..., -1]
+    if weak.any():
+        val[weak] = aleph_sv(np.linalg.svd(w[weak], compute_uv=False))
+    return val
+
+
 def _evaluate_chunk(payload):
     """Evaluate one contiguous block of designs; pure function of its inputs.
 
     channels is a SensorArray of the space: every design shares its string
     count and composites, so its reduce folds the per-string rows of any of
     them.  jxc holds the scaled body Jacobians as (objective, sample, 6, m).
+
+    Per (design, sample) the singular values of J_lc drive the screens.  Where
+    J_lc has full column rank, B = S J_xc J_lc^+ satisfies B B^T = W^T W with
+    W = A^-T (S J_xc)^T, A being J_lc itself (p = m) or its R factor (p > m),
+    so aleph(B) comes from one inverse and a small Gram (_aleph_rows).
+    Rank-deficient samples keep the truncated pseudo-inverse.
     """
     (space, channels, anc, iws, des_rows, fix_rows, des0, fix0, jxc) = payload
     m = space.basis.m
@@ -416,16 +445,31 @@ def _evaluate_chunk(payload):
     for i in range(n_designed):
         rows[i] = des_rows[:, iws, i, anc[:, i], :].transpose(1, 0, 2)
     rows[n_designed:] = fix_rows.transpose(1, 0, 2)[:, None]
-    jlc = np.moveaxis(channels.reduce(rows), 0, -2)
-    u_m, s_m, vt_m = np.linalg.svd(jlc, full_matrices=False)
-    bad |= aleph_sv(s_m).mean(axis=1) < space.epsilon
-    inv_s = np.divide(1.0, s_m, out=np.zeros_like(s_m),
-                      where=s_m > 1e-12 * s_m[..., :1])
-    pinv = np.einsum("...ji,...j,...kj->...ik", vt_m, inv_s, u_m)
+    jlc = np.moveaxis(channels.reduce(rows), 0, -2)      # (nd, S, p, m)
+    p = jlc.shape[-2]
+    sv = np.linalg.svd(jlc, compute_uv=False)
+    bad |= aleph_sv(sv).mean(axis=1) < space.epsilon
+    full = sv[..., -1] > 1e-12 * sv[..., 0]
+    # the identity stands in for rank-deficient J_lc so that the batched inverse exists
+    square = np.linalg.qr(jlc, mode="r") if p > m else jlc
+    inv_t = np.swapaxes(np.linalg.inv(np.where(full[..., None, None], square, np.eye(m))), -1, -2)
+    deficient = np.nonzero(~full)
+    if len(deficient[0]):
+        u_m, s_m, vt_m = np.linalg.svd(jlc[deficient], full_matrices=False)
+        inv_s = np.divide(1.0, s_m, out=np.zeros_like(s_m),
+                          where=s_m > 1e-12 * s_m[..., :1])
+        pinv = np.einsum("...ji,...j,...kj->...ik", vt_m, inv_s, u_m)
     ag = np.zeros((nd, len(space.s_objectives)))
     for k in range(len(space.s_objectives)):
-        sv = np.linalg.svd(jxc[k][None] @ pinv, compute_uv=False)
-        ag[:, k] = aleph_sv(sv).mean(axis=1)
+        if m < min(p, 6):
+            # B has rank m but min(p, 6) singular values: the smallest is 0
+            val = np.zeros((nd, n_samp))
+        else:
+            val = _aleph_rows(inv_t @ np.swapaxes(jxc[k], -1, -2))
+        if len(deficient[0]):
+            b = jxc[k][deficient[1]] @ pinv
+            val[deficient] = aleph_sv(np.linalg.svd(b, compute_uv=False))
+        ag[:, k] = val.mean(axis=1)
     return a0, ag, bad
 
 
@@ -443,6 +487,8 @@ def brute_force_search(space, samples, objective_index=-1, chunk=400,
     """
     if space.size > cap:
         raise ValueError(f"design space size {space.size} exceeds cap {cap}")
+    if not space.s_objectives:
+        raise ValueError("design space has no objective arc lengths (s_objectives is empty)")
     configs = getattr(samples, "configs", np.asarray(samples))
     if len(configs) == 0:
         raise ValueError("empty workspace sample set")

@@ -155,9 +155,11 @@ def stiff_fixed_tendons():
 def stiff_design_space(s_objectives=None, c_l=STIFF_CHARACTERISTIC_LENGTH):
     """625-design space: four tip-mounted strings over five disk anchors.
 
-    epsilon sits at the rank-deficiency level: the index here carries meter
-    units and healthy designs already measure ~1e-9, so the screen must only
-    catch exact singularities (collinear pairs, three strings on one disk).
+    epsilon sits at the rank-deficiency level.  The strings are constant
+    pitch on a torsion-free basis, so J_lc does not depend on c; its index
+    (meter units) is 1.3e-5 to 1.8e-4 on healthy designs and round-off
+    (below 1e-33) on exactly singular ones (collinear pairs, three strings
+    on one disk).  1e-12 sits seven decades under the weakest healthy design.
     """
     basis = stiff_basis()
     designed = tuple(
@@ -179,13 +181,15 @@ def stiff_design_space(s_objectives=None, c_l=STIFF_CHARACTERISTIC_LENGTH):
 
 
 def stiff_workspace(n_samples=200, seed=424242):
+    """Admissible samples in a box of half-width PLANAR_BOX_CURVATURE /
+    PLANAR_ROD_LENGTH (1/m) per coefficient, inside the 5 % strain limit."""
     basis = stiff_basis()
-    strain = PLANAR_STRAIN_MAX / (PLANAR_BACKBONE_DIAMETER / 2.0)
-    constraints = ConstraintSet(strain_max=(strain, strain, strain),
+    constraints = ConstraintSet(strain_max=(PLANAR_STRAIN_MAX,) * 3,
                                 backbone_diameter=PLANAR_BACKBONE_DIAMETER,
                                 realizability=False)
-    # Load-envelope scale as in the planar study, here in physical units.
-    box = PLANAR_BOX_CURVATURE / PLANAR_ROD_LENGTH / strain
+    # Load-envelope scale as in the planar study, here in physical units:
+    # the strain limit's curvature bound (25 1/m) shrinks to the load box.
+    box = PLANAR_BOX_CURVATURE / PLANAR_ROD_LENGTH / constraints.axis_bounds()[0]
     return sample_admissible(basis, constraints, n_samples, seed, box_scale=box)
 
 

@@ -3,13 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from stringshape import optimizer, studies
 from stringshape.modal import ModalBasis
-from stringshape.optimizer import (DesignSpace, DesignedString, _planar_rows, _sym3_eigvals,
-                                   brute_force_search, improvement_beta,
+from stringshape.optimizer import (GRAM_RATIO_FLOOR, DesignSpace, DesignedString, _planar_rows,
+                                   _sym3_eigvals, brute_force_search, improvement_beta,
                                    optimal_planar_anchors, planar_baseline_index,
                                    planar_config_jacobian, planar_peak_search)
 from stringshape.routing import ConstantPitch, Mount, StringSpec
-from stringshape import studies
+from stringshape.sensing import aleph_sv
+from stringshape.sensitivity import global_index
 
 
 def test_sym3_eigvals_against_numpy():
@@ -56,6 +58,11 @@ def test_planar_peak_symmetry_under_radius_swap():
     pk_b = planar_peak_search(-0.20, 0.10, objective="config")[0]
     assert pk_a.value == pytest.approx(pk_b.value, rel=1e-6)
     assert pk_a.anchors[0] == pytest.approx(pk_b.anchors[1], abs=1e-3)
+
+
+def test_optimal_planar_anchors_rejects_more_than_four_strings():
+    with pytest.raises(ValueError, match="p <= 4"):
+        optimal_planar_anchors(5)
 
 
 def test_optimal_planar_anchors_p3_matches_table_pattern():
@@ -167,6 +174,12 @@ def test_brute_force_output_independent_of_jobs():
     np.testing.assert_array_equal(a.order, b.order)
 
 
+def test_brute_force_rejects_empty_objectives():
+    space = replace(_tiny_space(), s_objectives=())
+    with pytest.raises(ValueError, match="s_objectives is empty"):
+        brute_force_search(space, np.zeros((1, 4)))
+
+
 def test_brute_force_cap():
     space = _tiny_space()
     with pytest.raises(ValueError):
@@ -188,3 +201,138 @@ def test_stiff_space_singular_counting():
     pair_clash = np.array([a[0] == a[2] or a[1] == a[3] for a in anchors])
     assert int(res.singular.sum()) == 225
     assert np.array_equal(res.singular, pair_clash)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests of the search kernel against the three-SVD kernel it
+# replaced, kept here verbatim as the slow reference.
+# ---------------------------------------------------------------------------
+
+def _three_svd_chunk(payload):
+    (space, channels, anc, iws, des_rows, fix_rows, des0, fix0, jxc) = payload
+    m = space.basis.m
+    n_designed = len(space.designed)
+    n_strings = n_designed + len(space.fixed)
+    n_samp = des_rows.shape[0]
+    nd = len(anc)
+    # straight-configuration screen; rows are string-major for the folding
+    rows0 = np.zeros((n_strings, nd, m))
+    for i in range(n_designed):
+        rows0[i] = des0[iws, i, anc[:, i], :]
+    rows0[n_designed:] = fix0[:, None]
+    a0 = aleph_sv(np.linalg.svd(np.moveaxis(channels.reduce(rows0), 0, -2), compute_uv=False))
+    bad = a0 < space.epsilon
+    # per-sample Jacobians
+    rows = np.zeros((n_strings, nd, n_samp, m))
+    for i in range(n_designed):
+        rows[i] = des_rows[:, iws, i, anc[:, i], :].transpose(1, 0, 2)
+    rows[n_designed:] = fix_rows.transpose(1, 0, 2)[:, None]
+    jlc = np.moveaxis(channels.reduce(rows), 0, -2)
+    u_m, s_m, vt_m = np.linalg.svd(jlc, full_matrices=False)
+    bad |= aleph_sv(s_m).mean(axis=1) < space.epsilon
+    inv_s = np.divide(1.0, s_m, out=np.zeros_like(s_m),
+                      where=s_m > 1e-12 * s_m[..., :1])
+    pinv = np.einsum("...ji,...j,...kj->...ik", vt_m, inv_s, u_m)
+    ag = np.zeros((nd, len(space.s_objectives)))
+    for k in range(len(space.s_objectives)):
+        sv = np.linalg.svd(jxc[k][None] @ pinv, compute_uv=False)
+        ag[:, k] = aleph_sv(sv).mean(axis=1)
+    return a0, ag, bad
+
+
+# Where the Gram route is kept (eigenvalue ratio >= GRAM_RATIO_FLOOR), forming
+# W^T W and its eigensolve each perturb lambda_min by a few eps * lambda_max,
+# so the index keeps a relative error of about n * eps / GRAM_RATIO_FLOOR,
+# n <= 8 the Gram's inner dimension.
+GUARD_TOL = 8 * np.finfo(float).eps / GRAM_RATIO_FLOOR
+
+
+def _search_and_reference(monkeypatch, space, samples):
+    new = brute_force_search(space, samples)
+    with monkeypatch.context() as patched:
+        patched.setattr(optimizer, "_evaluate_chunk", _three_svd_chunk)
+        ref = brute_force_search(space, samples)
+    return new, ref
+
+
+def _rel_err(new, ref):
+    return np.abs(new.aleph_g - ref.aleph_g) / ref.aleph_g
+
+
+def _assert_matches_reference(new, ref):
+    """Identical screens; top 100 per objective within 1e-9, every non-singular
+    design within GUARD_TOL; the best design the same up to ties of 1e-12."""
+    np.testing.assert_array_equal(new.singular, ref.singular)
+    np.testing.assert_array_equal(new.aleph_config, ref.aleph_config)
+    healthy = ~ref.singular
+    assert healthy.any()
+    rel = _rel_err(new, ref)
+    assert rel[healthy].max() <= GUARD_TOL
+    for k in range(ref.aleph_g.shape[1]):
+        key = np.where(ref.singular, -np.inf, ref.aleph_g[:, k])
+        top = np.argsort(-key, kind="stable")[:min(100, int(healthy.sum()))]
+        assert rel[top, k].max() <= 1e-9, f"objective {k}"
+        best_new = int(np.argmax(np.where(new.singular, -np.inf, new.aleph_g[:, k])))
+        assert ref.aleph_g[best_new, k] >= (1.0 - 1e-12) * ref.aleph_g[top[0], k]
+
+
+def test_search_kernel_matches_three_svd_reference_on_soft_subspace(monkeypatch):
+    # helical strings with torsion, both twist rates, anchor disks 3, 6, 9
+    space = replace(studies.soft_design_space(), anchor_disks=(3, 6, 9))
+    assert space.twist_rates == (0, 1)
+    new, ref = _search_and_reference(monkeypatch, space, studies.soft_workspace(4, seed=5))
+    _assert_matches_reference(new, ref)
+
+
+def test_search_kernel_matches_three_svd_reference_on_stiff_preset(monkeypatch):
+    # 225 singular designs: every sample of them takes the rank-deficient
+    # path, which keeps the truncated pseudo-inverse bit for bit
+    new, ref = _search_and_reference(monkeypatch, studies.stiff_design_space(),
+                                     studies.stiff_workspace(6, seed=1))
+    assert int(new.singular.sum()) == 225
+    _assert_matches_reference(new, ref)
+    np.testing.assert_array_equal(new.aleph_g[new.singular], ref.aleph_g[ref.singular])
+
+
+def test_search_kernel_overdetermined_spaces(monkeypatch):
+    # Stiff preset plus a seventh channel (p = 7 > m = 6): J_lc is replaced by
+    # its R factor.  The best designs also agree with global_index, which
+    # takes the pseudo-inverse of the 7 x 6 Jacobian.
+    base = studies.stiff_design_space()
+    extra = StringSpec(ConstantPitch(studies.STIFF_STRING_RADIUS, 0.0), studies.STIFF_LENGTH)
+    space = replace(base, fixed=base.fixed + (extra,))
+    assert space.array_for((1, 2, 3, 4), 0).p == 7
+    samples = studies.stiff_workspace(6, seed=1)
+    new, ref = _search_and_reference(monkeypatch, space, samples)
+    _assert_matches_reference(new, ref)
+    for k, s_obj in enumerate(space.s_objectives):
+        best = int(np.argmax(np.where(new.singular, -np.inf, new.aleph_g[:, k])))
+        array = space.array_for(new.anchors[best], new.n_omega[best])
+        gi = global_index(array, space.basis, samples, s_obj, space.c_l)
+        assert new.aleph_g[best, k] == pytest.approx(gi, rel=1e-9)
+
+    # Tiny space plus a fifth channel on a 4-column basis: B = S J_xc J_lc^+
+    # has rank 4 but five singular values, so the index is exactly 0 where
+    # the three-SVD kernel and global_index return round-off.
+    tiny = _tiny_space()
+    space = replace(tiny, fixed=tiny.fixed + (StringSpec(ConstantPitch(-0.04, -0.03), 0.2),))
+    samples = np.array([[0.5, -0.2, 0.7, 0.1], [-0.3, 0.4, -0.1, 0.6]])
+    new, ref = _search_and_reference(monkeypatch, space, samples)
+    np.testing.assert_array_equal(new.singular, ref.singular)
+    assert np.all(new.aleph_g[~new.singular] == 0.0)
+    assert np.abs(ref.aleph_g).max() < 1e-20
+    array = space.array_for(new.anchors[0], new.n_omega[0])
+    assert global_index(array, space.basis, samples, space.s_objectives[1], space.c_l) < 1e-20
+
+
+def test_search_kernel_conditioning_guard(monkeypatch):
+    # c_l = 1e-6 shrinks the angular rows of S J_xc a millionfold, which puts
+    # the Gram eigenvalue ratio below GRAM_RATIO_FLOOR for the entries: the
+    # guard's SVD keeps them at the reference, the bare Gram route does not.
+    space = replace(studies.soft_design_space(), anchor_disks=(3, 6, 9), c_l=1e-6)
+    samples = studies.soft_workspace(3, seed=5)
+    new, ref = _search_and_reference(monkeypatch, space, samples)
+    _assert_matches_reference(new, ref)
+    monkeypatch.setattr(optimizer, "GRAM_RATIO_FLOOR", 0.0)
+    bare = brute_force_search(space, samples)
+    assert _rel_err(bare, ref)[~ref.singular].max() > GUARD_TOL

@@ -26,6 +26,17 @@ def test_stiff_space_shape():
     assert space.basis.m == 6
 
 
+def test_stiff_workspace_box_is_load_envelope():
+    # Curvature coefficients fill the load-envelope box in physical units
+    # (PLANAR_BOX_CURVATURE / PLANAR_ROD_LENGTH, about 7.96 1/m), which lies
+    # inside the 5 % strain limit of the 4 mm backbone (25 1/m).
+    box = studies.PLANAR_BOX_CURVATURE / studies.PLANAR_ROD_LENGTH
+    assert box == pytest.approx(7.9577, rel=1e-4)
+    configs = studies.stiff_workspace(200, seed=424242).configs
+    top = np.abs(configs).max()
+    assert box * 0.98 <= top <= box
+
+
 def test_stiff_composites_mirror_antagonistic_pairs():
     # opposite-side tendon pair carries the mirrored signal of the modeled one
     space = studies.stiff_design_space()
