@@ -178,8 +178,7 @@ def parse_robot(obj):
         except ValueError as err:
             raise SchemaError(f"{where}: {err}") from None
     try:
-        array = SensorArray(strings=tuple(strings), composites=tuple(composites),
-                            quadrature_points=int(obj.get("quadrature_points", 80)))
+        array = SensorArray(strings=tuple(strings), composites=tuple(composites))
     except ValueError as err:
         raise SchemaError(f"robot: {err}") from None
 

@@ -13,9 +13,9 @@ import numpy as np
 
 from .modal import ModalBasis
 from .routing import ConstantPitch, Helical, Mount, StringSpec
-from .sensing import (SensorArray, aleph_gram, aleph_sv, body_jacobian_multi, exact_row,
-                      has_exact_row)
-from .sensitivity import noise_amp, twist_scaling
+from .sensing import (PANELS_PER_LENGTH, SensorArray, _jacobian_row, _panel_rows, aleph_gram,
+                      aleph_sv, body_jacobian_multi, exact_row, has_exact_row)
+from .sensitivity import map_rank_limited, noise_amp, twist_scaling
 
 PLANAR_REFERENCE_RADIUS = 0.25   # fixed end-anchored tendon, radius in units of L
 PLANAR_GRID_STEP = 0.004
@@ -289,7 +289,6 @@ class DesignSpace:
     s_objectives: tuple = ()
     c_l: float = 1.0
     epsilon: float = 1e-7
-    quadrature_points: int = 80
 
     @property
     def size(self):
@@ -307,8 +306,7 @@ class DesignSpace:
                                     s_anchor=disk * length / self.n_disks,
                                     mount=ds.mount))
         specs.extend(self.fixed)
-        return SensorArray(strings=tuple(specs), composites=self.composites,
-                           quadrature_points=self.quadrature_points)
+        return SensorArray(strings=tuple(specs), composites=self.composites)
 
 
 @dataclass
@@ -321,10 +319,10 @@ class SearchResult:
     s_objectives: tuple
     order: np.ndarray          # ranking by the requested objective
 
-    def best(self, objective_index=0):
-        i = int(self.order[0]) if self.order is not None else int(
-            np.argmax(np.where(self.singular, -np.inf, self.aleph_g[:, objective_index])))
-        return i
+    def best(self, objective_index=-1):
+        """Index of the non-singular design with the largest index at the
+        given objective (the last one, as the search ranks by default)."""
+        return int(np.argmax(np.where(self.singular, -np.inf, self.aleph_g[:, objective_index])))
 
     def report(self, index, characteristic_length):
         from .sensitivity import DesignReport
@@ -338,42 +336,30 @@ class SearchResult:
         )
 
 
-def _grid_nodes(space, per_disk):
-    n = space.n_disks * per_disk
-    sg = np.linspace(0.0, space.basis.length, n + 1)
-    disk_nodes = np.arange(0, n + 1, per_disk)
-    return sg, disk_nodes
+def _cumulative_rows(space, c):
+    """J_lc rows of every string variant at configuration c.
 
-
-def _cumulative_rows(space, c, sg, disk_nodes):
-    """Cumulative J_lc row integrals at disk nodes for every string variant.
-
+    Designed strings get their rows from the origin to each disk boundary as
+    cumulative sums of the Gauss-Legendre panels of sensing, each disk
+    subsegment split into equal panels no wider than L / PANELS_PER_LENGTH;
+    tip-mounted strings read cum[end] - cum[anchor].  Fixed strings take
+    config_jacobian's row over their own span, wherever they are anchored.
     Returns (designed_rows[n_omega][string][disk] -> (m,), fixed_rows (k, m)).
-    Tip-mounted strings read cum[end] - cum[anchor].
     """
     basis = space.basis
-    phi = basis.matrix(sg)                     # (n, 3, m)
-    u = phi @ basis.check_coeffs(c)
-    ds = np.diff(sg)[:, None]
-    e3 = np.array([0.0, 0.0, 1.0])
-
-    def cum_rows(path):
-        r = path.radial(sg)
-        rp = path.radial_deriv(sg)
-        w = e3[None, :] - np.cross(r, u) + rp
-        wn = w / np.linalg.norm(w, axis=1, keepdims=True)
-        g = np.einsum("ni,nij->nj", np.cross(r, wn), phi)
-        cum = np.concatenate([np.zeros((1, basis.m)),
-                              np.cumsum(0.5 * (g[1:] + g[:-1]) * ds, axis=0)])
-        return cum
+    split = -(-PANELS_PER_LENGTH // space.n_disks)
+    edges = np.arange(space.n_disks * split + 1) * basis.length / (space.n_disks * split)
+    disk_edges = edges[::split]
 
     def rows_at_disks(path):
         if has_exact_row(path, basis):
-            return np.array([exact_row(path, basis, 0.0, sg[node]) for node in disk_nodes])
-        return cum_rows(path)[disk_nodes]
+            return np.array([exact_row(path, basis, 0.0, s) for s in disk_edges])
+        cum = np.concatenate([np.zeros((1, basis.m)),
+                              np.cumsum(_panel_rows(path, basis, c, edges), axis=0)])
+        return cum[::split]
 
     designed = np.zeros((len(space.twist_rates), len(space.designed),
-                         len(disk_nodes), basis.m))
+                         len(disk_edges), basis.m))
     for iw, n_om in enumerate(space.twist_rates):
         omega = space.omega_of(n_om)
         for i, dstr in enumerate(space.designed):
@@ -381,23 +367,16 @@ def _cumulative_rows(space, c, sg, disk_nodes):
             if dstr.mount is Mount.TIP:
                 at_disks = at_disks[-1] - at_disks
             designed[iw, i] = at_disks
-    fixed = np.zeros((len(space.fixed), basis.m))
-    for i, spec in enumerate(space.fixed):
-        lo, hi = spec.span(basis.length)
-        if has_exact_row(spec.path, basis):
-            fixed[i] = exact_row(spec.path, basis, lo, hi)
-        else:
-            cum = cum_rows(spec.path)
-            lo_i = int(round(lo / basis.length * (len(sg) - 1)))
-            hi_i = int(round(hi / basis.length * (len(sg) - 1)))
-            fixed[i] = cum[hi_i] - cum[lo_i]
+    fixed = np.array([_jacobian_row(spec, basis, c) for spec in space.fixed]).reshape(-1, basis.m)
     return designed, fixed
 
 
 # Gram eigenvalues carry an absolute error of about eps * lambda_max, so
 # lambda_min keeps a relative accuracy of about eps / ratio; below this ratio
-# lambda_min / lambda_max the index is recomputed from singular values.
-GRAM_RATIO_FLOOR = 1e-10
+# lambda_min / lambda_max the index is recomputed from singular values.  At
+# 1e-10 a top design of a soft-preset subspace erred by 1.1e-9 through
+# samples with ratios of 8e-10 and 5e-9; at 1e-8 the worst is 6e-10.
+GRAM_RATIO_FLOOR = 1e-8
 
 
 def _aleph_rows(w):
@@ -425,7 +404,8 @@ def _evaluate_chunk(payload):
     J_lc has full column rank, B = S J_xc J_lc^+ satisfies B B^T = W^T W with
     W = A^-T (S J_xc)^T, A being J_lc itself (p = m) or its R factor (p > m),
     so aleph(B) comes from one inverse and a small Gram (_aleph_rows).
-    Rank-deficient samples keep the truncated pseudo-inverse.
+    Rank-deficient samples keep the truncated pseudo-inverse.  Where
+    map_rank_limited(p, m) holds, every index is 0 by the shape of B alone.
     """
     (space, channels, anc, iws, des_rows, fix_rows, des0, fix0, jxc) = payload
     m = space.basis.m
@@ -449,6 +429,9 @@ def _evaluate_chunk(payload):
     p = jlc.shape[-2]
     sv = np.linalg.svd(jlc, compute_uv=False)
     bad |= aleph_sv(sv).mean(axis=1) < space.epsilon
+    ag = np.zeros((nd, len(space.s_objectives)))
+    if map_rank_limited(p, m):
+        return a0, ag, bad
     full = sv[..., -1] > 1e-12 * sv[..., 0]
     # the identity stands in for rank-deficient J_lc so that the batched inverse exists
     square = np.linalg.qr(jlc, mode="r") if p > m else jlc
@@ -459,13 +442,8 @@ def _evaluate_chunk(payload):
         inv_s = np.divide(1.0, s_m, out=np.zeros_like(s_m),
                           where=s_m > 1e-12 * s_m[..., :1])
         pinv = np.einsum("...ji,...j,...kj->...ik", vt_m, inv_s, u_m)
-    ag = np.zeros((nd, len(space.s_objectives)))
     for k in range(len(space.s_objectives)):
-        if m < min(p, 6):
-            # B has rank m but min(p, 6) singular values: the smallest is 0
-            val = np.zeros((nd, n_samp))
-        else:
-            val = _aleph_rows(inv_t @ np.swapaxes(jxc[k], -1, -2))
+        val = _aleph_rows(inv_t @ np.swapaxes(jxc[k], -1, -2))
         if len(deficient[0]):
             b = jxc[k][deficient[1]] @ pinv
             val[deficient] = aleph_sv(np.linalg.svd(b, compute_uv=False))
@@ -474,7 +452,7 @@ def _evaluate_chunk(payload):
 
 
 def brute_force_search(space, samples, objective_index=-1, chunk=400,
-                       n_steps=100, per_disk=30, cap=1_000_000, jobs=1):
+                       n_steps=100, cap=1_000_000, jobs=1):
     """Evaluate every design in the space and rank by a chosen objective.
 
     A design is marked singular when aleph(J_lc) falls below space.epsilon at
@@ -503,7 +481,6 @@ def brute_force_search(space, samples, objective_index=-1, chunk=400,
     if channels.p < m:
         raise ValueError("fewer measurement channels than basis columns")
 
-    sg, disk_nodes = _grid_nodes(space, per_disk)
     scale = twist_scaling(space.c_l)
 
     # Design-independent: body Jacobians at the objective arc lengths, kept
@@ -516,12 +493,12 @@ def brute_force_search(space, samples, objective_index=-1, chunk=400,
     des_rows = []
     fix_rows = []
     for c in configs:
-        d, f = _cumulative_rows(space, c, sg, disk_nodes)
+        d, f = _cumulative_rows(space, c)
         des_rows.append(d)
         fix_rows.append(f)
     des_rows = np.array(des_rows)      # (S, n_omega, n_designed, n_disks+1, m)
     fix_rows = np.array(fix_rows)      # (S, n_fixed, m)
-    des0, fix0 = _cumulative_rows(space, np.zeros(m), sg, disk_nodes)
+    des0, fix0 = _cumulative_rows(space, np.zeros(m))
 
     payloads = [
         (space, channels, anchors[c0:c0 + chunk], iw[c0:c0 + chunk],

@@ -16,7 +16,7 @@ import numpy as np
 from .modal import ModalBasis, curvature
 from .optimizer import optimal_planar_anchors
 from .routing import ConstantPitch
-from .sensing import Reference, SensorArray, exact_row, lengths
+from .sensing import Reference, exact_row, lengths
 
 
 class ShootingError(RuntimeError):
@@ -194,24 +194,19 @@ def convergence_study(rod=None, f_max=60.0, m_max=6.0, n_levels=10, p_list=(1, 2
     return stats, rows
 
 
-def synthetic_spatial_truth(basis_truth, array, constraints, n, seed, n_quad=400):
-    """Seeded admissible truth fields with their exact string lengths.
+def synthetic_spatial_truth(basis_truth, array, constraints, n, seed):
+    """Seeded admissible truth fields with their string lengths.
 
     basis_truth should strictly contain the sensing basis so reconstruction
-    error is meaningful; lengths are integrated at n_quad points, finer than
-    the solver default.  Returns a list of (c_truth, length vector) pairs.
+    error is meaningful; the lengths' quadrature error (~1e-9 relative) is far
+    below that truncation.  Returns a list of (c_truth, length vector) pairs.
     """
     from .sensitivity import sample_admissible
 
     paths = [spec.path for spec in array.strings] if constraints.realizability else []
     samples = sample_admissible(basis_truth, constraints, n, seed, paths=paths)
-    fine = SensorArray(strings=array.strings, composites=array.composites,
-                       quadrature_points=n_quad)
-    out = []
-    for c in samples.configs:
-        ell = lengths(fine, basis_truth, c, Reference.DELTA_FROM_STRAIGHT)
-        out.append((c, ell))
-    return out
+    return [(c, lengths(array, basis_truth, c, Reference.DELTA_FROM_STRAIGHT))
+            for c in samples.configs]
 
 
 @dataclass

@@ -19,7 +19,7 @@ import numpy as np
 from . import liegroup
 from .liegroup import E3
 from .modal import curvature
-from .routing import ConstantPitch, path_velocity, tangential_margin
+from .routing import ConstantPitch, path_velocity, realizable
 
 
 class NotRealizableError(ValueError):
@@ -68,7 +68,6 @@ class Composite:
 class SensorArray:
     strings: tuple
     composites: tuple = ()
-    quadrature_points: int = 80
 
     def __post_init__(self):
         object.__setattr__(self, "strings", tuple(self.strings))
@@ -145,28 +144,58 @@ def exact_row(path, basis, lo, hi):
     return path.r_y * integ[0] - path.r_x * integ[1]
 
 
-def _span_grid(spec, basis, n_quad):
-    lo, hi = spec.span(basis.length)
-    return np.linspace(lo, hi, n_quad)
+# String integrals without a closed form use the 3-node Gauss-Legendre rule on
+# panels no wider than L / PANELS_PER_LENGTH, exact to degree 5 per panel;
+# its nodes and weights on [0, 1] are written in closed form.
+PANELS_PER_LENGTH = 10
+_GL_NODES = 0.5 + 0.5 * np.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])
+_GL_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 
 
-def string_length(spec, basis, c, n_quad=80):
+def _span_edges(lo, hi, length):
+    """Panel edges over [lo, hi]: the span ends and the L/PANELS_PER_LENGTH
+    grid points strictly inside, so an anchor anywhere is an edge."""
+    grid = np.arange(PANELS_PER_LENGTH + 1) * length / PANELS_PER_LENGTH
+    tol = 1e-12 * length
+    return np.concatenate([[lo], grid[(grid > lo + tol) & (grid < hi - tol)], [hi]])
+
+
+def _gauss_legendre(edges):
+    """Nodes and weights of the 3-node rule on the panels between consecutive
+    edges, three per panel in panel order."""
+    edges = np.asarray(edges, dtype=float)
+    width = np.diff(edges)
+    return ((edges[:-1, None] + width[:, None] * _GL_NODES).ravel(),
+            (width[:, None] * _GL_WEIGHTS).ravel())
+
+
+def _panel_rows(path, basis, c, edges):
+    """Per-panel Gauss-Legendre sums (n, m) of the J_lc row integrand
+    (r x w'/|w'|)^T Phi over the panels between consecutive edges, with w'
+    from path_velocity."""
+    s, weights = _gauss_legendre(edges)
+    w = path_velocity(path, basis, c, s)
+    wn = w / np.linalg.norm(w, axis=1, keepdims=True)
+    integrand = np.einsum("ni,nij->nj", np.cross(path.radial(s), wn), basis.matrix(s))
+    return (weights[:, None] * integrand).reshape(len(s) // 3, 3, -1).sum(axis=1)
+
+
+def string_length(spec, basis, c):
     """Path length of one string at configuration c.
 
     Uses the exact affine integral for constant-pitch strings on torsion-free
-    bases and the composite trapezoid rule otherwise.  Raises
-    NotRealizableError when the tangential rate crosses zero anywhere on the
-    check grid.
+    bases and the panel Gauss-Legendre rule otherwise.  Raises
+    NotRealizableError when the tangential rate crosses zero anywhere on an
+    80-point check grid over the span.
     """
-    s = _span_grid(spec, basis, max(n_quad, 2))
-    margin = float(tangential_margin(spec.path, basis, c, s).min())
-    if margin <= 0.0:
+    lo, hi = spec.span(basis.length)
+    ok, margin = realizable(spec.path, basis, c, grid=80, span=(lo, hi))
+    if not ok:
         raise NotRealizableError(margin)
     if has_exact_row(spec.path, basis):
-        lo, hi = spec.span(basis.length)
         return float(hi - lo + exact_row(spec.path, basis, lo, hi) @ basis.check_coeffs(c))
-    w = path_velocity(spec.path, basis, c, s)
-    return float(np.trapezoid(np.linalg.norm(w, axis=1), s))
+    s, weights = _gauss_legendre(_span_edges(lo, hi, basis.length))
+    return float(weights @ np.linalg.norm(path_velocity(spec.path, basis, c, s), axis=1))
 
 
 def lengths(array, basis, c, reference=Reference.DELTA_FROM_STRAIGHT):
@@ -175,38 +204,29 @@ def lengths(array, basis, c, reference=Reference.DELTA_FROM_STRAIGHT):
     per_string = []
     for i, spec in enumerate(array.strings):
         try:
-            per_string.append(string_length(spec, basis, c, array.quadrature_points))
+            per_string.append(string_length(spec, basis, c))
         except NotRealizableError as err:
             raise NotRealizableError(err.margin, string_index=i) from None
     vals = array.reduce(per_string)
     if reference is Reference.DELTA_FROM_STRAIGHT:
-        straight = array.reduce(
-            [string_length(spec, basis, np.zeros(basis.m), array.quadrature_points)
-             for spec in array.strings]
-        )
-        vals = vals - straight
+        vals = vals - lengths(array, basis, np.zeros(basis.m), Reference.ABSOLUTE)
     return vals
 
 
-def _jacobian_row(spec, basis, c, n_quad):
+def _jacobian_row(spec, basis, c):
     """d(length)/dc for one string: (r x w'/|w'|)^T Phi integrated over the span
-    (exact for constant-pitch/torsion-free strings, trapezoid otherwise)."""
+    (exact for constant-pitch/torsion-free strings, panel Gauss-Legendre
+    otherwise)."""
+    lo, hi = spec.span(basis.length)
     if has_exact_row(spec.path, basis):
-        return exact_row(spec.path, basis, *spec.span(basis.length))
-    s = _span_grid(spec, basis, n_quad)
-    w = path_velocity(spec.path, basis, c, s)
-    wn = w / np.linalg.norm(w, axis=1, keepdims=True)
-    r = spec.path.radial(s)
-    phi = basis.matrix(s)                          # (n, 3, m)
-    integrand = np.einsum("ni,nij->nj", np.cross(r, wn), phi)
-    return np.trapezoid(integrand, s, axis=0)
+        return exact_row(spec.path, basis, lo, hi)
+    return _panel_rows(spec.path, basis, c, _span_edges(lo, hi, basis.length)).sum(axis=0)
 
 
 def config_jacobian(array, basis, c):
     """J_lc (p, m): sensitivity of measurement channels to modal coefficients."""
     c = basis.check_coeffs(c)
-    rows = [_jacobian_row(spec, basis, c, array.quadrature_points) for spec in array.strings]
-    return array.reduce(rows)
+    return array.reduce([_jacobian_row(spec, basis, c) for spec in array.strings])
 
 
 def linear_model(array, basis):
@@ -217,13 +237,8 @@ def linear_model(array, basis):
     """
     if not array.is_linear_class(basis):
         raise ValueError("array is not linear-class (needs constant pitch and no torsion)")
-    rows = []
-    base_len = []
-    for spec in array.strings:
-        lo, hi = spec.span(basis.length)
-        rows.append(exact_row(spec.path, basis, lo, hi))
-        base_len.append(hi - lo)
-    return array.reduce(base_len), array.reduce(rows)
+    straight = np.zeros(basis.m)
+    return lengths(array, basis, straight, Reference.ABSOLUTE), config_jacobian(array, basis, straight)
 
 
 def body_jacobian(basis, c, s, n_steps=100):
@@ -313,8 +328,12 @@ def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
 
     c = np.zeros(basis.m) if initial is None else basis.check_coeffs(np.asarray(initial, dtype=float)).copy()
 
+    # the straight-configuration lengths do not change between iterates
+    straight = (lengths(array, basis, np.zeros(basis.m), Reference.ABSOLUTE)
+                if reference is Reference.DELTA_FROM_STRAIGHT else 0.0)
+
     def residual(cc):
-        return lengths(array, basis, cc, reference) - measured
+        return lengths(array, basis, cc, Reference.ABSOLUTE) - straight - measured
 
     res = residual(c)
     rnorm = np.linalg.norm(res)

@@ -45,8 +45,16 @@ def full_map_jacobian(array, basis, c, s, c_l, n_steps=100, rcond=1e-12):
     return np.linalg.pinv(length_twist_map(array, basis, c, s, c_l, n_steps), rcond=rcond)
 
 
+def map_rank_limited(p, m):
+    """B = S J_xc J_lc^+ (6 x p) has rank at most m; when m < min(p, 6) its
+    smallest singular value, and so its index, is exactly 0."""
+    return m < min(p, 6)
+
+
 def full_map_index(array, basis, c, s, c_l, n_steps=100):
     """aleph of the length->twist map at one configuration and arc length."""
+    if map_rank_limited(array.p, basis.m):
+        return 0.0
     return noise_amp(length_twist_map(array, basis, c, s, c_l, n_steps))
 
 

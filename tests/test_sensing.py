@@ -2,22 +2,23 @@ import numpy as np
 import pytest
 
 from stringshape.modal import ModalBasis, identity_basis
-from stringshape.routing import ConstantPitch, Helical, Mount, StringSpec
+from stringshape.routing import ConstantPitch, Helical, Mount, StringSpec, path_velocity
 from stringshape.sensing import (Composite, NotRealizableError, Reference, SensorArray,
                                  SingularDesignError, aleph_gram, aleph_sv, body_jacobian,
                                  body_jacobian_multi, config_jacobian, forward_kinematics,
                                  lengths, linear_model, solve_shape, string_length)
 from stringshape.sensitivity import noise_amp
 from stringshape import liegroup as lg
+from stringshape import studies
 
 
 def planar_basis(L=1.0):
     return ModalBasis(y=(0, 1, 2), length=L)
 
 
-def planar_array(radii, anchors, L=1.0, n_quad=80):
+def planar_array(radii, anchors, L=1.0):
     specs = tuple(StringSpec(ConstantPitch(r, 0.0), a * L) for r, a in zip(radii, anchors))
-    return SensorArray(strings=specs, quadrature_points=n_quad)
+    return SensorArray(strings=specs)
 
 
 def helical_array(L=0.293):
@@ -28,7 +29,7 @@ def helical_array(L=0.293):
         StringSpec(ConstantPitch(0.0375 * np.cos(t), 0.0375 * np.sin(t)), s_anchor=k * L / 10)
         for t, k in zip(np.deg2rad([0, 90, 180, 270]), (10, 10, 7, 7))
     )
-    return SensorArray(strings=specs, quadrature_points=80)
+    return SensorArray(strings=specs)
 
 
 def spatial_basis(L=0.293):
@@ -58,7 +59,7 @@ def test_helix_straight_backbone_length():
     omega, r_s, s_a = 8.0, 0.03, 0.25
     spec = StringSpec(Helical(r_s=r_s, omega=omega, alpha=0.3), s_anchor=s_a)
     expect = s_a * np.sqrt(1 + (r_s * omega) ** 2)
-    got = string_length(spec, basis, np.zeros(8), n_quad=80)
+    got = string_length(spec, basis, np.zeros(8))
     assert got == pytest.approx(expect, rel=1e-9)
 
 
@@ -265,7 +266,7 @@ def test_body_jacobian_multi_rejects_off_grid_arc_length():
 
 def test_linear_round_trip_exact():
     basis = planar_basis()
-    array = planar_array([0.1, -0.1, 0.25], [0.204, 0.772, 1.0], n_quad=200)
+    array = planar_array([0.1, -0.1, 0.25], [0.204, 0.772, 1.0])
     rng = np.random.default_rng(9)
     for _ in range(5):
         c_true = rng.uniform(-2, 2, 3)
@@ -372,14 +373,41 @@ def test_modal_direction_shape_families():
             assert sep > 0.1
 
 
-def test_quadrature_convergence():
-    basis = planar_basis()
-    c = np.array([1.2, -0.8, 0.5])
-    spec80 = planar_array([0.1, -0.1, 0.25], [0.3, 0.7, 1.0], n_quad=80)
-    spec160 = planar_array([0.1, -0.1, 0.25], [0.3, 0.7, 1.0], n_quad=160)
-    a = lengths(spec80, basis, c, Reference.ABSOLUTE)
-    b = lengths(spec160, basis, c, Reference.ABSOLUTE)
-    assert np.abs(a - b).max() / np.abs(b).max() <= 1e-9
+def _richardson(integrand, lo, hi, n=20_001):
+    """Dense trapezoid rule at n and 2n - 1 points, extrapolated in h^2."""
+    def trap(k):
+        s = np.linspace(lo, hi, k)
+        return np.trapezoid(integrand(s), s, axis=0)
+    return (4.0 * trap(2 * n - 1) - trap(n)) / 3.0
+
+
+def test_panel_rule_against_richardson_reference():
+    # Soft preset: helical strings at four anchors and both twist rates, plus
+    # the four tendons, which have no exact row on the torsion basis.  Rows
+    # within 1e-8 and lengths within 1e-9 of a Richardson-extrapolated dense
+    # trapezoid.
+    space = studies.soft_design_space()
+    basis = space.basis
+    strings = [spec for n_omega in (0, 1)
+               for spec in space.array_for((3, 6, 9, 10), n_omega).strings[:4]]
+    strings += list(space.fixed)
+    for c in studies.soft_workspace(3, seed=777).configs:
+        for spec in strings:
+            lo, hi = spec.span(basis.length)
+
+            def speed(s, path=spec.path):
+                return np.linalg.norm(path_velocity(path, basis, c, s), axis=1)
+
+            def row(s, path=spec.path):
+                w = path_velocity(path, basis, c, s)
+                wn = w / np.linalg.norm(w, axis=1, keepdims=True)
+                return np.einsum("ni,nij->nj", np.cross(path.radial(s), wn), basis.matrix(s))
+
+            ref_row = _richardson(row, lo, hi)
+            got_row = config_jacobian(SensorArray(strings=(spec,)), basis, c)[0]
+            assert np.abs(got_row - ref_row).max() <= 1e-8 * np.abs(ref_row).max()
+            assert string_length(spec, basis, c) == pytest.approx(_richardson(speed, lo, hi),
+                                                                  rel=1e-9)
 
 
 def test_array_validation():
