@@ -40,6 +40,17 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+def _positive_int(text):
+    """argparse type for counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _pose_rows(sample_idx, s_values, poses):
     rows = []
     for s, pose in zip(s_values, poses):
@@ -94,7 +105,6 @@ def cmd_solve(args):
     if meas.shape[1] == robot.array.p + 1 and header and header[0] == "sample":
         meas = meas[:, 1:]
     elif meas.shape[1] != robot.array.p:
-        from .configio import SchemaError
         raise SchemaError(f"{args.measurements}: expected {robot.array.p} "
                           f"measurement columns, found {meas.shape[1]}")
     rows = []
@@ -247,7 +257,7 @@ def cmd_spatial_study(args):
     for k, (c_true, ell) in enumerate(cases):
         try:
             sol = solve_shape(array, basis, ell, Reference.DELTA_FROM_STRAIGHT)
-        except (SolverError, SingularDesignError) as err:
+        except (SolverError, SingularDesignError):
             fails += 1
             continue
         pose_t = forward_kinematics(truth_basis, c_true, [basis.length])[0]
@@ -308,7 +318,7 @@ def build_parser():
                    help="workspace-averaged tip-index peaks over the preset radius pairs")
     p.add_argument("--convergence", action="store_true",
                    help="reconstruction error vs string count on the rod oracle")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=studies.PLANAR_WORKSPACE_SEED)
     p.add_argument("--modulus", type=float, default=60e9, help="rod modulus (Pa)")
     p.add_argument("-o", "--output", default=None)
@@ -320,7 +330,7 @@ def build_parser():
                        help="CSV landscapes of both indices over the anchor grid")
     p.add_argument("--r1", type=float, default=0.10)
     p.add_argument("--r2", type=float, default=-0.10)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=studies.PLANAR_WORKSPACE_SEED)
     p.add_argument("--output-config", default="aleph_config_grid.csv")
     p.add_argument("--output-full", default="aleph_full_grid.csv")
@@ -329,7 +339,7 @@ def build_parser():
     p = sub.add_parser("routing-opt",
                        help="brute-force routing search over a preset design space")
     p.add_argument("--preset", choices=("stiff", "soft"), default="soft")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=777)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes; output is independent of the count")
@@ -339,7 +349,7 @@ def build_parser():
 
     p = sub.add_parser("spatial-study",
                        help="synthetic spatial truth -> reconstruction error metrics")
-    p.add_argument("--cases", type=int, default=50)
+    p.add_argument("--cases", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=20)
     p.add_argument("--anchors", default=None,
                    help="comma-separated anchor disks for the four strings")

@@ -371,64 +371,36 @@ def _cumulative_rows(space, c):
     return designed, fixed
 
 
-# Gram eigenvalues carry an absolute error of about eps * lambda_max, so
-# lambda_min keeps a relative accuracy of about eps / ratio; below this ratio
-# lambda_min / lambda_max the index is recomputed from singular values.  At
-# 1e-10 a top design of a soft-preset subspace erred by 1.1e-9 through
-# samples with ratios of 8e-10 and 5e-9; at 1e-8 the worst is 6e-10.
-GRAM_RATIO_FLOOR = 1e-8
-
-
-def _aleph_rows(w):
-    """aleph of stacked (..., q, 6) matrices W from the eigenvalues of their
-    smaller Gram matrix, with singular values where the Gram is too ill
-    conditioned (eigenvalue ratio below GRAM_RATIO_FLOOR)."""
-    wt = np.swapaxes(w, -1, -2)
-    gram = w @ wt if w.shape[-2] <= w.shape[-1] else wt @ w
-    lam = np.maximum(np.linalg.eigvalsh(gram), 0.0)
-    val = aleph_gram(lam)
-    weak = lam[..., 0] < GRAM_RATIO_FLOOR * lam[..., -1]
-    if weak.any():
-        val[weak] = aleph_sv(np.linalg.svd(w[weak], compute_uv=False))
-    return val
-
-
 def _evaluate_chunk(payload):
     """Evaluate one contiguous block of designs; pure function of its inputs.
 
     channels is a SensorArray of the space: every design shares its string
     count and composites, so its reduce folds the per-string rows of any of
-    them.  jxc holds the scaled body Jacobians as (objective, sample, 6, m).
+    them.  Row sample 0 is the straight configuration and samples 1..S the
+    workspace; jxc holds the scaled body Jacobians as (objective, S, 6, m).
 
     Per (design, sample) the singular values of J_lc drive the screens.  Where
     J_lc has full column rank, B = S J_xc J_lc^+ satisfies B B^T = W^T W with
     W = A^-T (S J_xc)^T, A being J_lc itself (p = m) or its R factor (p > m),
-    so aleph(B) comes from one inverse and a small Gram (_aleph_rows).
-    Rank-deficient samples keep the truncated pseudo-inverse.  Where
+    so aleph(B) comes from one inverse and the singular values of the m x 6
+    W.  Rank-deficient samples keep the truncated pseudo-inverse.  Where
     map_rank_limited(p, m) holds, every index is 0 by the shape of B alone.
     """
-    (space, channels, anc, iws, des_rows, fix_rows, des0, fix0, jxc) = payload
+    (space, channels, anc, iws, des_rows, fix_rows, jxc) = payload
     m = space.basis.m
     n_designed = len(space.designed)
-    n_strings = n_designed + len(space.fixed)
-    n_samp = des_rows.shape[0]
     nd = len(anc)
-    # straight-configuration screen; rows are string-major for the folding
-    rows0 = np.zeros((n_strings, nd, m))
-    for i in range(n_designed):
-        rows0[i] = des0[iws, i, anc[:, i], :]
-    rows0[n_designed:] = fix0[:, None]
-    a0 = aleph_sv(np.linalg.svd(np.moveaxis(channels.reduce(rows0), 0, -2), compute_uv=False))
-    bad = a0 < space.epsilon
-    # per-sample Jacobians
-    rows = np.zeros((n_strings, nd, n_samp, m))
+    # rows are string-major for the folding
+    rows = np.zeros((n_designed + len(space.fixed), nd, des_rows.shape[0], m))
     for i in range(n_designed):
         rows[i] = des_rows[:, iws, i, anc[:, i], :].transpose(1, 0, 2)
     rows[n_designed:] = fix_rows.transpose(1, 0, 2)[:, None]
-    jlc = np.moveaxis(channels.reduce(rows), 0, -2)      # (nd, S, p, m)
+    jlc = np.moveaxis(channels.reduce(rows), 0, -2)      # (nd, 1 + S, p, m)
     p = jlc.shape[-2]
     sv = np.linalg.svd(jlc, compute_uv=False)
-    bad |= aleph_sv(sv).mean(axis=1) < space.epsilon
+    a0 = aleph_sv(sv[:, 0])
+    jlc, sv = jlc[:, 1:], sv[:, 1:]
+    bad = (a0 < space.epsilon) | (aleph_sv(sv).mean(axis=1) < space.epsilon)
     ag = np.zeros((nd, len(space.s_objectives)))
     if map_rank_limited(p, m):
         return a0, ag, bad
@@ -443,7 +415,7 @@ def _evaluate_chunk(payload):
                           where=s_m > 1e-12 * s_m[..., :1])
         pinv = np.einsum("...ji,...j,...kj->...ik", vt_m, inv_s, u_m)
     for k in range(len(space.s_objectives)):
-        val = _aleph_rows(inv_t @ np.swapaxes(jxc[k], -1, -2))
+        val = aleph_sv(np.linalg.svd(inv_t @ np.swapaxes(jxc[k], -1, -2), compute_uv=False))
         if len(deficient[0]):
             b = jxc[k][deficient[1]] @ pinv
             val[deficient] = aleph_sv(np.linalg.svd(b, compute_uv=False))
@@ -489,20 +461,14 @@ def brute_force_search(space, samples, objective_index=-1, chunk=400,
                     for c in configs])                  # (S, n_objectives, 6, m)
     jxc = scale[:, None] * np.moveaxis(jxc, 1, 0)
 
-    # Per-sample cumulative rows for every string variant.
-    des_rows = []
-    fix_rows = []
-    for c in configs:
-        d, f = _cumulative_rows(space, c)
-        des_rows.append(d)
-        fix_rows.append(f)
-    des_rows = np.array(des_rows)      # (S, n_omega, n_designed, n_disks+1, m)
-    fix_rows = np.array(fix_rows)      # (S, n_fixed, m)
-    des0, fix0 = _cumulative_rows(space, np.zeros(m))
+    # Cumulative rows for every string variant; row sample 0 is the straight
+    # configuration of the singular screen, then the workspace samples.
+    rows = [_cumulative_rows(space, c) for c in [np.zeros(m), *configs]]
+    des_rows = np.array([d for d, _ in rows])   # (1 + S, n_omega, n_designed, n_disks+1, m)
+    fix_rows = np.array([f for _, f in rows])   # (1 + S, n_fixed, m)
 
     payloads = [
-        (space, channels, anchors[c0:c0 + chunk], iw[c0:c0 + chunk],
-         des_rows, fix_rows, des0, fix0, jxc)
+        (space, channels, anchors[c0:c0 + chunk], iw[c0:c0 + chunk], des_rows, fix_rows, jxc)
         for c0 in range(0, n_designs, chunk)
     ]
     if jobs > 1:

@@ -153,7 +153,6 @@ def planar_reconstruction_error(sol, rod, radii, anchors, p):
     c = np.linalg.solve(jac, np.asarray(ell) - np.asarray(anchors) * length)
 
     th_rec = _exact_theta(basis, c, length)
-    n_f = len(s) - 1
     u_rec = curvature(basis, c, s)[:, 1]
     _, x_r, z_r = _integrate(u_rec, s)
     e_pos = float(np.hypot(x_r[-1] - sol.x[-1], z_r[-1] - sol.z[-1]) / length * 100.0)

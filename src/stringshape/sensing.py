@@ -270,11 +270,12 @@ def body_jacobian_multi(basis, c, s_list, n_steps_total=100, span=None):
     jac = np.zeros((6, basis.m))
     if 0 in nodes:
         out[0] = jac.copy()
-    glo, ghi = liegroup._GL_LO * h, liegroup._GL_HI * h
+    # Phi at both Gauss-Legendre points of every step, tabulated once
+    s0 = np.arange(n_steps_total) * h
+    gl = np.stack([s0 + liegroup._GL_LO * h, s0 + liegroup._GL_HI * h], axis=1)
+    phi = basis.matrix(gl.ravel()).reshape(n_steps_total, 2, 3, basis.m)
     for i in range(n_steps_total):
-        s0 = i * h
-        p1 = basis.matrix(s0 + glo)
-        p2 = basis.matrix(s0 + ghi)
+        p1, p2 = phi[i]
         e1 = np.concatenate([p1 @ c, E3])
         e2 = np.concatenate([p2 @ c, E3])
         psi = liegroup.magnus_element(e1, e2, h)

@@ -116,6 +116,21 @@ def test_unknown_flag_exits_64():
     assert proc.returncode == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["spatial-study", "--cases", "0"],
+    ["spatial-study", "--cases", "-2"],
+    ["routing-opt", "--preset", "stiff", "--samples", "0"],
+    ["planar-study", "--table2", "--samples", "0"],
+    ["sensitivity-map", "--samples", "0"],
+    ["sensitivity-map", "--samples", "two"],
+])
+def test_non_positive_counts_exit_64(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 64
+    assert "expected a positive integer" in capsys.readouterr().err
+
+
 def test_help_lists_commands():
     proc = subprocess.run([sys.executable, "-m", "stringshape.cli", "--help"],
                           capture_output=True, text=True)
