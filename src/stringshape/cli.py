@@ -51,6 +51,17 @@ def _positive_int(text):
     return value
 
 
+def _number_list(kind):
+    """argparse type for comma-separated numbers of one kind."""
+    def parse(text):
+        try:
+            return [kind(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {kind.__name__} "
+                                             f"values, got {text!r}") from None
+    return parse
+
+
 def _pose_rows(sample_idx, s_values, poses):
     rows = []
     for s, pose in zip(s_values, poses):
@@ -66,7 +77,9 @@ def cmd_shape(args):
     robot = load_robot(args.robot)
     _, coeffs = read_csv_matrix(args.coefficients, expected_cols=robot.basis.m)
     if args.s_values:
-        s_values = np.array([float(v) for v in args.s_values.split(",")])
+        s_values = np.array(args.s_values)
+        if not np.all((s_values >= 0) & (s_values <= robot.length)):
+            args.error(f"--s-values must lie in [0, {robot.length}] m")
     else:
         s_values = np.linspace(0.0, robot.length, args.n_points)
     rows = []
@@ -243,7 +256,10 @@ def cmd_spatial_study(args):
     basis = studies.soft_basis()
     truth_basis = type(basis)(x=(0, 1, 2, 3), y=(0, 1, 2, 3), z=(0, 1, 2),
                               length=basis.length)
-    anchors = [int(v) for v in args.anchors.split(",")] if args.anchors else [4, 3, 9, 4]
+    anchors = args.anchors or [4, 3, 9, 4]
+    if len(anchors) != len(space.designed) or not set(anchors) <= set(space.anchor_disks):
+        args.error(f"--anchors needs {len(space.designed)} disks from "
+                   f"{min(space.anchor_disks)} to {max(space.anchor_disks)}")
     array = space.array_for(anchors, args.n_omega)
     constraints = studies.soft_constraints()
     try:
@@ -290,10 +306,10 @@ def build_parser():
     p.add_argument("robot", help="robot JSON file")
     p.add_argument("coefficients", help="CSV of modal coefficient rows")
     p.add_argument("-o", "--output", default="poses.csv")
-    p.add_argument("--s-values", default=None,
+    p.add_argument("--s-values", type=_number_list(float), default=None,
                    help="comma-separated arc lengths (m); default uniform grid")
-    p.add_argument("--n-points", type=int, default=21)
-    p.set_defaults(fn=cmd_shape)
+    p.add_argument("--n-points", type=_positive_int, default=21)
+    p.set_defaults(fn=cmd_shape, error=p.error)
 
     p = sub.add_parser("lengths", help="measurement synthesis: coefficients -> lengths CSV")
     p.add_argument("robot")
@@ -351,12 +367,12 @@ def build_parser():
                        help="synthetic spatial truth -> reconstruction error metrics")
     p.add_argument("--cases", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=20)
-    p.add_argument("--anchors", default=None,
+    p.add_argument("--anchors", type=_number_list(int), default=None,
                    help="comma-separated anchor disks for the four strings")
     p.add_argument("--n-omega", type=int, default=1)
     p.add_argument("-o", "--output", default="spatial_study.csv")
     p.add_argument("--output-summary", default="spatial_summary.json")
-    p.set_defaults(fn=cmd_spatial_study)
+    p.set_defaults(fn=cmd_spatial_study, error=p.error)
     return parser
 
 

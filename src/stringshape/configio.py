@@ -196,7 +196,7 @@ def parse_robot(obj):
     return RobotConfig(
         basis=basis, array=array, constraints=constraints,
         characteristic_length=_number(obj, "c_l", "robot", default=0.25 * length),
-        n_steps=int(obj.get("n_steps", 100)),
+        n_steps=int(_number(obj, "n_steps", "robot", default=100, minimum=1)),
         seed=int(obj.get("seed", 0)),
         n_disks=n_disks,
         reference=reference,

@@ -148,9 +148,8 @@ def dexp_se3(psi, dpsi, tol=1e-17, max_terms=60):
     return out
 
 
-# Gauss-Legendre collocation points (offsets within a step of size h).
-_GL_LO = 0.5 - np.sqrt(3.0) / 6.0
-_GL_HI = 0.5 + np.sqrt(3.0) / 6.0
+# The two Gauss-Legendre points of a step, as fractions of its width.
+GL_POINTS = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
 _BRACKET = np.sqrt(3.0) / 12.0
 
 
@@ -164,29 +163,33 @@ def magnus_element(eta1, eta2, h):
     return 0.5 * h * (eta1 + eta2) + (_BRACKET * h * h) * (ad(eta1) @ eta2)
 
 
+def magnus_element_diff(eta1, eta2, deta1, deta2, h):
+    """Differential of magnus_element: dPsi for twist variations deta1 and
+    deta2 at the two points, each of shape (6,) or (6, k)."""
+    return 0.5 * h * (deta1 + deta2) + (_BRACKET * h * h) * (
+        ad(eta1) @ deta2 - ad(eta2) @ deta1)
+
+
 def magnus_step(curvature_fn, s0, h):
     """4th-order Magnus element Psi for one step of T' = T hat6([u; e3]),
     with eta_j = [u; e3] sampled at the Gauss-Legendre points of [s0, s0+h]."""
     if h <= 0:
         raise ValueError("step size must be positive")
-    e1 = np.concatenate([np.asarray(curvature_fn(s0 + _GL_LO * h), dtype=float), E3])
-    e2 = np.concatenate([np.asarray(curvature_fn(s0 + _GL_HI * h), dtype=float), E3])
+    e1, e2 = (np.concatenate([np.asarray(curvature_fn(s0 + g * h), dtype=float), E3])
+              for g in GL_POINTS)
     return magnus_element(e1, e2, h)
 
 
-def integrate_backbone(curvature_fn, length, n_steps, base=None):
+def integrate_backbone(curvature_fn, length, n_steps):
     """Product-of-exponentials integration of the backbone frame field.
 
     Returns an (n_steps+1, 4, 4) array of poses on the uniform arc-length grid
-    covering [0, length], with poses[0] equal to base (identity by default).
+    covering [0, length], with poses[0] the identity.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     h = length / n_steps
-    pose = np.eye(4) if base is None else np.asarray(base, dtype=float).copy()
-    out = np.empty((n_steps + 1, 4, 4))
-    out[0] = pose
+    out = np.tile(np.eye(4), (n_steps + 1, 1, 1))
     for i in range(n_steps):
-        pose = pose @ exp_se3(magnus_step(curvature_fn, i * h, h))
-        out[i + 1] = pose
+        out[i + 1] = out[i] @ exp_se3(magnus_step(curvature_fn, i * h, h))
     return out

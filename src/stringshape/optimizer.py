@@ -13,8 +13,9 @@ import numpy as np
 
 from .modal import ModalBasis
 from .routing import ConstantPitch, Helical, Mount, StringSpec
-from .sensing import (PANELS_PER_LENGTH, SensorArray, _jacobian_row, _panel_rows, aleph_gram,
-                      aleph_sv, body_jacobian_multi, exact_row, has_exact_row)
+from .sensing import (PANELS_PER_LENGTH, SIGMA_RATIO_TOL, SensorArray, _jacobian_row,
+                      _panel_rows, aleph_gram, aleph_sv, body_jacobian, body_jacobian_multi,
+                      exact_row, has_exact_row)
 from .sensitivity import map_rank_limited, noise_amp, twist_scaling
 
 PLANAR_REFERENCE_RADIUS = 0.25   # fixed end-anchored tendon, radius in units of L
@@ -57,7 +58,14 @@ def planar_config_jacobian(radii, anchors):
 
 
 def _sym3_eigvals(a):
-    """Eigenvalues of stacked symmetric 3x3 matrices, ascending, closed form."""
+    """Eigenvalues of stacked symmetric 3x3 matrices, ascending, closed form.
+
+    It exists for speed: on the 196,020 matrices of one planar full-study
+    landscape (99 x 99 anchors, 20 samples) it takes 20 ms, against 78 ms for
+    np.linalg.eigvalsh and 282 ms for the singular values of the 3 x 6 W
+    (one BLAS thread, 2-vCPU AMD EPYC).  It is not accurate where J_lc is
+    singular to round-off: there its smallest eigenvalue can be far too large.
+    """
     a = np.asarray(a, dtype=float)
     p1 = a[..., 0, 1] ** 2 + a[..., 0, 2] ** 2 + a[..., 1, 2] ** 2
     q = np.trace(a, axis1=-2, axis2=-1) / 3.0
@@ -93,15 +101,14 @@ def _full_index(jac, gram_samples):
     return ok * aleph_gram(_sym3_eigvals(k)).mean(axis=-1)
 
 
-def planar_sample_grams(samples, c_l, basis=None, n_steps=100):
+def planar_sample_grams(samples, c_l):
     """(S J_xc(L))^T (S J_xc(L)) per workspace configuration."""
-    basis = planar_basis() if basis is None else basis
+    basis = planar_basis()
     scale = twist_scaling(c_l)
     configs = getattr(samples, "configs", samples)
     grams = []
     for c in configs:
-        jxc = scale[:, None] * body_jacobian_multi(basis, c, [basis.length],
-                                                   n_steps_total=n_steps)[0]
+        jxc = scale[:, None] * body_jacobian(basis, c, basis.length)
         grams.append(jxc.T @ jxc)
     return np.array(grams)
 
@@ -210,24 +217,20 @@ def planar_baseline_index(r1, r2, objective="config", gram_samples=None):
     return float(_full_index(jac, gram_samples))
 
 
-def optimal_planar_anchors(p, radii=None, grid_step=None):
+def optimal_planar_anchors(p):
     """Anchor set maximizing aleph(J_lc) for p <= 4 strings, first pinned at (0.25, L).
 
-    Used by the reconstruction convergence study; free radii default to
-    alternating +-0.25 (row signs do not affect singular values).  Returns
-    (radii, anchors) in units of L.
+    Used by the reconstruction convergence study; the radii alternate
+    +-0.25 (row signs do not affect singular values).  Returns (radii,
+    anchors) in units of L.
     """
     if p > 4:
         raise ValueError(f"optimal_planar_anchors supports p <= 4 strings, got {p}: "
                          "the closed-form rows stop at degree 3")
-    if radii is None:
-        radii = [PLANAR_REFERENCE_RADIUS] + [
-            PLANAR_REFERENCE_RADIUS * (-1.0) ** i for i in range(1, p)]
-    radii = np.asarray(radii, dtype=float)
+    radii = np.array([PLANAR_REFERENCE_RADIUS * (-1.0) ** i for i in range(p)])
     if p == 1:
         return radii, np.array([1.0])
-    if grid_step is None:
-        grid_step = {2: 0.002, 3: 0.01, 4: 0.04}[p]
+    grid_step = {2: 0.002, 3: 0.01, 4: 0.04}[p]
     axis = np.arange(grid_step, 1.0, grid_step)
     grids = np.meshgrid(*([axis] * (p - 1)), indexing="ij")
     anchors = np.stack([np.ones_like(grids[0])] + list(grids), axis=-1)  # (..., p)
@@ -404,7 +407,7 @@ def _evaluate_chunk(payload):
     ag = np.zeros((nd, len(space.s_objectives)))
     if map_rank_limited(p, m):
         return a0, ag, bad
-    full = sv[..., -1] > 1e-12 * sv[..., 0]
+    full = sv[..., -1] > SIGMA_RATIO_TOL * sv[..., 0]
     # the identity stands in for rank-deficient J_lc so that the batched inverse exists
     square = np.linalg.qr(jlc, mode="r") if p > m else jlc
     inv_t = np.swapaxes(np.linalg.inv(np.where(full[..., None, None], square, np.eye(m))), -1, -2)
@@ -412,7 +415,7 @@ def _evaluate_chunk(payload):
     if len(deficient[0]):
         u_m, s_m, vt_m = np.linalg.svd(jlc[deficient], full_matrices=False)
         inv_s = np.divide(1.0, s_m, out=np.zeros_like(s_m),
-                          where=s_m > 1e-12 * s_m[..., :1])
+                          where=s_m > SIGMA_RATIO_TOL * s_m[..., :1])
         pinv = np.einsum("...ji,...j,...kj->...ik", vt_m, inv_s, u_m)
     for k in range(len(space.s_objectives)):
         val = aleph_sv(np.linalg.svd(inv_t @ np.swapaxes(jxc[k], -1, -2), compute_uv=False))
@@ -424,7 +427,7 @@ def _evaluate_chunk(payload):
 
 
 def brute_force_search(space, samples, objective_index=-1, chunk=400,
-                       n_steps=100, cap=1_000_000, jobs=1):
+                       cap=1_000_000, jobs=1):
     """Evaluate every design in the space and rank by a chosen objective.
 
     A design is marked singular when aleph(J_lc) falls below space.epsilon at
@@ -457,7 +460,7 @@ def brute_force_search(space, samples, objective_index=-1, chunk=400,
 
     # Design-independent: body Jacobians at the objective arc lengths, kept
     # by position so that a repeated arc length is one more column.
-    jxc = np.array([body_jacobian_multi(basis, c, list(space.s_objectives), n_steps_total=n_steps)
+    jxc = np.array([body_jacobian_multi(basis, c, space.s_objectives)
                     for c in configs])                  # (S, n_objectives, 6, m)
     jxc = scale[:, None] * np.moveaxis(jxc, 1, 0)
 

@@ -63,19 +63,15 @@ class PlanarRodSolution:
     def tip(self):
         return np.array([self.x[-1], self.z[-1]])
 
-    def cumulative(self, values):
-        """Cumulative trapezoid of a grid function (same rule the solver uses)."""
-        inc = 0.5 * (values[1:] + values[:-1]) * np.diff(self.s)
-        return np.concatenate([[0.0], np.cumsum(inc)])
+
+def _cumtrapz(values, s):
+    """Cumulative trapezoid of a grid function, 0 at s[0]."""
+    return np.concatenate([[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(s))])
 
 
 def _integrate(u, s):
-    inc_t = 0.5 * (u[1:] + u[:-1]) * np.diff(s)
-    th = np.concatenate([[0.0], np.cumsum(inc_t)])
-    sin_t, cos_t = np.sin(th), np.cos(th)
-    x = np.concatenate([[0.0], np.cumsum(0.5 * (sin_t[1:] + sin_t[:-1]) * np.diff(s))])
-    z = np.concatenate([[0.0], np.cumsum(0.5 * (cos_t[1:] + cos_t[:-1]) * np.diff(s))])
-    return th, x, z
+    th = _cumtrapz(u, s)
+    return th, _cumtrapz(np.sin(th), s), _cumtrapz(np.cos(th), s)
 
 
 def _fixed_point(u0, s, ei, f_x, m_y, relax, resid_tol, max_iter):
@@ -126,11 +122,6 @@ def planar_rod_bvp(rod, wrench, n_grid=801, relax=0.5, resid_tol=1e-10, max_iter
     raise ShootingError(f"no equilibrium for f_x={f_x} N, m_y={m_y} N m (load too large)")
 
 
-def _exact_theta(basis, c, s):
-    """Tip angle of the reconstructed planar field via exact basis integrals."""
-    return float(basis.integral(0.0, s)[1] @ basis.check_coeffs(c))
-
-
 def planar_reconstruction_error(sol, rod, radii, anchors, p):
     """Reconstruct one rod shape from noiseless string lengths; return errors.
 
@@ -141,24 +132,18 @@ def planar_reconstruction_error(sol, rod, radii, anchors, p):
     """
     length = rod.length
     basis = ModalBasis(y=tuple(range(p)), length=length)
-    s, u = sol.s, sol.curvature
-    cum_u = sol.cumulative(u)
-    ell = []
-    for r, a in zip(radii, anchors):
-        sa = a * length
-        cu = np.interp(sa, s, cum_u)
-        ell.append(sa - r * length * cu)
+    s, theta = sol.s, sol.theta     # theta is the solver's cumulative trapezoid of u
+    ell = [a * length - r * length * np.interp(a * length, s, theta)
+           for r, a in zip(radii, anchors)]
     jac = np.stack([exact_row(ConstantPitch(r * length), basis, 0.0, a * length)
                     for r, a in zip(radii, anchors)])
     c = np.linalg.solve(jac, np.asarray(ell) - np.asarray(anchors) * length)
 
-    th_rec = _exact_theta(basis, c, length)
+    th_rec = float(basis.integral(0.0, length)[1] @ c)   # exact tip angle
     u_rec = curvature(basis, c, s)[:, 1]
     _, x_r, z_r = _integrate(u_rec, s)
     e_pos = float(np.hypot(x_r[-1] - sol.x[-1], z_r[-1] - sol.z[-1]) / length * 100.0)
-    # true tip angle on the same quadrature rule as the measurements
-    th_true = cum_u[-1]
-    return e_pos, abs(th_rec - th_true)
+    return e_pos, abs(th_rec - theta[-1])
 
 
 def convergence_study(rod=None, f_max=60.0, m_max=6.0, n_levels=10, p_list=(1, 2, 3, 4)):

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import liegroup
 from .liegroup import E3
-from .modal import curvature
 from .routing import ConstantPitch, path_velocity, realizable
 
 
@@ -110,6 +109,10 @@ class SensorArray:
         """Constant J_lc: every path constant-pitch and no torsion columns."""
         return all(has_exact_row(s.path, basis) for s in self.strings)
 
+
+# Singular values below this fraction of the largest count as zero (rank tests
+# of solve_shape and the search kernel, pseudo-inverses of the sensitivity maps).
+SIGMA_RATIO_TOL = 1e-12
 
 # Both index helpers divide by 1 where the largest value is 0: the smallest
 # is 0 there too, so the index is 0 without a warning or a branch.
@@ -241,55 +244,64 @@ def linear_model(array, basis):
     return lengths(array, basis, straight, Reference.ABSOLUTE), config_jacobian(array, basis, straight)
 
 
+def _magnus_grid(length, s_query, n_steps):
+    """Steps reaching every arc length in s_query: the n_steps uniform steps of
+    h = length / n_steps over [0, length], each of width h itself, cut at the
+    largest query.  A query within 1e-9 h of a node is that node; any other
+    gets a step of its own from the node below it, so no query moves another's
+    result.  Returns each step's start, width and starting edge, and each
+    query's edge (edge 0 is s = 0; step i ends at edge i + 1).
+    """
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    s = np.atleast_1d(np.asarray(s_query, dtype=float))
+    if np.any(s < -1e-12) or np.any(s > length + 1e-12):
+        raise ValueError("query arc length outside [0, L]")
+    s = np.clip(s, 0.0, length)
+    h = length / n_steps
+    k = np.rint(s / h)
+    on_node = np.abs(k * h - s) <= 1e-9 * h
+    node = np.where(on_node, k, np.floor(s / h)).astype(int)   # at or below each query
+    n_whole = node.max(initial=0)
+    off = np.flatnonzero(~on_node)
+    source = np.concatenate([np.arange(n_whole), node[off]])
+    starts = source * h
+    widths = np.concatenate([np.full(n_whole, h), s[off] - starts[n_whole:]])
+    return starts, widths, source, np.where(on_node, node, n_whole + np.cumsum(~on_node))
+
+
+def _magnus_steps(basis, c, starts, widths):
+    """The twists eta = [Phi c; e3] (n, 2, 6) at both Gauss-Legendre points of
+    every step, from one basis.matrix call; their derivatives d eta / dc
+    (n, 2, 6, m); and the Magnus element Psi of every step (n, 6)."""
+    n = len(starts)
+    s = starts[:, None] + liegroup.GL_POINTS * widths[:, None]
+    deta = np.zeros((n, 2, 6, basis.m))
+    deta[:, :, :3] = basis.matrix(s.ravel()).reshape(n, 2, 3, basis.m)
+    eta = deta @ c
+    eta[..., 3:] = E3
+    psi = [liegroup.magnus_element(e1, e2, h) for (e1, e2), h in zip(eta, widths)]
+    return eta, deta, psi
+
+
 def body_jacobian(basis, c, s, n_steps=100):
-    """J_xc (6, m): body twist of the frame at arc length s per unit dc.
-
-    Accumulates Ad(exp(-Psi_j)) chains with exact per-step dPsi/dc across the
-    Magnus elements covering [0, s].
-    """
-    return body_jacobian_multi(basis, c, [s], n_steps_total=n_steps, span=s)[0]
+    """J_xc (6, m): body twist of the frame at arc length s per unit dc."""
+    return body_jacobian_multi(basis, c, [s], n_steps)[0]
 
 
-def body_jacobian_multi(basis, c, s_list, n_steps_total=100, span=None):
-    """J_xc at several arc lengths in one integration pass.
-
-    Every s in s_list must be a node of the integration grid of n_steps_total
-    steps over [0, span] (span defaults to the basis length), up to round-off;
-    any other arc length raises ValueError.
-    """
+def body_jacobian_multi(basis, c, s_list, n_steps=100):
+    """J_xc (k, 6, m) at the arc lengths s_list, in one pass over the Magnus
+    grid of _magnus_grid: Ad(exp(-Psi)) chains with the exact dPsi/dc."""
     c = basis.check_coeffs(c)
-    span = basis.length if span is None else span
-    h = span / n_steps_total
-    nodes = []
-    for s in s_list:
-        k = int(round(s / h))
-        if abs(k * h - s) > 1e-9 * h or k < 0 or k > n_steps_total:
-            raise ValueError(f"arc length {s} is not a node of the integration grid (step {h})")
-        nodes.append(k)
-    out = {}
-    jac = np.zeros((6, basis.m))
-    if 0 in nodes:
-        out[0] = jac.copy()
-    # Phi at both Gauss-Legendre points of every step, tabulated once
-    s0 = np.arange(n_steps_total) * h
-    gl = np.stack([s0 + liegroup._GL_LO * h, s0 + liegroup._GL_HI * h], axis=1)
-    phi = basis.matrix(gl.ravel()).reshape(n_steps_total, 2, 3, basis.m)
-    for i in range(n_steps_total):
-        p1, p2 = phi[i]
-        e1 = np.concatenate([p1 @ c, E3])
-        e2 = np.concatenate([p2 @ c, E3])
-        psi = liegroup.magnus_element(e1, e2, h)
-        d1 = np.zeros((6, basis.m))
-        d1[:3] = p1
-        d2 = np.zeros((6, basis.m))
-        d2[:3] = p2
-        dpsi = 0.5 * h * (d1 + d2) + (liegroup._BRACKET * h * h) * (
-            liegroup.ad(e1) @ d2 - liegroup.ad(e2) @ d1)
-        step = liegroup.exp_se3(psi)
-        jac = liegroup.adjoint(liegroup.inv_pose(step)) @ jac + liegroup.dexp_se3(psi, dpsi)
-        if (i + 1) in nodes:
-            out[i + 1] = jac.copy()
-    return [out[k] for k in nodes]
+    starts, widths, source, at = _magnus_grid(basis.length, s_list, n_steps)
+    eta, deta, psi = _magnus_steps(basis, c, starts, widths)
+    jac = np.zeros((len(psi) + 1, 6, basis.m))
+    for i, (h, src) in enumerate(zip(widths, source)):
+        dpsi = liegroup.magnus_element_diff(*eta[i], *deta[i], h)
+        step = liegroup.exp_se3(psi[i])
+        jac[i + 1] = (liegroup.adjoint(liegroup.inv_pose(step)) @ jac[src]
+                      + liegroup.dexp_se3(psi[i], dpsi))
+    return jac[at]
 
 
 @dataclass
@@ -318,7 +330,7 @@ def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
     if array.is_linear_class(basis):
         base, jac = linear_model(array, basis)
         sv = np.linalg.svd(jac, compute_uv=False)
-        if sv[-1] < 1e-12 * sv[0]:
+        if sv[-1] < SIGMA_RATIO_TOL * sv[0]:
             raise SingularDesignError(
                 f"configuration-space Jacobian is singular (sigma ratio {sv[-1] / sv[0]:.2e})")
         aleph = float(aleph_sv(sv))
@@ -343,7 +355,7 @@ def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
     for it in range(1, max_iter + 1):
         jac = config_jacobian(array, basis, c)
         sv = np.linalg.svd(jac, compute_uv=False)
-        if sv[-1] < 1e-12 * sv[0]:
+        if sv[-1] < SIGMA_RATIO_TOL * sv[0]:
             raise SingularDesignError(
                 f"configuration-space Jacobian is singular at iterate {it} "
                 f"(sigma ratio {sv[-1] / sv[0]:.2e})")
@@ -375,27 +387,12 @@ def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
 
 
 def forward_kinematics(basis, c, s_query, n_steps=100):
-    """Poses at the requested arc lengths (k, 4, 4), base frame at identity.
-
-    Integration runs segment by segment so that every query point is an exact
-    step boundary; step counts are apportioned by segment length, so queries
-    on the uniform n_steps grid reproduce its poses.
-    """
+    """Poses (k, 4, 4) at the arc lengths s_query, base frame at identity,
+    as the product of exp(Psi) over the Magnus grid of _magnus_grid."""
     c = basis.check_coeffs(c)
-    s_query = np.atleast_1d(np.asarray(s_query, dtype=float))
-    if np.any(s_query < -1e-12) or np.any(s_query > basis.length + 1e-12):
-        raise ValueError("query arc length outside [0, L]")
-    order = np.argsort(s_query)
-    pose = np.eye(4)
-    out = np.empty((len(s_query), 4, 4))
-    s_prev = 0.0
-    for idx in order:
-        seg = s_query[idx] - s_prev
-        if seg > 1e-14:
-            # the tolerance keeps round-off from adding a step to an on-grid segment
-            n = max(1, int(np.ceil(n_steps * seg / basis.length - 1e-9)))
-            pose = liegroup.integrate_backbone(
-                lambda s, s0=s_prev: curvature(basis, c, s0 + s), seg, n, base=pose)[-1]
-            s_prev = s_query[idx]
-        out[idx] = pose
-    return out
+    starts, widths, source, at = _magnus_grid(basis.length, s_query, n_steps)
+    psi = _magnus_steps(basis, c, starts, widths)[2]
+    poses = np.tile(np.eye(4), (len(psi) + 1, 1, 1))
+    for i, (p, src) in enumerate(zip(psi, source)):
+        poses[i + 1] = poses[src] @ liegroup.exp_se3(p)
+    return poses[at]

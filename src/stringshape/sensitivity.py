@@ -17,7 +17,7 @@ import numpy as np
 
 from .modal import curvature
 from .routing import tangential_margin
-from .sensing import aleph_sv, body_jacobian_multi, config_jacobian
+from .sensing import SIGMA_RATIO_TOL, aleph_sv, body_jacobian, config_jacobian
 
 
 def noise_amp(a):
@@ -33,16 +33,16 @@ def twist_scaling(c_l):
     return s
 
 
-def length_twist_map(array, basis, c, s, c_l, n_steps=100, rcond=1e-12):
+def length_twist_map(array, basis, c, s, c_l):
     """B (6, p): measured length changes -> scaled body twist at arc length s."""
     j_lc = config_jacobian(array, basis, c)
-    j_xc = body_jacobian_multi(basis, c, [s], n_steps_total=n_steps)[0]
-    return (twist_scaling(c_l)[:, None] * j_xc) @ np.linalg.pinv(j_lc, rcond=rcond)
+    j_xc = body_jacobian(basis, c, s)
+    return (twist_scaling(c_l)[:, None] * j_xc) @ np.linalg.pinv(j_lc, rcond=SIGMA_RATIO_TOL)
 
 
-def full_map_jacobian(array, basis, c, s, c_l, n_steps=100, rcond=1e-12):
+def full_map_jacobian(array, basis, c, s, c_l):
     """J_lxi (p, 6): length change produced by a unit scaled twist at s."""
-    return np.linalg.pinv(length_twist_map(array, basis, c, s, c_l, n_steps), rcond=rcond)
+    return np.linalg.pinv(length_twist_map(array, basis, c, s, c_l), rcond=SIGMA_RATIO_TOL)
 
 
 def map_rank_limited(p, m):
@@ -51,11 +51,11 @@ def map_rank_limited(p, m):
     return m < min(p, 6)
 
 
-def full_map_index(array, basis, c, s, c_l, n_steps=100):
+def full_map_index(array, basis, c, s, c_l):
     """aleph of the length->twist map at one configuration and arc length."""
     if map_rank_limited(array.p, basis.m):
         return 0.0
-    return noise_amp(length_twist_map(array, basis, c, s, c_l, n_steps))
+    return noise_amp(length_twist_map(array, basis, c, s, c_l))
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,8 @@ def disk_collision_radius(height, radius, subsegment_length, tol=1e-12):
     # Scan from large rho downward for the first sign change (largest root).
     grid = np.geomspace(hi, lo, 400)
     vals = np.array([resid(r) for r in grid])
-    if vals[0] <= 0.0:
-        raise ValueError("geometrically impossible disk parameters (no collision root)")
     idx = np.nonzero(vals <= 0.0)[0]
-    if len(idx) == 0:
+    if vals[0] <= 0.0 or len(idx) == 0:
         raise ValueError("geometrically impossible disk parameters (no collision root)")
     a, b = grid[idx[0]], grid[idx[0] - 1]   # resid(a) <= 0 < resid(b), a < b
     for _ in range(200):
@@ -245,12 +243,12 @@ def sample_admissible(basis, constraints, n_target, seed, paths=(), box_scale=1.
     return WorkspaceSamples(out, seed, f"uniform box rejection, box_scale={box_scale}")
 
 
-def global_index(array, basis, samples, s, c_l, n_steps=100):
+def global_index(array, basis, samples, s, c_l):
     """Mean of the full-map index over workspace samples (ordered reduction)."""
     configs = samples.configs if isinstance(samples, WorkspaceSamples) else np.asarray(samples)
     if len(configs) == 0:
         raise ValueError("need at least one workspace sample")
-    vals = [full_map_index(array, basis, c, s, c_l, n_steps) for c in configs]
+    vals = [full_map_index(array, basis, c, s, c_l) for c in configs]
     return float(np.mean(vals))
 
 

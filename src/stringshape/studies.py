@@ -65,34 +65,31 @@ class PlanarStudyRow:
     beta: float
 
 
-def planar_config_study(radius_pairs=PLANAR_RADIUS_PAIRS, grid_step=0.004):
-    """Peaks of the config-space index landscape per radius pair, with the
-    improvement over evenly spaced anchors.  Pure kinematics, no sampling."""
+def _peak_rows(radius_pairs, grid_step, objective, gram_samples=None):
+    """The two highest landscape peaks per radius pair, with the improvement
+    over evenly spaced anchors."""
     rows = []
     for r_1, r_2 in radius_pairs:
-        peaks = planar_peak_search(r_1, r_2, objective="config", grid_step=grid_step)
-        base = planar_baseline_index(r_1, r_2, objective="config")
-        for pk in peaks[:2]:
-            rows.append(PlanarStudyRow(r_1, r_2, pk.anchors[0], pk.anchors[1],
-                                       pk.value, improvement_beta(pk.value, base)))
+        peaks = planar_peak_search(r_1, r_2, objective=objective, gram_samples=gram_samples,
+                                   grid_step=grid_step)
+        base = planar_baseline_index(r_1, r_2, objective=objective, gram_samples=gram_samples)
+        rows += [PlanarStudyRow(r_1, r_2, *pk.anchors, pk.value, improvement_beta(pk.value, base))
+                 for pk in peaks[:2]]
     return rows
+
+
+def planar_config_study(radius_pairs=PLANAR_RADIUS_PAIRS, grid_step=0.004):
+    """Peaks of the config-space index landscape per radius pair.  Pure
+    kinematics, no sampling."""
+    return _peak_rows(radius_pairs, grid_step, "config")
 
 
 def planar_full_study(radius_pairs=PLANAR_RADIUS_PAIRS, n_samples=200,
                       seed=PLANAR_WORKSPACE_SEED, grid_step=0.01,
                       c_l=PLANAR_CHARACTERISTIC_LENGTH):
     """Peaks of the workspace-averaged tip sensitivity index per radius pair."""
-    samples = planar_workspace(n_samples, seed)
-    grams = planar_sample_grams(samples, c_l)
-    rows = []
-    for r_1, r_2 in radius_pairs:
-        peaks = planar_peak_search(r_1, r_2, objective="full", gram_samples=grams,
-                                   grid_step=grid_step)
-        base = planar_baseline_index(r_1, r_2, objective="full", gram_samples=grams)
-        for pk in peaks[:2]:
-            rows.append(PlanarStudyRow(r_1, r_2, pk.anchors[0], pk.anchors[1],
-                                       pk.value, improvement_beta(pk.value, base)))
-    return rows
+    grams = planar_sample_grams(planar_workspace(n_samples, seed), c_l)
+    return _peak_rows(radius_pairs, grid_step, "full", grams)
 
 
 def planar_landscape_grids(r_1, r_2, n_samples=200, seed=PLANAR_WORKSPACE_SEED,

@@ -34,6 +34,14 @@ def coeff_file(tmp_path, rows):
     return str(path)
 
 
+def _exit_code(argv):
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as info:
+        return info.code
+
+
 def test_shape_straight_and_constant_curvature(tmp_path, robot_file):
     coeffs = coeff_file(tmp_path, [[0.0, 0.0, 0.0], [4.0, 0.0, 0.0]])
     out = tmp_path / "poses.csv"
@@ -129,6 +137,28 @@ def test_non_positive_counts_exit_64(argv, capsys):
         main(argv)
     assert info.value.code == 64
     assert "expected a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--n-points", "-1"],
+    ["--n-points", "0"],
+    ["--s-values", "abc"],
+    ["--s-values", "0.5"],          # beyond L = 0.3
+    ["--s-values", "0.1,nan"],
+])
+def test_bad_shape_queries_exit_64(tmp_path, robot_file, extra, capsys):
+    coeffs = coeff_file(tmp_path, [[0.0, 0.0, 0.0]])
+    assert _exit_code(["shape", robot_file, coeffs, "-o", str(tmp_path / "p.csv"), *extra]) == 64
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("anchors", ["4,3", "4,3,9,12", "4,3,9,0", "4,3,9,x"])
+def test_bad_spatial_study_anchors_exit_64(tmp_path, anchors, capsys):
+    assert _exit_code(["spatial-study", "--cases", "1", "--anchors", anchors,
+                       "-o", str(tmp_path / "s.csv"),
+                       "--output-summary", str(tmp_path / "s.json")]) == 64
+    assert "--anchors" in capsys.readouterr().err
 
 
 def test_help_lists_commands():

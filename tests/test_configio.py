@@ -72,6 +72,8 @@ def test_schema_errors():
     bad["strings"][0]["anchor_s"] = 0.5   # beyond L
     with pytest.raises(SchemaError, match="beyond"):
         parse_robot(bad)
+    with pytest.raises(SchemaError, match="n_steps"):
+        parse_robot(minimal_robot(n_steps=0))
 
 
 def test_load_robot_malformed_json(tmp_path):

@@ -124,6 +124,20 @@ def test_magnus_constant_curvature_is_exact():
     np.testing.assert_allclose(psi, h * np.concatenate([u, [0, 0, 1]]), atol=1e-14)
 
 
+def test_magnus_element_diff_matches_finite_difference():
+    # Psi is quadratic in the twists, so the central difference is exact
+    # up to round-off
+    rng = np.random.default_rng(8)
+    e1, e2 = rng.normal(size=(2, 6))
+    d1, d2 = rng.normal(size=(2, 6, 3))
+    h, eps = 0.07, 1e-4
+    dpsi = lg.magnus_element_diff(e1, e2, d1, d2, h)
+    for k in range(3):
+        fd = (lg.magnus_element(e1 + eps * d1[:, k], e2 + eps * d2[:, k], h)
+              - lg.magnus_element(e1 - eps * d1[:, k], e2 - eps * d2[:, k], h)) / (2 * eps)
+        np.testing.assert_allclose(dpsi[:, k], fd, rtol=0, atol=1e-11)
+
+
 def test_magnus_linear_field_against_fine_reference():
     # fine-grid oracle for u_y(s) = s; single-step truncation must be O(h^5),
     # i.e. <= 1e-8 at h = 0.05 and shrinking 32x per halving

@@ -235,7 +235,7 @@ def test_body_jacobian_matches_finite_difference_mid_arc():
     rng = np.random.default_rng(13)
     c = rng.uniform(-2.5, 2.5, 8)
     s_mid = 0.4 * basis.length
-    jac = body_jacobian(basis, c, s_mid, n_steps=80)
+    jac = body_jacobian(basis, c, s_mid, n_steps=200)
     fd = _fd_body_jacobian(basis, c, s_mid)
     assert np.abs(jac - fd).max() / np.abs(fd).max() < 1e-5
 
@@ -245,19 +245,48 @@ def test_body_jacobian_multi_consistent():
     rng = np.random.default_rng(3)
     c = rng.uniform(-2, 2, 8)
     L = basis.length
-    multi = body_jacobian_multi(basis, c, [0.4 * L, L], n_steps_total=100)
-    single = body_jacobian(basis, c, 0.4 * L, n_steps=40)
-    np.testing.assert_allclose(multi[0], single, atol=1e-9)
+    multi = body_jacobian_multi(basis, c, [0.4 * L, L], n_steps=100)
+    single = body_jacobian(basis, c, 0.4 * L, n_steps=100)
+    np.testing.assert_array_equal(multi[0], single)
 
 
-def test_body_jacobian_multi_rejects_off_grid_arc_length():
+def test_body_jacobian_off_grid_matches_finite_difference():
+    # an arc length between nodes gets a step of its own, not a snap to a node
+    basis = spatial_basis()
+    c = np.random.default_rng(14).uniform(-2.5, 2.5, 8)
+    s_off = 0.4 * basis.length + 0.3 * basis.length / 200
+    jac = body_jacobian(basis, c, s_off, n_steps=200)
+    fd = _fd_body_jacobian(basis, c, s_off, n_steps=200)
+    assert np.abs(jac - fd).max() / np.abs(fd).max() < 1e-5
+
+
+def test_queries_outside_the_segment_raise():
     basis = spatial_basis()
     L = basis.length
-    h = L / 100
-    with pytest.raises(ValueError, match="not a node"):
-        body_jacobian_multi(basis, np.zeros(8), [0.4 * L + 0.3 * h], n_steps_total=100)
-    with pytest.raises(ValueError, match="not a node"):
-        body_jacobian_multi(basis, np.zeros(8), [L + h], n_steps_total=100)
+    with pytest.raises(ValueError, match="outside"):
+        body_jacobian_multi(basis, np.zeros(8), [L + L / 100], n_steps=100)
+    with pytest.raises(ValueError, match="outside"):
+        forward_kinematics(basis, np.zeros(8), [0.5 * L, -L / 100])
+
+
+def test_off_grid_query_leaves_on_grid_results_unchanged():
+    basis = spatial_basis()
+    c = np.random.default_rng(15).uniform(-2, 2, 8)
+    L = basis.length
+    on_grid = [0.4 * L, L, 0.0, 0.61 * L]
+    extra = [0.4 * L + 0.003 * L, 0.6123 * L, 0.9999 * L]
+    mixed = [on_grid[0], extra[0], on_grid[1], extra[1], on_grid[2], extra[2], on_grid[3]]
+    on_idx = [0, 2, 4, 6]
+    jac = body_jacobian_multi(basis, c, on_grid)
+    np.testing.assert_array_equal(body_jacobian_multi(basis, c, mixed)[on_idx], jac)
+    poses = forward_kinematics(basis, c, on_grid)
+    np.testing.assert_array_equal(forward_kinematics(basis, c, mixed)[on_idx], poses)
+
+
+def test_empty_query():
+    basis = spatial_basis()
+    assert forward_kinematics(basis, np.zeros(8), []).shape == (0, 4, 4)
+    assert body_jacobian_multi(basis, np.zeros(8), []).shape == (0, 6, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +353,8 @@ def test_forward_kinematics_wrapper():
 
 
 def test_forward_kinematics_matches_integrate_backbone_on_grid():
-    # forward_kinematics integrates segment by segment; on nodes of one
-    # uniform grid it must reproduce the single-pass integration
+    # on nodes of the uniform grid forward_kinematics must reproduce the
+    # reference product-of-exponentials integration
     basis = spatial_basis()
     c = np.random.default_rng(4).uniform(-2, 2, 8)
     L = basis.length
