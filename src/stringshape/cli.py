@@ -140,7 +140,8 @@ def cmd_solve(args):
         diagnostics.append({"row": k, "iterations": sol.iterations,
                             "residual_norm": sol.residual_norm,
                             "aleph_config": sol.aleph_config,
-                            "linear_class": sol.linear})
+                            "linear_class": sol.linear,
+                            "status": sol.status})
     header = ["sample"] + [f"c_{i}_per_m" for i in range(robot.basis.m)]
     write_csv(args.output, header, rows)
     with open(args.diagnostics, "w") as fh:
@@ -269,13 +270,14 @@ def cmd_spatial_study(args):
         print(str(err), file=sys.stderr)
         return EXIT_INADMISSIBLE
     rows = []
-    fails = 0
+    fails = stagnations = 0
     for k, (c_true, ell) in enumerate(cases):
         try:
             sol = solve_shape(array, basis, ell, Reference.DELTA_FROM_STRAIGHT)
         except (SolverError, SingularDesignError):
             fails += 1
             continue
+        stagnations += sol.status == "stagnated"
         pose_t = forward_kinematics(truth_basis, c_true, [basis.length])[0]
         pose_e = forward_kinematics(basis, sol.c, [basis.length])[0]
         err = error_metrics(pose_t, pose_e, basis.length, space.c_l)
@@ -286,6 +288,7 @@ def cmd_spatial_study(args):
     ep = np.array([r[1] for r in rows])
     th = np.array([r[2] for r in rows])
     summary = {"cases": len(rows), "solver_failures": fails,
+               "solver_stagnations": stagnations,
                "mean_e_p_percent": float(ep.mean()), "max_e_p_percent": float(ep.max()),
                "mean_theta_e_rad": float(th.mean()), "max_theta_e_rad": float(th.max()),
                "anchors": anchors, "n_omega": args.n_omega, "seed": args.seed}

@@ -15,7 +15,7 @@ import numpy as np
 
 def _shift(s, length):
     s = np.asarray(s, dtype=float)
-    if np.any(s < -1e-12) or np.any(s > length + 1e-12):
+    if not np.all((s >= -1e-12) & (s <= length + 1e-12)):   # NaN fails it too
         raise ValueError(f"arc length outside [0, {length}]")
     return np.clip(2.0 * s / length - 1.0, -1.0, 1.0)
 
@@ -41,24 +41,13 @@ def chebyshev(n, s, length):
 
 
 def _cheb_antideriv(x, n_max):
-    """Antiderivatives F_n(x) of T_n on [-1, 1] with F_n(-1) = 0, up to n_max.
-
-    Uses int T_n dx = (T_{n+1}/(n+1) - T_{n-1}/(n-1))/2 for n >= 2, together
-    with int T_0 = T_1 and int T_1 = (T_2 + T_0)/4.
-    """
+    """Antiderivatives F_n(x) of T_n up to n_max, shape (..., n_max+1), each
+    up to a constant that cancels in differences: int T_0 = T_1, int T_1 =
+    T_2/4 and int T_n = (T_{n+1}/(n+1) - T_{n-1}/(n-1))/2 for n >= 2."""
     t = _cheb_all(x, n_max + 1)
-    tm1 = _cheb_all(np.asarray(-1.0), n_max + 1)
-    out = np.empty(np.shape(x) + (n_max + 1,))
-
-    def f(vals, n):
-        if n == 0:
-            return vals[..., 1]
-        if n == 1:
-            return (vals[..., 2] + vals[..., 0]) / 4.0
-        return 0.5 * (vals[..., n + 1] / (n + 1) - vals[..., n - 1] / (n - 1))
-
-    for n in range(n_max + 1):
-        out[..., n] = f(t, n) - f(tm1, n)
+    out = t[..., 1:] / (2.0 * np.arange(1, n_max + 2))   # T_{n+1} / (2(n+1))
+    out[..., 0] = t[..., 1]
+    out[..., 2:] -= t[..., 1:-2] / (2.0 * np.arange(1, n_max))
     return out
 
 
@@ -92,35 +81,29 @@ class ModalBasis:
     def has_torsion(self):
         return len(self.z) > 0
 
-    def matrix(self, s):
-        """Phi(s): shape (3, m) for scalar s, (n, 3, m) for an array of s."""
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        x = _shift(s_arr, self.length)
-        n_max = max([0, *self.x, *self.y, *self.z])
-        t = _cheb_all(x, n_max)
-        out = np.zeros((len(s_arr), 3, self.m))
+    def _columns(self, table, x):
+        """Phi's layout (..., 3, m) of the per-degree values table(x, n_max)."""
+        per_degree = table(x, max([0, *self.x, *self.y, *self.z]))
+        out = np.zeros(per_degree.shape[:-1] + (3, self.m))
         col = 0
         for row, degs in enumerate((self.x, self.y, self.z)):
             for d in degs:
-                out[:, row, col] = t[..., d]
-                col += 1
-        return out[0] if np.isscalar(s) or np.ndim(s) == 0 else out
-
-    def integral(self, s_from, s_to):
-        """Exact entrywise integral of Phi over [s_from, s_to], shape (3, m)."""
-        if not (0.0 <= s_from <= s_to <= self.length + 1e-12):
-            raise ValueError("need 0 <= s_from <= s_to <= length")
-        n_max = max([0, *self.x, *self.y, *self.z])
-        scale = self.length / 2.0  # ds/dx
-        lo = _cheb_antideriv(_shift(s_from, self.length), n_max)
-        hi = _cheb_antideriv(_shift(s_to, self.length), n_max)
-        out = np.zeros((3, self.m))
-        col = 0
-        for row, degs in enumerate((self.x, self.y, self.z)):
-            for d in degs:
-                out[row, col] = scale * (hi[..., d] - lo[..., d])
+                out[..., row, col] = per_degree[..., d]
                 col += 1
         return out
+
+    def matrix(self, s):
+        """Phi(s): shape (3, m) for scalar s, (..., 3, m) for an array of s."""
+        return self._columns(_cheb_all, _shift(s, self.length))
+
+    def integral(self, s_from, s_to):
+        """Exact entrywise integral of Phi over [s_from, s_to]: shape (3, m), or
+        (..., 3, m) for an array of upper bounds s_to."""
+        if not np.all(np.less_equal(s_from, s_to)):   # NaN fails it too
+            raise ValueError("need 0 <= s_from <= s_to <= length")
+        hi = self._columns(_cheb_antideriv, _shift(s_to, self.length))
+        lo = self._columns(_cheb_antideriv, _shift(s_from, self.length))
+        return 0.5 * self.length * (hi - lo)   # ds/dx = L/2
 
     def check_coeffs(self, c):
         c = np.asarray(c, dtype=float)

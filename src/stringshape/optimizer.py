@@ -38,79 +38,41 @@ def planar_basis():
     return ModalBasis(y=(0, 1, 2), length=1.0)
 
 
-def _planar_rows(anchors, p):
-    """Closed-form integral rows of [T0, ..., T_{p-1}] (p <= 4) over [0, a],
-    a in units of L; anchors may be stacked along leading axes."""
-    a = np.asarray(anchors, dtype=float)
-    cols = [a, a * a - a, 8.0 * a**3 / 3.0 - 4.0 * a * a + a]
-    if p > 3:
-        x = 2.0 * a - 1.0
-        cols.append(0.5 * (x**4 - 1.5 * x**2 + 0.5))
-    return np.stack(cols[:p], axis=-1)
-
-
 def planar_config_jacobian(radii, anchors):
     """Constant J_lc (p, p) for p planar constant-pitch strings on the
-    degree-(p-1) y-basis (rows -r_i * int phi); stacked anchors (..., p)
-    give stacked Jacobians (..., p, p)."""
+    degree-(p-1) y-basis (rows -r_i * int phi over [0, a_i]); stacked anchors
+    (..., p) give stacked Jacobians (..., p, p)."""
     radii = np.asarray(radii, dtype=float)
-    return -radii[:, None] * _planar_rows(anchors, len(radii))
-
-
-def _sym3_eigvals(a):
-    """Eigenvalues of stacked symmetric 3x3 matrices, ascending, closed form.
-
-    It exists for speed: on the 196,020 matrices of one planar full-study
-    landscape (99 x 99 anchors, 20 samples) it takes 20 ms, against 78 ms for
-    np.linalg.eigvalsh and 282 ms for the singular values of the 3 x 6 W
-    (one BLAS thread, 2-vCPU AMD EPYC).  It is not accurate where J_lc is
-    singular to round-off: there its smallest eigenvalue can be far too large.
-    """
-    a = np.asarray(a, dtype=float)
-    p1 = a[..., 0, 1] ** 2 + a[..., 0, 2] ** 2 + a[..., 1, 2] ** 2
-    q = np.trace(a, axis1=-2, axis2=-1) / 3.0
-    d = a[..., (0, 1, 2), (0, 1, 2)] - q[..., None]
-    p2 = (d**2).sum(axis=-1) + 2.0 * p1
-    p = np.sqrt(np.maximum(p2 / 6.0, 0.0))
-    safe = np.where(p > 0, p, 1.0)
-    b = (a - q[..., None, None] * np.eye(3)) / safe[..., None, None]
-    det_b = (
-        b[..., 0, 0] * (b[..., 1, 1] * b[..., 2, 2] - b[..., 1, 2] * b[..., 2, 1])
-        - b[..., 0, 1] * (b[..., 1, 0] * b[..., 2, 2] - b[..., 1, 2] * b[..., 2, 0])
-        + b[..., 0, 2] * (b[..., 1, 0] * b[..., 2, 1] - b[..., 1, 1] * b[..., 2, 0])
-    )
-    phi = np.arccos(np.clip(det_b / 2.0, -1.0, 1.0)) / 3.0
-    lam_hi = q + 2.0 * p * np.cos(phi)
-    lam_lo = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    lam_mid = 3.0 * q - lam_hi - lam_lo
-    return np.stack([lam_lo, lam_mid, lam_hi], axis=-1)
+    basis = ModalBasis(y=tuple(range(len(radii))), length=1.0)
+    return -radii[:, None] * basis.integral(0.0, anchors)[..., 1, :]
 
 
 def _full_index(jac, gram_samples):
     """Mean aleph of the length->twist map over samples for planar J_lc (..., 3, 3).
 
-    gram_samples holds (S J_xc)^T (S J_xc) per workspace sample; with
-    B = S J_xc J_lc^-1 the squared singular values of B are the eigenvalues
-    of J_lc^-T gram J_lc^-1, so each Jacobian costs one 3x3 inverse plus a
-    batch of closed-form symmetric eigensolves.  Singular J_lc score 0
-    (the identity stands in for them so that the batched inverse exists).
+    gram_samples holds (S J_xc)^T (S J_xc) per workspace sample.  The squared
+    singular values of B = S J_xc J_lc^-1 are the eigenvalues of
+    K = J_lc^-T gram J_lc^-1.  J_lc that fail the rank test of the search
+    kernel (SIGMA_RATIO_TOL) score 0; the identity stands in for them so that
+    the batched inverse exists.  Forming K squares cond(J_lc): against the
+    SVD of W = J_lc^-T (S J_xc)^T, about 3 times dearer, the index differs by
+    at most 5.1e-9, near cond(J_lc) 1e9 where the index is below 3.2e-8
+    (landscape maximum about 0.15), and by 5.5e-14 at cond(J_lc) below 6e3.
     """
-    ok = np.abs(np.linalg.det(jac)) > 1e-300
-    inv = np.linalg.inv(np.where(ok[..., None, None], jac, np.eye(3)))
-    k = np.einsum("...ji,sjk,...kl->...sil", inv, gram_samples, inv)
-    return ok * aleph_gram(_sym3_eigvals(k)).mean(axis=-1)
+    sv = np.linalg.svd(jac, compute_uv=False)
+    full = sv[..., -1] > SIGMA_RATIO_TOL * sv[..., 0]
+    inv = np.linalg.inv(np.where(full[..., None, None], jac, np.eye(3)))[..., None, :, :]
+    k = np.swapaxes(inv, -1, -2) @ gram_samples @ inv
+    return full * aleph_gram(np.linalg.eigvalsh(k)).mean(axis=-1)
 
 
 def planar_sample_grams(samples, c_l):
     """(S J_xc(L))^T (S J_xc(L)) per workspace configuration."""
     basis = planar_basis()
-    scale = twist_scaling(c_l)
     configs = getattr(samples, "configs", samples)
-    grams = []
-    for c in configs:
-        jxc = scale[:, None] * body_jacobian(basis, c, basis.length)
-        grams.append(jxc.T @ jxc)
-    return np.array(grams)
+    jxc = twist_scaling(c_l)[:, None] * np.array([body_jacobian(basis, c, basis.length)
+                                                  for c in configs])
+    return np.swapaxes(jxc, -1, -2) @ jxc
 
 
 @dataclass(frozen=True)
@@ -179,7 +141,7 @@ def planar_peak_search(r1, r2, objective="config", gram_samples=None,
     if objective == "config":
         # The grid only seeds the refinement, so it takes the cheaper Gram
         # route; the peak values come from the SVD in point().
-        values = aleph_gram(_sym3_eigvals(np.einsum("...ki,...kj->...ij", grid_jac, grid_jac)))
+        values = aleph_gram(np.linalg.eigvalsh(np.swapaxes(grid_jac, -1, -2) @ grid_jac))
 
         def point(x):
             return noise_amp(planar_config_jacobian(radii, [x[0], x[1], 1.0]))
@@ -226,7 +188,7 @@ def optimal_planar_anchors(p):
     """
     if p > 4:
         raise ValueError(f"optimal_planar_anchors supports p <= 4 strings, got {p}: "
-                         "the closed-form rows stop at degree 3")
+                         "its anchor grid steps are tuned for p <= 4 only")
     radii = np.array([PLANAR_REFERENCE_RADIUS * (-1.0) ** i for i in range(p)])
     if p == 1:
         return radii, np.array([1.0])
@@ -356,7 +318,7 @@ def _cumulative_rows(space, c):
 
     def rows_at_disks(path):
         if has_exact_row(path, basis):
-            return np.array([exact_row(path, basis, 0.0, s) for s in disk_edges])
+            return exact_row(path, basis, 0.0, disk_edges)
         cum = np.concatenate([np.zeros((1, basis.m)),
                               np.cumsum(_panel_rows(path, basis, c, edges), axis=0)])
         return cum[::split]

@@ -142,9 +142,10 @@ def has_exact_row(path, basis):
 
 def exact_row(path, basis, lo, hi):
     """Constant J_lc row r_y int Phi_x - r_x int Phi_y of a constant-pitch
-    string over [lo, hi]; the string length is hi - lo + row @ c."""
+    string over [lo, hi]; the string length is hi - lo + row @ c.  An array
+    of upper bounds hi gives stacked rows (..., m)."""
     integ = basis.integral(lo, hi)
-    return path.r_y * integ[0] - path.r_x * integ[1]
+    return path.r_y * integ[..., 0, :] - path.r_x * integ[..., 1, :]
 
 
 # String integrals without a closed form use the 3-node Gauss-Legendre rule on
@@ -255,7 +256,7 @@ def _magnus_grid(length, s_query, n_steps):
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     s = np.atleast_1d(np.asarray(s_query, dtype=float))
-    if np.any(s < -1e-12) or np.any(s > length + 1e-12):
+    if not np.all((s >= -1e-12) & (s <= length + 1e-12)):   # NaN fails it too
         raise ValueError("query arc length outside [0, L]")
     s = np.clip(s, 0.0, length)
     h = length / n_steps
@@ -304,6 +305,11 @@ def body_jacobian_multi(basis, c, s_list, n_steps=100):
     return jac[at]
 
 
+# Residual norm, per unit L, below which a no-descent exit is round-off: soft
+# same-basis round trips (L = 0.293 m) end at or below 2.3e-16 m.
+STAGNATION_TOL = 1e-9
+
+
 @dataclass
 class ShapeSolution:
     c: np.ndarray
@@ -311,6 +317,7 @@ class ShapeSolution:
     residual_norm: float
     aleph_config: float
     linear: bool
+    status: str = "converged"   # or "stagnated"
 
 
 def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
@@ -319,7 +326,9 @@ def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
 
     Linear-class arrays are solved through the constant-Jacobian model in one
     least-squares step; everything else runs damped Gauss-Newton with a
-    backtracking line search on the residual norm.
+    backtracking line search on the residual norm.  A run where no step lowers
+    the residual returns the best iterate, "stagnated" if its residual norm
+    exceeds STAGNATION_TOL * L.
     """
     measured = np.asarray(measured, dtype=float)
     if measured.shape != (array.p,):
@@ -375,8 +384,9 @@ def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
                 break
             alpha *= 0.5
         else:
-            # No descent; report stagnation at the best point seen.
-            return ShapeSolution(best_c, it, float(best_r), aleph, False)
+            # No descent: the best point seen, stagnated unless at round-off.
+            status = "stagnated" if best_r > STAGNATION_TOL * basis.length else "converged"
+            return ShapeSolution(best_c, it, float(best_r), aleph, False, status)
         c, res, rnorm = trial, res_t, rn_t
         if rnorm < best_r:
             best_c, best_r = c.copy(), rnorm

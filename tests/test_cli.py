@@ -70,6 +70,7 @@ def test_lengths_solve_round_trip(tmp_path, robot_file):
     info = json.loads(diag.read_text())
     assert info["status"] == "ok"
     assert all(row["linear_class"] for row in info["rows"])
+    assert all(row["status"] == "converged" for row in info["rows"])
 
 
 def test_malformed_robot_exits_2(tmp_path):
@@ -215,6 +216,7 @@ def test_spatial_study_smoke(tmp_path):
     assert rc == 0
     info = json.loads(summ.read_text())
     assert info["cases"] + info["solver_failures"] == 3
+    assert info["solver_stagnations"] == 0
     assert info["mean_e_p_percent"] < 5.0
 
 

@@ -23,13 +23,17 @@ def test_explicit_quadratic_form():
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError):
-        chebyshev(2, -0.01, 1.0)
-    with pytest.raises(ValueError):
-        chebyshev(2, 1.01, 1.0)
+    for s in (-0.01, 1.01, np.nan):
+        with pytest.raises(ValueError):
+            chebyshev(2, s, 1.0)
     basis = ModalBasis(y=(0, 1), length=1.0)
-    with pytest.raises(ValueError):
-        basis.integral(0.5, 0.2)
+    for s_from, s_to in [(0.5, 0.2), (0.0, np.nan), (np.nan, 0.5), (0.0, [0.2, np.nan]),
+                         (0.0, [0.2, 1.01]), (0.5, [0.6, 0.4]), (-0.1, [0.2, 0.3])]:
+        with pytest.raises(ValueError):
+            basis.integral(s_from, s_to)
+    for s in (np.nan, [0.2, np.nan]):
+        with pytest.raises(ValueError, match="outside"):
+            basis.matrix(s)
 
 
 @given(st.integers(0, 10), st.floats(0, 1))
@@ -106,6 +110,14 @@ def test_integral_matches_quadrature(a, b):
                           limit=200, epsabs=1e-13, epsrel=1e-13)
             assert abs(exact[row, col] - val) < 1e-12
             col += 1
+
+
+def test_array_bound_integral_matches_scalar_calls():
+    basis = ModalBasis(x=(0, 3), y=(1, 2, 5), z=(4, 6), length=1.3)
+    bounds = np.array([[0.2, 0.65, 0.9], [1.1, 1.3, 0.2]])
+    got = basis.integral(0.2, bounds)
+    assert got.shape == (2, 3, 3, basis.m)
+    np.testing.assert_array_equal(got, [[basis.integral(0.2, b) for b in row] for row in bounds])
 
 
 def test_validation():

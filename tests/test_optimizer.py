@@ -5,12 +5,14 @@ import pytest
 
 from stringshape import optimizer, studies
 from stringshape.modal import ModalBasis
-from stringshape.optimizer import (DesignSpace, DesignedString, _planar_rows,
-                                   _sym3_eigvals, brute_force_search, improvement_beta,
+from stringshape.optimizer import (PLANAR_REFERENCE_RADIUS, DesignSpace, DesignedString,
+                                   brute_force_search, improvement_beta,
                                    optimal_planar_anchors, planar_baseline_index,
-                                   planar_config_jacobian, planar_peak_search)
+                                   planar_basis, planar_config_jacobian, planar_peak_search,
+                                   planar_sample_grams)
 from stringshape.routing import ConstantPitch, Helical, Mount, StringSpec
-from stringshape.sensing import SensorArray, aleph_sv, config_jacobian, has_exact_row
+from stringshape.sensing import (SensorArray, aleph_sv, config_jacobian, exact_row,
+                                 has_exact_row)
 from stringshape.sensitivity import global_index
 
 
@@ -20,24 +22,33 @@ from stringshape.sensitivity import global_index
 REFERENCE_RTOL = 1e-9
 
 
-def test_sym3_eigvals_against_numpy():
-    rng = np.random.default_rng(0)
-    mats = rng.normal(size=(500, 3, 3))
-    mats = mats @ np.swapaxes(mats, -1, -2)           # SPD
-    mine = _sym3_eigvals(mats)
-    ref = np.linalg.eigvalsh(mats)
-    np.testing.assert_allclose(mine, ref, rtol=1e-8, atol=1e-10 * ref.max())
-    # degenerate spectra
-    np.testing.assert_allclose(_sym3_eigvals(np.eye(3)[None]), [[1, 1, 1]], atol=1e-12)
-    np.testing.assert_allclose(_sym3_eigvals(np.zeros((1, 3, 3))), [[0, 0, 0]], atol=0)
-
-
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
-def test_planar_rows_match_basis_integral(p):
+def test_planar_config_jacobian_matches_exact_rows(p):
     basis = ModalBasis(y=tuple(range(p)), length=1.0)
-    anchors = np.array([0.0, 0.13, 0.5, 0.77, 1.0])
-    ref = np.stack([basis.integral(0.0, a)[1] for a in anchors])
-    np.testing.assert_allclose(_planar_rows(anchors, p), ref, rtol=0, atol=1e-15)
+    radii = np.array([0.1, -0.2, 0.25, -0.15])[:p]
+    anchors = np.random.default_rng(p).uniform(0.0, 1.0, (5, p))
+    anchors[0] = 1.0
+    ref = np.array([[exact_row(ConstantPitch(r, 0.0), basis, 0.0, a)
+                     for r, a in zip(radii, row)] for row in anchors])
+    np.testing.assert_allclose(planar_config_jacobian(radii, anchors), ref, rtol=0, atol=1e-15)
+
+
+def test_full_landscape_matches_global_index():
+    # Two strings on one point (a1 = a2) leave J_lc singular to round-off;
+    # the landscape must score those 0, and agree with global_index elsewhere.
+    r_1, r_2 = 0.1, -0.1
+    workspace = studies.planar_workspace(4)
+    grams = planar_sample_grams(workspace, studies.PLANAR_CHARACTERISTIC_LENGTH)
+    _, axis, values = planar_peak_search(r_1, r_2, objective="full", gram_samples=grams,
+                                         grid_step=0.1, refine=False, return_grid=True)
+    basis = planar_basis()
+    ref = np.array([[global_index(
+        SensorArray(strings=tuple(StringSpec(ConstantPitch(r, 0.0), a) for r, a in
+                                  zip((r_1, r_2, PLANAR_REFERENCE_RADIUS), (a_1, a_2, 1.0)))),
+        basis, workspace, basis.length, studies.PLANAR_CHARACTERISTIC_LENGTH)
+        for a_2 in axis] for a_1 in axis])
+    assert np.abs(values - ref).max() <= 1e-9 * ref.max()
+    np.testing.assert_array_equal(np.diag(values), 0.0)
 
 
 def test_improvement_beta():

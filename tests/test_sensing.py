@@ -3,10 +3,12 @@ import pytest
 
 from stringshape.modal import ModalBasis, identity_basis
 from stringshape.routing import ConstantPitch, Helical, Mount, StringSpec, path_velocity
-from stringshape.sensing import (Composite, NotRealizableError, Reference, SensorArray,
-                                 SingularDesignError, aleph_gram, aleph_sv, body_jacobian,
-                                 body_jacobian_multi, config_jacobian, forward_kinematics,
-                                 lengths, linear_model, solve_shape, string_length)
+from stringshape.rodsim import synthetic_spatial_truth
+from stringshape.sensing import (STAGNATION_TOL, Composite, NotRealizableError, Reference,
+                                 SensorArray, SingularDesignError, aleph_gram, aleph_sv,
+                                 body_jacobian, body_jacobian_multi, config_jacobian,
+                                 forward_kinematics, lengths, linear_model, solve_shape,
+                                 string_length)
 from stringshape.sensitivity import noise_amp
 from stringshape import liegroup as lg
 from stringshape import studies
@@ -267,6 +269,10 @@ def test_queries_outside_the_segment_raise():
         body_jacobian_multi(basis, np.zeros(8), [L + L / 100], n_steps=100)
     with pytest.raises(ValueError, match="outside"):
         forward_kinematics(basis, np.zeros(8), [0.5 * L, -L / 100])
+    with pytest.raises(ValueError, match="outside"):
+        forward_kinematics(basis, np.zeros(8), [np.nan])
+    with pytest.raises(ValueError, match="outside"):
+        body_jacobian(basis, np.zeros(8), np.nan)
 
 
 def test_off_grid_query_leaves_on_grid_results_unchanged():
@@ -322,6 +328,32 @@ def test_gauss_newton_round_trip_helical():
         sol = solve_shape(array, basis, meas)
         assert not sol.linear
         assert np.linalg.norm(sol.c - c_true) <= 1e-6
+
+
+def test_round_off_no_descent_exit_is_converged():
+    # Started at the truth the residual is 0, so no step lowers it and the run
+    # leaves through the no-descent exit at round-off.
+    basis = spatial_basis()
+    array = helical_array()
+    c_true = np.random.default_rng(21).uniform(-1.5, 1.5, 8)
+    meas = lengths(array, basis, c_true, Reference.DELTA_FROM_STRAIGHT)
+    sol = solve_shape(array, basis, meas, initial=c_true)
+    assert sol.status == "converged"
+    assert sol.residual_norm <= STAGNATION_TOL * basis.length
+
+
+def test_stagnation_is_reported():
+    # Case 32 of the spatial-study set-up (soft preset, anchors [4, 3, 9, 4],
+    # n_omega 1, richer truth basis, seed 20): Gauss-Newton finds no descent
+    # at a residual of about 2e-3 m.
+    space = studies.soft_design_space()
+    basis = studies.soft_basis()
+    truth_basis = ModalBasis(x=(0, 1, 2, 3), y=(0, 1, 2, 3), z=(0, 1, 2), length=basis.length)
+    array = space.array_for([4, 3, 9, 4], 1)
+    _, meas = synthetic_spatial_truth(truth_basis, array, studies.soft_constraints(), 33, 20)[32]
+    sol = solve_shape(array, basis, meas)
+    assert sol.status == "stagnated"
+    assert sol.residual_norm > 1e-3
 
 
 def test_three_strings_one_disk_singular():
