@@ -7,10 +7,9 @@ from .sensing import (Composite, NotRealizableError, Reference, SensorArray,
                       SingularDesignError, SolverError, body_jacobian,
                       config_jacobian, forward_kinematics, lengths, solve_shape,
                       string_length)
-from .sensitivity import (ConstraintSet, DesignReport, DiskGeometry,
-                          WorkspaceSamples, disk_collision_radius,
-                          full_map_jacobian, global_index, noise_amp,
-                          sample_admissible)
+from .sensitivity import (ConstraintSet, DiskGeometry, WorkspaceSamples,
+                          disk_collision_radius, full_map_jacobian, global_index,
+                          noise_amp, sample_admissible)
 from .optimizer import (DesignSpace, DesignedString, brute_force_search,
                         improvement_beta, planar_peak_search)
 from .rodsim import (PoseErrors, RodSpec, ShootingError, TipWrench,

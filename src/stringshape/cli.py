@@ -232,15 +232,15 @@ def cmd_routing_opt(args):
                      *map(float, result.aleph_g[idx]), int(result.singular[idx])])
     write_csv(args.output, header, rows)
     best = result.best()
-    report = result.report(best, space.c_l)
     top = {
         "design_index": int(best),
         "anchor_disks": [int(v) for v in result.anchors[best]],
         "n_omega": float(result.n_omega[best]),
-        "aleph_config_straight": report.aleph_config,
-        "aleph_g": {f"{s:.4f}": v for s, v in report.aleph_full.items()},
-        "characteristic_length": report.characteristic_length,
-        "singular": report.singular,
+        "aleph_config_straight": float(result.aleph_config[best]),
+        "aleph_g": {f"{s:.4f}": float(v)
+                    for s, v in zip(result.s_objectives, result.aleph_g[best])},
+        "characteristic_length": space.c_l,
+        "singular": bool(result.singular[best]),
         "n_designs": int(space.size),
         "n_singular": int(result.singular.sum()),
         "seed": args.seed,
@@ -360,7 +360,7 @@ def build_parser():
     p.add_argument("--preset", choices=("stiff", "soft"), default="soft")
     p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=777)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes; output is independent of the count")
     p.add_argument("-o", "--output", default="routing_designs.csv")
     p.add_argument("--output-top", default="routing_top.json")

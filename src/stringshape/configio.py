@@ -227,9 +227,15 @@ def read_csv_matrix(path, expected_cols=None):
                 if not row or all(not cell.strip() for cell in row):
                     continue
                 try:
-                    rows.append([float(cell) for cell in row])
+                    values = [float(cell) for cell in row]
                 except ValueError:
                     raise SchemaError(f"{path}:{ln}: non-numeric value") from None
+                if not np.all(np.isfinite(values)):
+                    raise SchemaError(f"{path}:{ln}: non-finite value")
+                if rows and len(values) != len(rows[0]):
+                    raise SchemaError(f"{path}:{ln}: {len(values)} columns, "
+                                      f"expected {len(rows[0])} as on the first data row")
+                rows.append(values)
     except FileNotFoundError:
         raise SchemaError(f"{path}: file not found") from None
     if not rows:

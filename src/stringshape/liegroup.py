@@ -28,12 +28,6 @@ def hat(v):
     ])
 
 
-def vee(m):
-    """Inverse of hat."""
-    m = np.asarray(m, dtype=float)
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
 def hat6(t):
     """Twist -> 4x4 se(3) matrix (angular block top-left, linear top-right)."""
     t = np.asarray(t, dtype=float)
@@ -41,12 +35,6 @@ def hat6(t):
     out[:3, :3] = hat(t[:3])
     out[:3, 3] = t[3:]
     return out
-
-
-def vee6(m):
-    """Inverse of hat6."""
-    m = np.asarray(m, dtype=float)
-    return np.array([m[2, 1], m[0, 2], m[1, 0], m[0, 3], m[1, 3], m[2, 3]])
 
 
 def ad(t):
@@ -79,15 +67,6 @@ def _rot_coeffs(theta):
     half = np.sin(0.5 * theta)
     b = 2.0 * half * half / (theta * theta)   # (1-cos)/theta^2 without cancellation
     return s / theta, b, (theta - s) / theta**3
-
-
-def exp_so3(w):
-    """Rodrigues rotation from a rotation vector."""
-    w = np.asarray(w, dtype=float)
-    theta = np.linalg.norm(w)
-    a, b, _ = _rot_coeffs(theta)
-    wh = hat(w)
-    return np.eye(3) + a * wh + b * (wh @ wh)
 
 
 def exp_se3(psi):

@@ -7,15 +7,14 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .modal import ModalBasis
-from .routing import ConstantPitch, Helical, Mount, StringSpec
-from .sensing import (PANELS_PER_LENGTH, SIGMA_RATIO_TOL, SensorArray, _jacobian_row,
-                      _panel_rows, aleph_gram, aleph_sv, body_jacobian, body_jacobian_multi,
-                      exact_row, has_exact_row)
+from .routing import Helical, Mount, StringSpec
+from .sensing import (SIGMA_RATIO_TOL, SensorArray, aleph_gram, aleph_sv, body_jacobian,
+                      body_jacobian_multi, span_rows)
 from .sensitivity import map_rank_limited, noise_amp, twist_scaling
 
 PLANAR_REFERENCE_RADIUS = 0.25   # fixed end-anchored tendon, radius in units of L
@@ -215,21 +214,16 @@ def optimal_planar_anchors(p):
 
 @dataclass(frozen=True)
 class DesignedString:
-    """String whose anchor disk (and the shared twist rate) the search picks."""
+    """String whose anchor disk the search picks; a Helical path takes the
+    design's shared twist rate in place of its own omega."""
 
-    kind: str                      # "helical" | "constant_pitch"
-    r_s: float = 0.0               # helical path radius
-    alpha: float = 0.0             # helical phase offset (rad)
-    r_x: float = 0.0               # constant-pitch offsets
-    r_y: float = 0.0
+    path: object
     mount: Mount = Mount.BASE
 
-    def path(self, omega):
-        if self.kind == "helical":
-            return Helical(r_s=self.r_s, omega=omega, alpha=self.alpha)
-        if self.kind == "constant_pitch":
-            return ConstantPitch(r_x=self.r_x, r_y=self.r_y)
-        raise ValueError(f"unknown designed-string kind {self.kind!r}")
+    def path_at(self, omega):
+        if isinstance(self.path, Helical):
+            return replace(self.path, omega=omega)
+        return self.path
 
 
 @dataclass(frozen=True)
@@ -267,7 +261,7 @@ class DesignSpace:
         length = self.basis.length
         specs = []
         for disk, ds in zip(anchors, self.designed):
-            specs.append(StringSpec(path=ds.path(self.omega_of(n_omega)),
+            specs.append(StringSpec(path=ds.path_at(self.omega_of(n_omega)),
                                     s_anchor=disk * length / self.n_disks,
                                     mount=ds.mount))
         specs.extend(self.fixed)
@@ -282,57 +276,38 @@ class SearchResult:
     aleph_g: np.ndarray        # (n_designs, n_objectives)
     singular: np.ndarray       # (n_designs,) bool
     s_objectives: tuple
-    order: np.ndarray          # ranking by the requested objective
+    order: np.ndarray          # ranking by the last objective
 
     def best(self, objective_index=-1):
         """Index of the non-singular design with the largest index at the
-        given objective (the last one, as the search ranks by default)."""
+        given objective (by default the last one, by which the search ranks)."""
         return int(np.argmax(np.where(self.singular, -np.inf, self.aleph_g[:, objective_index])))
-
-    def report(self, index, characteristic_length):
-        from .sensitivity import DesignReport
-
-        return DesignReport(
-            aleph_config=float(self.aleph_config[index]),
-            aleph_full={float(s): float(v)
-                        for s, v in zip(self.s_objectives, self.aleph_g[index])},
-            characteristic_length=characteristic_length,
-            singular=bool(self.singular[index]),
-        )
 
 
 def _cumulative_rows(space, c):
     """J_lc rows of every string variant at configuration c.
 
-    Designed strings get their rows from the origin to each disk boundary as
-    cumulative sums of the Gauss-Legendre panels of sensing, each disk
-    subsegment split into equal panels no wider than L / PANELS_PER_LENGTH;
-    tip-mounted strings read cum[end] - cum[anchor].  Fixed strings take
-    config_jacobian's row over their own span, wherever they are anchored.
-    Returns (designed_rows[n_omega][string][disk] -> (m,), fixed_rows (k, m)).
+    Designed strings get span_rows from the origin to every disk edge
+    k*L/n_disks in one call; tip-mounted strings read row[end] - row[anchor].
+    Fixed strings take config_jacobian's row over their own span, wherever
+    they are anchored.  Returns (designed_rows[n_omega][string][disk] -> (m,),
+    fixed_rows (k, m)).
     """
     basis = space.basis
-    split = -(-PANELS_PER_LENGTH // space.n_disks)
-    edges = np.arange(space.n_disks * split + 1) * basis.length / (space.n_disks * split)
-    disk_edges = edges[::split]
-
-    def rows_at_disks(path):
-        if has_exact_row(path, basis):
-            return exact_row(path, basis, 0.0, disk_edges)
-        cum = np.concatenate([np.zeros((1, basis.m)),
-                              np.cumsum(_panel_rows(path, basis, c, edges), axis=0)])
-        return cum[::split]
-
+    disk_edges = np.arange(space.n_disks + 1) * basis.length / space.n_disks
     designed = np.zeros((len(space.twist_rates), len(space.designed),
                          len(disk_edges), basis.m))
     for iw, n_om in enumerate(space.twist_rates):
         omega = space.omega_of(n_om)
         for i, dstr in enumerate(space.designed):
-            at_disks = rows_at_disks(dstr.path(omega))
+            at_disks = span_rows(dstr.path_at(omega), basis, c, 0.0, disk_edges)
             if dstr.mount is Mount.TIP:
                 at_disks = at_disks[-1] - at_disks
             designed[iw, i] = at_disks
-    fixed = np.array([_jacobian_row(spec, basis, c) for spec in space.fixed]).reshape(-1, basis.m)
+    fixed = np.zeros((len(space.fixed), basis.m))
+    for k, spec in enumerate(space.fixed):
+        lo, hi = spec.span(basis.length)
+        fixed[k] = span_rows(spec.path, basis, c, lo, [hi])[0]
     return designed, fixed
 
 
@@ -388,20 +363,25 @@ def _evaluate_chunk(payload):
     return a0, ag, bad
 
 
-def brute_force_search(space, samples, objective_index=-1, chunk=400,
-                       cap=1_000_000, jobs=1):
-    """Evaluate every design in the space and rank by a chosen objective.
+# Designs per evaluated block (and per worker task), and the largest space
+# brute_force_search accepts.
+DESIGN_CHUNK = 400
+MAX_DESIGNS = 1_000_000
+
+
+def brute_force_search(space, samples, jobs=1):
+    """Evaluate every design in the space and rank by the last objective.
 
     A design is marked singular when aleph(J_lc) falls below space.epsilon at
     the straight configuration or in the workspace mean (the filter the
     routing studies use); the workspace-averaged length->twist index is
     computed at each objective arc length.  Evaluation order is the
-    lexicographic enumeration of candidate tuples; chunks may be evaluated by
-    jobs > 1 worker processes, with a deterministic ordered merge, so results
-    do not depend on the worker count.
+    lexicographic enumeration of candidate tuples; blocks of DESIGN_CHUNK
+    designs may be evaluated by up to jobs worker processes, with a
+    deterministic ordered merge, so results do not depend on the worker count.
     """
-    if space.size > cap:
-        raise ValueError(f"design space size {space.size} exceeds cap {cap}")
+    if space.size > MAX_DESIGNS:
+        raise ValueError(f"design space size {space.size} exceeds {MAX_DESIGNS}")
     if not space.s_objectives:
         raise ValueError("design space has no objective arc lengths (s_objectives is empty)")
     configs = getattr(samples, "configs", np.asarray(samples))
@@ -433,11 +413,13 @@ def brute_force_search(space, samples, objective_index=-1, chunk=400,
     fix_rows = np.array([f for _, f in rows])   # (1 + S, n_fixed, m)
 
     payloads = [
-        (space, channels, anchors[c0:c0 + chunk], iw[c0:c0 + chunk], des_rows, fix_rows, jxc)
-        for c0 in range(0, n_designs, chunk)
+        (space, channels, anchors[c0:c0 + DESIGN_CHUNK], iw[c0:c0 + DESIGN_CHUNK],
+         des_rows, fix_rows, jxc)
+        for c0 in range(0, n_designs, DESIGN_CHUNK)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_evaluate_chunk, payloads))
     else:
         results = [_evaluate_chunk(pl) for pl in payloads]
@@ -446,7 +428,7 @@ def brute_force_search(space, samples, objective_index=-1, chunk=400,
     aleph_g = np.concatenate([r[1] for r in results])
     singular = np.concatenate([r[2] for r in results])
 
-    key = np.where(singular, -np.inf, aleph_g[:, objective_index])
+    key = np.where(singular, -np.inf, aleph_g[:, -1])
     order = np.argsort(-key, kind="stable")
     return SearchResult(anchors=anchors, n_omega=np.array(space.twist_rates)[iw],
                         aleph_config=aleph_cfg, aleph_g=aleph_g, singular=singular,

@@ -152,23 +152,34 @@ def exact_row(path, basis, lo, hi):
 # panels no wider than L / PANELS_PER_LENGTH, exact to degree 5 per panel;
 # its nodes and weights on [0, 1] are written in closed form.
 PANELS_PER_LENGTH = 10
+_GRID_STEPS = np.arange(PANELS_PER_LENGTH + 1)
 _GL_NODES = 0.5 + 0.5 * np.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])
 _GL_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 
 
-def _span_edges(lo, hi, length):
-    """Panel edges over [lo, hi]: the span ends and the L/PANELS_PER_LENGTH
-    grid points strictly inside, so an anchor anywhere is an edge."""
-    grid = np.arange(PANELS_PER_LENGTH + 1) * length / PANELS_PER_LENGTH
+def _span_edges(lo, bounds, length):
+    """Panel edges from lo through increasing bounds >= lo: lo, then per bound
+    the L/PANELS_PER_LENGTH grid points strictly inside the gap from the
+    previous edge and the bound itself, so an anchor anywhere is an edge.
+    Returns the edges and, per bound, the index of the panel ending there."""
+    grid = _GRID_STEPS * length / PANELS_PER_LENGTH
     tol = 1e-12 * length
-    return np.concatenate([[lo], grid[(grid > lo + tol) & (grid < hi - tol)], [hi]])
+    pieces, last, n_panels, prev = [[lo]], [], 0, lo
+    for b in bounds:
+        if not b >= prev:   # NaN fails it too
+            raise ValueError("bounds must not decrease from lo")
+        inside = grid[(grid > prev + tol) & (grid < b - tol)]
+        pieces += [inside, [b]]
+        n_panels += len(inside) + 1
+        last.append(n_panels - 1)
+        prev = b
+    return np.concatenate(pieces), last
 
 
 def _gauss_legendre(edges):
     """Nodes and weights of the 3-node rule on the panels between consecutive
     edges, three per panel in panel order."""
-    edges = np.asarray(edges, dtype=float)
-    width = np.diff(edges)
+    width = edges[1:] - edges[:-1]
     return ((edges[:-1, None] + width[:, None] * _GL_NODES).ravel(),
             (width[:, None] * _GL_WEIGHTS).ravel())
 
@@ -198,7 +209,7 @@ def string_length(spec, basis, c):
         raise NotRealizableError(margin)
     if has_exact_row(spec.path, basis):
         return float(hi - lo + exact_row(spec.path, basis, lo, hi) @ basis.check_coeffs(c))
-    s, weights = _gauss_legendre(_span_edges(lo, hi, basis.length))
+    s, weights = _gauss_legendre(_span_edges(lo, [hi], basis.length)[0])
     return float(weights @ np.linalg.norm(path_velocity(spec.path, basis, c, s), axis=1))
 
 
@@ -217,20 +228,29 @@ def lengths(array, basis, c, reference=Reference.DELTA_FROM_STRAIGHT):
     return vals
 
 
-def _jacobian_row(spec, basis, c):
-    """d(length)/dc for one string: (r x w'/|w'|)^T Phi integrated over the span
-    (exact for constant-pitch/torsion-free strings, panel Gauss-Legendre
-    otherwise)."""
-    lo, hi = spec.span(basis.length)
-    if has_exact_row(spec.path, basis):
-        return exact_row(spec.path, basis, lo, hi)
-    return _panel_rows(spec.path, basis, c, _span_edges(lo, hi, basis.length)).sum(axis=0)
+def span_rows(path, basis, c, lo, bounds):
+    """J_lc rows (k, m), d(length)/dc of one string path over [lo, b] for
+    each of k increasing bounds b >= lo.
+
+    The integrand is (r x w'/|w'|)^T Phi.  Constant-pitch paths on a
+    torsion-free basis take exact_row; every other path takes running sums of
+    the Gauss-Legendre panels on _span_edges, so a row equals the one its
+    bound alone gives wherever the bounds below it lie on the panel grid.
+    """
+    if has_exact_row(path, basis):
+        return exact_row(path, basis, lo, bounds)
+    edges, last = _span_edges(lo, bounds, basis.length)
+    return np.add.accumulate(_panel_rows(path, basis, c, edges))[last]
 
 
 def config_jacobian(array, basis, c):
     """J_lc (p, m): sensitivity of measurement channels to modal coefficients."""
     c = basis.check_coeffs(c)
-    return array.reduce([_jacobian_row(spec, basis, c) for spec in array.strings])
+    rows = []
+    for spec in array.strings:
+        lo, hi = spec.span(basis.length)
+        rows.append(span_rows(spec.path, basis, c, lo, [hi])[0])
+    return array.reduce(rows)
 
 
 def linear_model(array, basis):

@@ -188,21 +188,6 @@ class WorkspaceSamples:
         return len(self.configs)
 
 
-@dataclass
-class DesignReport:
-    """Sensitivity summary of one routing design.
-
-    aleph_full maps objective arc lengths to the workspace-averaged index of
-    the measurement-to-twist map there; aleph_config is the straight-
-    configuration index of J_lc.
-    """
-
-    aleph_config: float
-    aleph_full: dict
-    characteristic_length: float
-    singular: bool
-
-
 def sample_admissible(basis, constraints, n_target, seed, paths=(), box_scale=1.0,
                       grid=200, min_acceptance=1e-4):
     """Rejection-sample admissible configurations, reproducible for a seed.
@@ -251,7 +236,3 @@ def global_index(array, basis, samples, s, c_l):
     vals = [full_map_index(array, basis, c, s, c_l) for c in configs]
     return float(np.mean(vals))
 
-
-def config_index(array, basis, c):
-    """aleph of the configuration-space Jacobian at one configuration."""
-    return noise_amp(config_jacobian(array, basis, c))

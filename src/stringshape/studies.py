@@ -14,7 +14,7 @@ from .modal import ModalBasis
 from .optimizer import (DesignSpace, DesignedString, improvement_beta,
                         planar_baseline_index, planar_basis, planar_peak_search,
                         planar_sample_grams)
-from .routing import ConstantPitch, Mount, StringSpec
+from .routing import ConstantPitch, Helical, Mount, StringSpec
 from .sensing import Composite
 from .sensitivity import ConstraintSet, sample_admissible
 
@@ -160,9 +160,8 @@ def stiff_design_space(s_objectives=None, c_l=STIFF_CHARACTERISTIC_LENGTH):
     """
     basis = stiff_basis()
     designed = tuple(
-        DesignedString(kind="constant_pitch",
-                       r_x=STIFF_STRING_RADIUS * np.cos(np.deg2rad(ang)),
-                       r_y=STIFF_STRING_RADIUS * np.sin(np.deg2rad(ang)),
+        DesignedString(ConstantPitch(r_x=STIFF_STRING_RADIUS * np.cos(np.deg2rad(ang)),
+                                     r_y=STIFF_STRING_RADIUS * np.sin(np.deg2rad(ang))),
                        mount=Mount.TIP)
         for ang in STIFF_STRING_ANGLES
     )
@@ -225,8 +224,8 @@ def soft_design_space(twist_rates=(0, 1), s_objectives=None,
     """20,000-design space: four helical strings, ten disks, two twist rates."""
     basis = soft_basis()
     designed = tuple(
-        DesignedString(kind="helical", r_s=SOFT_STRING_RADIUS,
-                       alpha=np.deg2rad(ang), mount=Mount.BASE)
+        DesignedString(Helical(r_s=SOFT_STRING_RADIUS, omega=0.0, alpha=np.deg2rad(ang)),
+                       mount=Mount.BASE)
         for ang in SOFT_STRING_ANGLES
     )
     if s_objectives is None:

@@ -209,7 +209,8 @@ def _fd_body_jacobian(basis, c, s, eps=1e-6):
         cm[i] -= eps
         tp = forward_kinematics(basis, cp, [s], n_steps=200)[0]
         tm = forward_kinematics(basis, cm, [s], n_steps=200)[0]
-        fd[:, i] = lg.vee6(lg.inv_pose(base) @ (tp - tm) / (2 * eps))
+        d = lg.inv_pose(base) @ (tp - tm) / (2 * eps)   # se(3) matrix: read its twist
+        fd[:, i] = [d[2, 1], d[0, 2], d[1, 0], d[0, 3], d[1, 3], d[2, 3]]
     return fd
 
 

@@ -80,6 +80,15 @@ def test_malformed_robot_exits_2(tmp_path):
     assert main(["shape", str(bad), coeffs]) == 2
 
 
+@pytest.mark.parametrize("command", ["shape", "lengths"])
+@pytest.mark.parametrize("body", ["0,0,0\n1,2\n", "0,0,0\n1,nan,0\n"])
+def test_ragged_or_non_finite_coefficients_exit_2(tmp_path, robot_file, command, body, capsys):
+    coeffs = tmp_path / "coeffs.csv"
+    coeffs.write_text("c_0,c_1,c_2\n" + body)
+    assert main([command, robot_file, str(coeffs), "-o", str(tmp_path / "out.csv")]) == 2
+    assert f"{coeffs}:3:" in capsys.readouterr().err
+
+
 def test_singular_design_exits_4(tmp_path):
     robot = dict(PLANAR_ROBOT)
     robot["strings"] = [
@@ -129,6 +138,8 @@ def test_unknown_flag_exits_64():
     ["spatial-study", "--cases", "0"],
     ["spatial-study", "--cases", "-2"],
     ["routing-opt", "--preset", "stiff", "--samples", "0"],
+    ["routing-opt", "--preset", "stiff", "--jobs", "0"],
+    ["routing-opt", "--preset", "stiff", "--jobs", "-2"],
     ["planar-study", "--table2", "--samples", "0"],
     ["sensitivity-map", "--samples", "0"],
     ["sensitivity-map", "--samples", "two"],

@@ -95,11 +95,25 @@ def test_csv_roundtrip(tmp_path):
         read_csv_matrix(str(path), expected_cols=3)
 
 
+@pytest.mark.parametrize("body, message", [
+    ("1,2\n3\n", "m.csv:3: 1 columns, expected 2"),
+    ("1,2\n3,4,5\n", "m.csv:3: 3 columns, expected 2"),
+    ("1,2\n\n3,nan\n", "m.csv:4: non-finite value"),
+    ("inf,2\n", "m.csv:2: non-finite value"),
+    ("1,2\n3,-inf\n", "m.csv:3: non-finite value"),
+])
+def test_csv_ragged_or_non_finite_rows_name_the_line(tmp_path, body, message):
+    path = tmp_path / "m.csv"
+    path.write_text("a,b\n" + body)
+    with pytest.raises(SchemaError, match=message):
+        read_csv_matrix(str(path))
+
+
 def test_rotation_to_quaternion_roundtrip():
     rng = np.random.default_rng(0)
     for _ in range(25):
         w = rng.normal(size=3)
-        rot = lg.exp_so3(w)
+        rot = lg.exp_se3(np.r_[w, 0.0, 0.0, 0.0])[:3, :3]
         q = rotation_to_quaternion(rot)
         assert np.linalg.norm(q) == pytest.approx(1.0)
         # rebuild the rotation from the quaternion

@@ -12,7 +12,7 @@ from stringshape.optimizer import (PLANAR_REFERENCE_RADIUS, DesignSpace, Designe
                                    planar_sample_grams)
 from stringshape.routing import ConstantPitch, Helical, Mount, StringSpec
 from stringshape.sensing import (SensorArray, aleph_sv, config_jacobian, exact_row,
-                                 has_exact_row)
+                                 has_exact_row, span_rows)
 from stringshape.sensitivity import global_index
 
 
@@ -93,8 +93,7 @@ def test_optimal_planar_anchors_p3_matches_table_pattern():
 
 def _tiny_space():
     basis = ModalBasis(x=(0, 1), y=(0, 1), length=0.3)
-    designed = tuple(DesignedString(kind="constant_pitch",
-                                    r_x=0.05 * np.cos(t), r_y=0.05 * np.sin(t),
+    designed = tuple(DesignedString(ConstantPitch(0.05 * np.cos(t), 0.05 * np.sin(t)),
                                     mount=Mount.TIP)
                      for t in np.deg2rad([45, 135]))
     fixed = (StringSpec(ConstantPitch(0.06, 0.0), 0.3),
@@ -102,6 +101,13 @@ def _tiny_space():
     return DesignSpace(basis=basis, designed=designed, fixed=fixed,
                        anchor_disks=(1, 2, 3), n_disks=3, twist_rates=(0,),
                        s_objectives=(0.15, 0.3), c_l=0.05)
+
+
+def test_designed_string_takes_the_shared_twist_rate():
+    helix = DesignedString(Helical(r_s=0.03, omega=5.0, alpha=0.2))
+    assert helix.path_at(2.0) == Helical(r_s=0.03, omega=2.0, alpha=0.2)
+    pitch = DesignedString(ConstantPitch(0.03, 0.01), mount=Mount.TIP)
+    assert pitch.path_at(2.0) is pitch.path
 
 
 def test_brute_force_enumeration_and_determinism():
@@ -215,13 +221,50 @@ def test_brute_force_repeated_objective_arc_length():
     np.testing.assert_array_equal(rep.aleph_g[:, 2], ref.aleph_g[:, 1])
 
 
-def test_brute_force_output_independent_of_jobs():
+def test_brute_force_output_independent_of_jobs(monkeypatch):
+    monkeypatch.setattr(optimizer, "DESIGN_CHUNK", 2)
     space = _tiny_space()
     samples = np.array([[0.5, -0.2, 0.7, 0.1], [-0.3, 0.4, -0.1, 0.6]])
-    a = brute_force_search(space, samples, jobs=1, chunk=2)
-    b = brute_force_search(space, samples, jobs=2, chunk=2)
+    a = brute_force_search(space, samples, jobs=1)
+    b = brute_force_search(space, samples, jobs=2)
     np.testing.assert_array_equal(a.aleph_g, b.aleph_g)
     np.testing.assert_array_equal(a.order, b.order)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no
+    process and maps in the calling one."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_brute_force_starts_no_more_workers_than_chunks(monkeypatch):
+    monkeypatch.setattr(optimizer, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    space = _tiny_space()
+    samples = np.array([[0.5, -0.2, 0.7, 0.1], [-0.3, 0.4, -0.1, 0.6]])
+    ref = brute_force_search(space, samples)
+    # 9 designs are one chunk: any job count runs serially
+    one = brute_force_search(space, samples, jobs=500)
+    assert _RecordingPool.started == []
+    monkeypatch.setattr(optimizer, "DESIGN_CHUNK", 4)    # three chunks
+    three = brute_force_search(space, samples, jobs=500)
+    assert _RecordingPool.started == [3]
+    for res in (one, three):
+        np.testing.assert_array_equal(res.aleph_g, ref.aleph_g)
+        np.testing.assert_array_equal(res.order, ref.order)
 
 
 def test_brute_force_rejects_empty_objectives():
@@ -230,10 +273,33 @@ def test_brute_force_rejects_empty_objectives():
         brute_force_search(space, np.zeros((1, 4)))
 
 
-def test_brute_force_cap():
+def test_brute_force_cap(monkeypatch):
+    monkeypatch.setattr(optimizer, "MAX_DESIGNS", 5)
     space = _tiny_space()
-    with pytest.raises(ValueError):
-        brute_force_search(space, np.zeros((1, 4)), cap=5)
+    with pytest.raises(ValueError, match="size 9 exceeds 5"):
+        brute_force_search(space, np.zeros((1, 4)))
+
+
+@pytest.mark.parametrize("n_omega", [0, 1])
+def test_disk_edge_rows_match_config_jacobian_on_soft_preset(n_omega):
+    # The search's rows at every disk edge are config_jacobian's rows of the
+    # single string anchored there (base mount); from each edge to L they are
+    # the tip-mounted string's row.  Bit for bit: the disk edges lie on the
+    # panel grid, so both sum the same panels in the same order.
+    space = studies.soft_design_space()
+    basis = space.basis
+    edges = np.arange(space.n_disks + 1) * basis.length / space.n_disks
+    iw = space.twist_rates.index(n_omega)
+    for c in [np.zeros(basis.m), *studies.soft_workspace(2, seed=5).configs]:
+        designed, _ = optimizer._cumulative_rows(space, c)
+        for i, ds in enumerate(space.designed):
+            path = ds.path_at(space.omega_of(n_omega))
+            for k, edge in enumerate(edges):
+                base = SensorArray((StringSpec(path, edge, Mount.BASE),))
+                tip = SensorArray((StringSpec(path, edge, Mount.TIP),))
+                assert np.array_equal(designed[iw, i, k], config_jacobian(base, basis, c)[0])
+                assert np.array_equal(span_rows(path, basis, c, edge, edges[k:])[-1],
+                                      config_jacobian(tip, basis, c)[0])
 
 
 def test_stiff_space_singular_counting():

@@ -107,8 +107,7 @@ def test_error_metrics():
     err = error_metrics(eye, eye, length=0.3, c_l=0.1)
     assert (err.e_p, err.theta_e, err.e_n) == (0.0, 0.0, 0.0)
 
-    rot = np.eye(4)
-    rot[:3, :3] = lg.exp_so3([0, 0, np.pi / 2])
+    rot = lg.exp_se3([0, 0, np.pi / 2, 0, 0, 0])
     err = error_metrics(eye, rot, length=0.3, c_l=0.1)
     assert err.theta_e == pytest.approx(np.pi / 2)
 

@@ -8,7 +8,7 @@ from stringshape.sensing import (STAGNATION_TOL, Composite, NotRealizableError, 
                                  SensorArray, SingularDesignError, aleph_gram, aleph_sv,
                                  body_jacobian, body_jacobian_multi, config_jacobian,
                                  forward_kinematics, lengths, linear_model, solve_shape,
-                                 string_length)
+                                 span_rows, string_length)
 from stringshape.sensitivity import noise_amp
 from stringshape import liegroup as lg
 from stringshape import studies
@@ -128,6 +128,36 @@ def test_identity_basis_jacobian_row():
     np.testing.assert_allclose(jac, [[0.0, -0.1 * 0.4, 0.0]], atol=1e-12)
 
 
+def test_span_rows_at_off_grid_bounds_match_one_bound_rows():
+    # Bounds off the L/10 panel grid are panel edges for the bounds above
+    # them, so those rows differ from config_jacobian's by quadrature error
+    # only: 1.4e-9 relative at worst over ten seeds.  The first row has no
+    # bound below it and is the same sum.
+    basis = spatial_basis()
+    c = np.random.default_rng(1).uniform(-3.0, 3.0, basis.m)
+    path = Helical(r_s=0.035, omega=6.7, alpha=0.8)
+    bounds = [0.037, 0.1234, 0.2, 0.2871]
+    rows = span_rows(path, basis, c, 0.0, bounds)
+    assert rows.shape == (4, basis.m)
+    one = np.array([config_jacobian(SensorArray((StringSpec(path, b),)), basis, c)[0]
+                    for b in bounds])
+    assert np.array_equal(rows[0], one[0])
+    np.testing.assert_allclose(rows, one, rtol=0, atol=1e-8 * np.abs(one).max())
+
+
+@pytest.mark.parametrize("path", [Helical(r_s=0.035, omega=6.7), ConstantPitch(0.03, 0.01)])
+@pytest.mark.parametrize("lo, bounds", [(0.1, [0.05]), (0.0, [np.nan])])
+def test_span_rows_rejects_bounds_below_lo(path, lo, bounds):
+    # the panel rule and the exact row (torsion-free basis) refuse alike; the
+    # panel rule also needs the bounds in order
+    basis = ModalBasis(x=(0, 1), y=(0, 1), length=0.3)
+    with pytest.raises(ValueError):
+        span_rows(path, basis, np.zeros(basis.m), lo, bounds)
+    if isinstance(path, Helical):
+        with pytest.raises(ValueError, match="must not decrease"):
+            span_rows(path, basis, np.zeros(basis.m), 0.0, [0.2, 0.1])
+
+
 def test_linear_model_against_brute_quadrature():
     basis = ModalBasis(x=(0, 1, 2), y=(0, 1, 2), length=0.3)
     specs = tuple(
@@ -218,7 +248,8 @@ def _fd_body_jacobian(basis, c, s, eps=1e-6, n_steps=200):
         cm[i] -= eps
         tp = forward_kinematics(basis, cp, [s], n_steps=n_steps)[0]
         tm = forward_kinematics(basis, cm, [s], n_steps=n_steps)[0]
-        fd[:, i] = lg.vee6(lg.inv_pose(base) @ (tp - tm) / (2 * eps))
+        d = lg.inv_pose(base) @ (tp - tm) / (2 * eps)   # se(3) matrix: read its twist
+        fd[:, i] = [d[2, 1], d[0, 2], d[1, 0], d[0, 3], d[1, 3], d[2, 3]]
     return fd
 
 

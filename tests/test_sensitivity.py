@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from stringshape.modal import ModalBasis
 from stringshape.routing import ConstantPitch, StringSpec
-from stringshape.sensing import SensorArray, linear_model
-from stringshape.sensitivity import (ConstraintSet, DiskGeometry, config_index,
+from stringshape.sensing import SensorArray, config_jacobian, linear_model
+from stringshape.sensitivity import (ConstraintSet, DiskGeometry,
                                      disk_collision_radius, full_map_index,
                                      full_map_jacobian, global_index,
                                      length_twist_map, noise_amp, sample_admissible)
@@ -205,6 +205,6 @@ def test_global_index_single_sample_equals_pointwise():
 def test_config_index_constant_over_configs_linear_class():
     basis = planar_basis()
     array = planar_array()
-    vals = [config_index(array, basis, c)
+    vals = [noise_amp(config_jacobian(array, basis, c))
             for c in ([0, 0, 0], [1.0, 0.5, -0.5], [-2.0, 1.0, 0.3])]
     assert max(vals) - min(vals) <= 1e-12
