@@ -220,8 +220,11 @@ def cmd_routing_opt(args):
         print(f"unknown preset {args.preset!r}", file=sys.stderr)
         return EXIT_CONFIG
     result = brute_force_search(space, samples, jobs=args.jobs)
-    print(f"{space.size} designs evaluated "
-          f"({int(result.singular.sum())} singular)")
+    # screens by rule: the straight configuration first, then the workspace mean
+    n_singular = int(result.singular.sum())
+    n_straight = int((result.aleph_config < space.epsilon).sum())
+    print(f"{space.size} designs evaluated ({n_singular} singular: {n_straight} at the "
+          f"straight configuration, {n_singular - n_straight} by the workspace mean)")
     header = (["design", *(f"anchor_disk_{i+1}" for i in range(result.anchors.shape[1])),
                "n_omega", "aleph_config_straight"]
               + [f"aleph_g_at_{s:.4f}_m" for s in result.s_objectives] + ["singular"])
@@ -242,7 +245,9 @@ def cmd_routing_opt(args):
         "characteristic_length": space.c_l,
         "singular": bool(result.singular[best]),
         "n_designs": int(space.size),
-        "n_singular": int(result.singular.sum()),
+        "n_singular": n_singular,
+        "n_singular_straight": n_straight,
+        "n_singular_workspace": n_singular - n_straight,
         "seed": args.seed,
         "workspace_samples": args.samples,
     }

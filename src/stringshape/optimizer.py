@@ -5,6 +5,7 @@ rates ranked by the workspace-averaged sensitivity index.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -273,7 +274,7 @@ class SearchResult:
     anchors: np.ndarray        # (n_designs, n_designed) disk indices
     n_omega: np.ndarray        # (n_designs,)
     aleph_config: np.ndarray   # (n_designs,) straight-configuration index
-    aleph_g: np.ndarray        # (n_designs, n_objectives)
+    aleph_g: np.ndarray        # (n_designs, n_objectives); 0 where aleph_config < epsilon
     singular: np.ndarray       # (n_designs,) bool
     s_objectives: tuple
     order: np.ndarray          # ranking by the last objective
@@ -319,29 +320,41 @@ def _evaluate_chunk(payload):
     them.  Row sample 0 is the straight configuration and samples 1..S the
     workspace; jxc holds the scaled body Jacobians as (objective, S, 6, m).
 
-    Per (design, sample) the singular values of J_lc drive the screens.  Where
-    J_lc has full column rank, B = S J_xc J_lc^+ satisfies B B^T = W^T W with
-    W = A^-T (S J_xc)^T, A being J_lc itself (p = m) or its R factor (p > m),
-    so aleph(B) comes from one inverse and the singular values of the m x 6
-    W.  Rank-deficient samples keep the truncated pseudo-inverse.  Where
-    map_rank_limited(p, m) holds, every index is 0 by the shape of B alone.
+    Screen first, score second: the singular values of J_lc at sample 0
+    screen every design, and only the designs that pass are evaluated on the
+    workspace.  Designs singular at the straight configuration are not
+    scored and carry aleph_g = 0.  Per (survivor, sample) the singular values
+    of J_lc drive the workspace-mean screen.  Where J_lc has full column
+    rank, B = S J_xc J_lc^+ satisfies B B^T = W^T W with W = A^-T (S J_xc)^T,
+    A being J_lc itself (p = m) or its R factor (p > m), so aleph(B) comes
+    from one inverse and the singular values of the m x 6 W.  Rank-deficient
+    samples keep the truncated pseudo-inverse.  Where map_rank_limited(p, m)
+    holds, every index is 0 by the shape of B alone.
     """
     (space, channels, anc, iws, des_rows, fix_rows, jxc) = payload
     m = space.basis.m
     n_designed = len(space.designed)
-    nd = len(anc)
-    # rows are string-major for the folding
-    rows = np.zeros((n_designed + len(space.fixed), nd, des_rows.shape[0], m))
-    for i in range(n_designed):
-        rows[i] = des_rows[:, iws, i, anc[:, i], :].transpose(1, 0, 2)
-    rows[n_designed:] = fix_rows.transpose(1, 0, 2)[:, None]
-    jlc = np.moveaxis(channels.reduce(rows), 0, -2)      # (nd, 1 + S, p, m)
+
+    def jlc_at(des, fix, designs):
+        """J_lc (n_designs, n_samples, p, m) of the given designs from the
+        cumulative rows of n_samples row samples."""
+        anc_d, iws_d = anc[designs], iws[designs]
+        # rows are string-major for the folding
+        rows = np.zeros((n_designed + len(space.fixed), len(anc_d), len(des), m))
+        for i in range(n_designed):
+            rows[i] = des[:, iws_d, i, anc_d[:, i], :].transpose(1, 0, 2)
+        rows[n_designed:] = fix.transpose(1, 0, 2)[:, None]
+        return np.moveaxis(channels.reduce(rows), 0, -2)
+
+    straight = jlc_at(des_rows[:1], fix_rows[:1], slice(None))[:, 0]
+    a0 = aleph_sv(np.linalg.svd(straight, compute_uv=False))
+    bad = a0 < space.epsilon
+    keep = np.flatnonzero(~bad)
+    ag = np.zeros((len(anc), len(space.s_objectives)))
+    jlc = jlc_at(des_rows[1:], fix_rows[1:], keep)      # (n_keep, S, p, m)
     p = jlc.shape[-2]
     sv = np.linalg.svd(jlc, compute_uv=False)
-    a0 = aleph_sv(sv[:, 0])
-    jlc, sv = jlc[:, 1:], sv[:, 1:]
-    bad = (a0 < space.epsilon) | (aleph_sv(sv).mean(axis=1) < space.epsilon)
-    ag = np.zeros((nd, len(space.s_objectives)))
+    bad[keep] = aleph_sv(sv).mean(axis=1) < space.epsilon
     if map_rank_limited(p, m):
         return a0, ag, bad
     full = sv[..., -1] > SIGMA_RATIO_TOL * sv[..., 0]
@@ -359,7 +372,7 @@ def _evaluate_chunk(payload):
         if len(deficient[0]):
             b = jxc[k][deficient[1]] @ pinv
             val[deficient] = aleph_sv(np.linalg.svd(b, compute_uv=False))
-        ag[:, k] = val.mean(axis=1)
+        ag[keep, k] = val.mean(axis=1)
     return a0, ag, bad
 
 
@@ -369,16 +382,34 @@ DESIGN_CHUNK = 400
 MAX_DESIGNS = 1_000_000
 
 
+@functools.lru_cache(maxsize=1)
+def _enumeration(anchor_disks, n_designed, twist_rates):
+    """Disk indices (n_designs, n_designed), twist-rate index and n_omega of
+    every design in lexicographic order, read-only.  Searches of one space
+    share them instead of allocating them per call; one entry is kept, since
+    at MAX_DESIGNS the anchors alone take 32 MB."""
+    combos = np.array(list(itertools.product(*[anchor_disks] * n_designed,
+                                             range(len(twist_rates)))))
+    anchors, iw = combos[:, :-1], combos[:, -1]
+    n_omega = np.array(twist_rates)[iw]
+    for a in (anchors, iw, n_omega):
+        a.setflags(write=False)
+    return anchors, iw, n_omega
+
+
 def brute_force_search(space, samples, jobs=1):
     """Evaluate every design in the space and rank by the last objective.
 
     A design is marked singular when aleph(J_lc) falls below space.epsilon at
     the straight configuration or in the workspace mean (the filter the
-    routing studies use); the workspace-averaged length->twist index is
-    computed at each objective arc length.  Evaluation order is the
-    lexicographic enumeration of candidate tuples; blocks of DESIGN_CHUNK
-    designs may be evaluated by up to jobs worker processes, with a
-    deterministic ordered merge, so results do not depend on the worker count.
+    routing studies use).  The straight screen runs first: designs it marks
+    are not scored and carry aleph_g = 0.  Every other design gets the
+    workspace-averaged length->twist index at each objective arc length.
+    anchors and n_omega are shared, read-only arrays (see _enumeration).
+    Evaluation order is the lexicographic enumeration of candidate tuples;
+    blocks of DESIGN_CHUNK designs may be evaluated by up to jobs worker
+    processes, with a deterministic ordered merge, so results do not depend
+    on the worker count.
     """
     if space.size > MAX_DESIGNS:
         raise ValueError(f"design space size {space.size} exceeds {MAX_DESIGNS}")
@@ -389,11 +420,9 @@ def brute_force_search(space, samples, jobs=1):
         raise ValueError("empty workspace sample set")
     basis = space.basis
     m = basis.m
-    anchor_sets = [space.anchor_disks] * len(space.designed)
-    combos = np.array(list(itertools.product(*anchor_sets, range(len(space.twist_rates)))))
-    anchors = combos[:, :-1]
-    iw = combos[:, -1]
-    n_designs = len(combos)
+    anchors, iw, n_omega = _enumeration(tuple(space.anchor_disks), len(space.designed),
+                                        tuple(space.twist_rates))
+    n_designs = len(anchors)
     channels = space.array_for(anchors[0], space.twist_rates[0])
     if channels.p < m:
         raise ValueError("fewer measurement channels than basis columns")
@@ -430,6 +459,6 @@ def brute_force_search(space, samples, jobs=1):
 
     key = np.where(singular, -np.inf, aleph_g[:, -1])
     order = np.argsort(-key, kind="stable")
-    return SearchResult(anchors=anchors, n_omega=np.array(space.twist_rates)[iw],
+    return SearchResult(anchors=anchors, n_omega=n_omega,
                         aleph_config=aleph_cfg, aleph_g=aleph_g, singular=singular,
                         s_objectives=tuple(space.s_objectives), order=order)

@@ -217,6 +217,10 @@ def test_routing_opt_stiff_smoke(tmp_path):
     info = json.loads(top.read_text())
     assert info["n_designs"] == 625
     assert info["n_singular"] >= 85
+    # J_lc is constant on the stiff preset: every singular design fails the
+    # straight screen, none the workspace mean alone
+    assert info["n_singular_straight"] == 225
+    assert info["n_singular_workspace"] == 0
 
 
 def test_spatial_study_smoke(tmp_path):

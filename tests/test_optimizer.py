@@ -150,9 +150,16 @@ def test_brute_force_matches_global_index_on_helical_torsion_subspace(helical_su
     space, samples, res = helical_subspace
     l_s = studies.SOFT_LENGTH / studies.SOFT_N_DISKS
     assert space.s_objectives == pytest.approx((4 * l_s, 6 * l_s, studies.SOFT_LENGTH))
-    # the optimum per objective plus singular and mixed-disk designs
+    # The subspace's singular designs, all four strings on one disk, fail the
+    # straight screen, so they are not scored and read 0; none is singular by
+    # the workspace mean alone.
+    straight = res.aleph_config < space.epsilon
+    np.testing.assert_array_equal(res.singular, straight)
+    assert np.flatnonzero(straight).tolist() == [0, 40, 80]
+    assert np.all(res.aleph_g[res.singular] == 0.0)
+    # the optimum per objective plus mixed-disk designs
     score = np.where(res.singular[:, None], -np.inf, res.aleph_g)
-    picks = {int(np.argmax(score[:, k])) for k in range(3)} | {0, 13, 40, 80}
+    picks = {int(np.argmax(score[:, k])) for k in range(3)} | {13, 50}
     for idx in sorted(picks):
         array = space.array_for(res.anchors[idx], res.n_omega[idx])
         gi = np.array([global_index(array, space.basis, samples, s, space.c_l)
@@ -227,8 +234,24 @@ def test_brute_force_output_independent_of_jobs(monkeypatch):
     samples = np.array([[0.5, -0.2, 0.7, 0.1], [-0.3, 0.4, -0.1, 0.6]])
     a = brute_force_search(space, samples, jobs=1)
     b = brute_force_search(space, samples, jobs=2)
-    np.testing.assert_array_equal(a.aleph_g, b.aleph_g)
-    np.testing.assert_array_equal(a.order, b.order)
+    for field in ("anchors", "n_omega", "aleph_config", "aleph_g", "singular", "order"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field), err_msg=field)
+
+
+def test_searches_of_one_space_share_a_read_only_enumeration():
+    space = _tiny_space()
+    samples = np.array([[0.5, -0.2, 0.7, 0.1], [-0.3, 0.4, -0.1, 0.6]])
+    a = brute_force_search(space, samples)
+    b = brute_force_search(space, samples)
+    assert np.shares_memory(a.anchors, b.anchors)
+    assert np.shares_memory(a.n_omega, b.n_omega)
+    with pytest.raises(ValueError, match="read-only"):
+        a.anchors[0, 0] = 3
+    with pytest.raises(ValueError, match="read-only"):
+        a.n_omega[0] = 1
+    # another space gets its own enumeration
+    c = brute_force_search(replace(space, anchor_disks=(1, 2)), samples)
+    assert len(c.anchors) == 4 and not np.shares_memory(a.anchors, c.anchors)
 
 
 class _RecordingPool:
@@ -393,13 +416,48 @@ def test_search_kernel_matches_three_svd_reference_on_soft_subspace(monkeypatch)
 
 
 def test_search_kernel_matches_three_svd_reference_on_stiff_preset(monkeypatch):
-    # 225 singular designs: every sample of them takes the rank-deficient
-    # path, which keeps the truncated pseudo-inverse bit for bit
-    new, ref = _search_and_reference(monkeypatch, studies.stiff_design_space(),
-                                     studies.stiff_workspace(6, seed=1))
+    # J_lc is constant on this preset, so all 225 singular designs fail the
+    # straight screen: they are not scored and read exactly 0, where the
+    # reference scores them at round-off (below 1e-32).
+    space = studies.stiff_design_space()
+    new, ref = _search_and_reference(monkeypatch, space, studies.stiff_workspace(6, seed=1))
     assert int(new.singular.sum()) == 225
+    np.testing.assert_array_equal(new.singular, new.aleph_config < space.epsilon)
     _assert_matches_reference(new, ref)
-    np.testing.assert_array_equal(new.aleph_g[new.singular], ref.aleph_g[ref.singular])
+    assert np.all(new.aleph_g[new.singular] == 0.0)
+
+
+@pytest.mark.parametrize("preset, served", [("stiff", 48), ("soft", 24)])
+def test_search_kernel_rank_deficient_sample_matches_three_svd_reference(monkeypatch, preset,
+                                                                         served):
+    # No preset design passes both screens and loses rank at a sample, so the
+    # truncated pseudo-inverse is served by an edited payload: designed string
+    # 1 takes string 0's rows at workspace sample 2 (row sample 3) only.
+    # Designs with both strings on one disk then have two equal rows there,
+    # while their straight J_lc is untouched.  On the stiff preset (m = 6) B
+    # loses rank with J_lc and the sample scores round-off; on the soft
+    # subspace (m = 8) J_lc keeps rank 7 and the sample scores above 0.
+    if preset == "stiff":
+        space, samples = studies.stiff_design_space(), studies.stiff_workspace(6, seed=1)
+    else:
+        space = replace(studies.soft_design_space(), anchor_disks=(3, 6, 9))
+        samples = studies.soft_workspace(4, seed=5)
+    payloads = []
+    with monkeypatch.context() as patched:
+        patched.setattr(optimizer, "_evaluate_chunk",
+                        lambda pl: payloads.append(pl) or _three_svd_chunk(pl))
+        brute_force_search(space, samples)
+    space, channels, anc, iws, des_rows, fix_rows, jxc = payloads[0]
+    des_rows = des_rows.copy()
+    des_rows[3, :, 1] = des_rows[3, :, 0]
+    payload = (space, channels, anc, iws, des_rows, fix_rows, jxc)
+    a0, ag, bad = optimizer._evaluate_chunk(payload)
+    r0, rg, rbad = _three_svd_chunk(payload)
+    np.testing.assert_array_equal(bad, rbad)
+    np.testing.assert_array_equal(a0, r0)
+    # designs that pass both screens and take the pseudo-inverse at that sample
+    assert int((~bad & (anc[:, 0] == anc[:, 1])).sum()) == served
+    assert (np.abs(ag - rg) / rg)[~bad].max() <= REFERENCE_RTOL
 
 
 def test_search_kernel_overdetermined_spaces(monkeypatch):
