@@ -213,12 +213,9 @@ def cmd_routing_opt(args):
     if args.preset == "stiff":
         space = studies.stiff_design_space()
         samples = studies.stiff_workspace(args.samples, args.seed)
-    elif args.preset == "soft":
+    else:
         space = studies.soft_design_space()
         samples = studies.soft_workspace(args.samples, args.seed)
-    else:
-        print(f"unknown preset {args.preset!r}", file=sys.stderr)
-        return EXIT_CONFIG
     result = brute_force_search(space, samples, jobs=args.jobs)
     # screens by rule: the straight configuration first, then the workspace mean
     n_singular = int(result.singular.sum())

@@ -104,25 +104,31 @@ def adjoint(pose):
     return out
 
 
-def dexp_se3(psi, dpsi, tol=1e-17, max_terms=60):
+# The dexp series stops once a term falls below DEXP_TOL relative to the
+# accumulated norm, or after DEXP_MAX_TERMS terms.
+DEXP_TOL = 1e-17
+DEXP_MAX_TERMS = 60
+
+
+def dexp_se3(psi, dpsi):
     """Right-trivialized differential of exp at psi applied to dpsi.
 
     Evaluates sum_k (-1)^k/(k+1)! ad(psi)^k @ dpsi, so that
     d/de exp(psi + e*dpsi)|_0 = exp_se3(psi) @ hat6(dexp_se3(psi, dpsi)).
     Accepts dpsi of shape (6,) or (6, k); the series is summed until the
-    next term falls below tol relative to the accumulated norm.
+    next term falls below DEXP_TOL relative to the accumulated norm.
     """
     dpsi = np.asarray(dpsi, dtype=float)
     a = ad(psi)
     term = dpsi.copy()
     out = dpsi.copy()
     scale = max(np.abs(out).max(), 1.0)
-    for k in range(1, max_terms):
+    for k in range(1, DEXP_MAX_TERMS):
         term = (a @ term) / -(k + 1)
         out = out + term
         tmax = np.abs(term).max()
         scale = max(scale, np.abs(out).max())
-        if tmax < tol * scale:
+        if tmax < DEXP_TOL * scale:
             break
     return out
 

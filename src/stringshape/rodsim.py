@@ -17,6 +17,7 @@ from .modal import ModalBasis, curvature
 from .optimizer import optimal_planar_anchors
 from .routing import ConstantPitch
 from .sensing import Reference, exact_row, lengths
+from .sensitivity import sample_admissible
 
 
 class ShootingError(RuntimeError):
@@ -151,7 +152,7 @@ def convergence_study(rod=None, f_max=60.0, m_max=6.0, n_levels=10, p_list=(1, 2
 
     Wrenches are the Cartesian product of n_levels forces in [-f_max, f_max]
     and n_levels moments in [-m_max, m_max].  String sets are designed by the
-    planar anchor-placement search with the first string pinned at radius
+    planar anchor-placement search with the last string pinned at radius
     0.25 L on the end disk.  Returns per-p statistics and the per-case table.
     """
     rod = rod or RodSpec(length=0.3, diameter=0.004, elastic_modulus=60e9)
@@ -185,8 +186,6 @@ def synthetic_spatial_truth(basis_truth, array, constraints, n, seed):
     error is meaningful; the lengths' quadrature error (~1e-9 relative) is far
     below that truncation.  Returns a list of (c_truth, length vector) pairs.
     """
-    from .sensitivity import sample_admissible
-
     paths = [spec.path for spec in array.strings] if constraints.realizability else []
     samples = sample_admissible(basis_truth, constraints, n, seed, paths=paths)
     return [(c, lengths(array, basis_truth, c, Reference.DELTA_FROM_STRAIGHT))

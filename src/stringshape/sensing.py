@@ -328,6 +328,10 @@ def body_jacobian_multi(basis, c, s_list, n_steps=100):
 # Residual norm, per unit L, below which a no-descent exit is round-off: soft
 # same-basis round trips (L = 0.293 m) end at or below 2.3e-16 m.
 STAGNATION_TOL = 1e-9
+# Gauss-Newton iteration cap, and the coefficient step norm at which it has
+# converged.
+SOLVE_MAX_ITER = 100
+SOLVE_STEP_TOL = 1e-10
 
 
 @dataclass
@@ -341,7 +345,7 @@ class ShapeSolution:
 
 
 def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
-                initial=None, max_iter=100, step_tol=1e-10):
+                initial=None):
     """Recover modal coefficients from a measurement vector.
 
     Linear-class arrays are solved through the constant-Jacobian model in one
@@ -381,7 +385,7 @@ def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
     rnorm = np.linalg.norm(res)
     best_c, best_r = c.copy(), rnorm
     aleph = 0.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, SOLVE_MAX_ITER + 1):
         jac = config_jacobian(array, basis, c)
         sv = np.linalg.svd(jac, compute_uv=False)
         if sv[-1] < SIGMA_RATIO_TOL * sv[0]:
@@ -410,9 +414,9 @@ def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
         c, res, rnorm = trial, res_t, rn_t
         if rnorm < best_r:
             best_c, best_r = c.copy(), rnorm
-        if np.linalg.norm(alpha * step) <= step_tol:
+        if np.linalg.norm(alpha * step) <= SOLVE_STEP_TOL:
             return ShapeSolution(c, it, float(rnorm), aleph, False)
-    raise SolverError(f"no convergence after {max_iter} iterations "
+    raise SolverError(f"no convergence after {SOLVE_MAX_ITER} iterations "
                       f"(residual {best_r:.3e})", best_c=best_c, residual_norm=float(best_r))
 
 

@@ -106,6 +106,10 @@ def disk_collision_radius(height, radius, subsegment_length, tol=1e-12):
     return float(0.5 * (a + b))
 
 
+# Arc-length points on which a configuration is checked for admissibility.
+ADMISSIBLE_GRID = 200
+
+
 @dataclass(frozen=True)
 class ConstraintSet:
     """Admissibility constraints on a configuration.
@@ -158,9 +162,9 @@ class ConstraintSet:
             bounds[2] = min(bounds[2], self.twist_limit / l_s)
         return bounds
 
-    def admissible(self, basis, c, paths=(), grid=200):
-        """Check a configuration on a uniform arc-length grid."""
-        s = np.linspace(0.0, basis.length, grid)
+    def admissible(self, basis, c, paths=()):
+        """Check a configuration on ADMISSIBLE_GRID uniform arc lengths."""
+        s = np.linspace(0.0, basis.length, ADMISSIBLE_GRID)
         u = np.atleast_2d(curvature(basis, c, s))
         bounds = self.axis_bounds()
         for axis in range(3):
@@ -181,15 +185,13 @@ class ConstraintSet:
 @dataclass
 class WorkspaceSamples:
     configs: np.ndarray
-    seed: int
-    method: str
 
     def __len__(self):
         return len(self.configs)
 
 
 def sample_admissible(basis, constraints, n_target, seed, paths=(), box_scale=1.0,
-                      grid=200, min_acceptance=1e-4):
+                      min_acceptance=1e-4):
     """Rejection-sample admissible configurations, reproducible for a seed.
 
     Coefficients are drawn uniformly in a per-axis box at the curvature bound
@@ -222,10 +224,10 @@ def sample_admissible(basis, constraints, n_target, seed, paths=(), box_scale=1.
                 "rescale the sampling box")
         c = rng.uniform(-half, half)
         attempts += 1
-        if constraints.admissible(basis, c, paths=paths, grid=grid):
+        if constraints.admissible(basis, c, paths=paths):
             out[accepted] = c
             accepted += 1
-    return WorkspaceSamples(out, seed, f"uniform box rejection, box_scale={box_scale}")
+    return WorkspaceSamples(out)
 
 
 def global_index(array, basis, samples, s, c_l):

@@ -6,14 +6,16 @@ both drive these functions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .modal import ModalBasis
-from .optimizer import (DesignSpace, DesignedString, improvement_beta,
-                        planar_baseline_index, planar_basis, planar_peak_search,
-                        planar_sample_grams)
+from .optimizer import (PLANAR_REFERENCE_RADIUS, DesignSpace, DesignedString,
+                        improvement_beta, planar_basis, planar_config_index,
+                        planar_config_jacobian, planar_full_index, planar_landscape,
+                        planar_peak_search, planar_sample_grams)
 from .routing import ConstantPitch, Helical, Mount, StringSpec
 from .sensing import Composite
 from .sensitivity import ConstraintSet, sample_admissible
@@ -65,23 +67,22 @@ class PlanarStudyRow:
     beta: float
 
 
-def _peak_rows(radius_pairs, grid_step, objective, gram_samples=None):
+def _peak_rows(radius_pairs, grid_step, index):
     """The two highest landscape peaks per radius pair, with the improvement
     over evenly spaced anchors."""
     rows = []
     for r_1, r_2 in radius_pairs:
-        peaks = planar_peak_search(r_1, r_2, objective=objective, gram_samples=gram_samples,
-                                   grid_step=grid_step)
-        base = planar_baseline_index(r_1, r_2, objective=objective, gram_samples=gram_samples)
+        radii = (r_1, r_2, PLANAR_REFERENCE_RADIUS)
+        base = float(index(planar_config_jacobian(radii, [1.0 / 3.0, 2.0 / 3.0, 1.0])))
         rows += [PlanarStudyRow(r_1, r_2, *pk.anchors, pk.value, improvement_beta(pk.value, base))
-                 for pk in peaks[:2]]
+                 for pk in planar_peak_search(radii, index, grid_step)[:2]]
     return rows
 
 
 def planar_config_study(radius_pairs=PLANAR_RADIUS_PAIRS, grid_step=0.004):
     """Peaks of the config-space index landscape per radius pair.  Pure
     kinematics, no sampling."""
-    return _peak_rows(radius_pairs, grid_step, "config")
+    return _peak_rows(radius_pairs, grid_step, planar_config_index)
 
 
 def planar_full_study(radius_pairs=PLANAR_RADIUS_PAIRS, n_samples=200,
@@ -89,22 +90,20 @@ def planar_full_study(radius_pairs=PLANAR_RADIUS_PAIRS, n_samples=200,
                       c_l=PLANAR_CHARACTERISTIC_LENGTH):
     """Peaks of the workspace-averaged tip sensitivity index per radius pair."""
     grams = planar_sample_grams(planar_workspace(n_samples, seed), c_l)
-    return _peak_rows(radius_pairs, grid_step, "full", grams)
+    return _peak_rows(radius_pairs, grid_step,
+                      functools.partial(planar_full_index, gram_samples=grams))
 
 
 def planar_landscape_grids(r_1, r_2, n_samples=200, seed=PLANAR_WORKSPACE_SEED,
                            config_step=0.004, full_step=0.01,
                            c_l=PLANAR_CHARACTERISTIC_LENGTH):
-    """Both anchor-placement landscapes for one radius pair (CSV export)."""
-    _, axis_c, grid_c = planar_peak_search(r_1, r_2, objective="config",
-                                           grid_step=config_step, refine=False,
-                                           return_grid=True)
-    samples = planar_workspace(n_samples, seed)
-    grams = planar_sample_grams(samples, c_l)
-    _, axis_f, grid_f = planar_peak_search(r_1, r_2, objective="full",
-                                           gram_samples=grams, grid_step=full_step,
-                                           refine=False, return_grid=True)
-    return (axis_c, grid_c), (axis_f, grid_f)
+    """Both anchor-placement landscapes for one radius pair (CSV export), each
+    as (axis, values)."""
+    radii = (r_1, r_2, PLANAR_REFERENCE_RADIUS)
+    grams = planar_sample_grams(planar_workspace(n_samples, seed), c_l)
+    return (planar_landscape(radii, planar_config_index, config_step),
+            planar_landscape(radii, functools.partial(planar_full_index, gram_samples=grams),
+                             full_step))
 
 
 # ---------------------------------------------------------------------------

@@ -124,10 +124,12 @@ def test_a2_planar_full_study():
                 f"{pair}: index {top.value:.3f} vs {val}"
         # qualitative conflict: the tip-index peak sits in a low region of the
         # config-index landscape (and away from its peak)
-        from stringshape.optimizer import planar_config_jacobian, planar_peak_search
+        from stringshape.optimizer import (PLANAR_REFERENCE_RADIUS, planar_config_index,
+                                           planar_config_jacobian, planar_peak_search)
         for pair, (locs, _) in FULL_STUDY_TARGETS.items():
             top = by_pair[pair][0]
-            config_peaks = planar_peak_search(*pair, objective="config")
+            config_peaks = planar_peak_search((*pair, PLANAR_REFERENCE_RADIUS),
+                                              planar_config_index)
             jac = planar_config_jacobian(
                 np.array([*pair, 0.25]), [top.anchor_1, top.anchor_2, 1.0])
             at_full_peak = noise_amp(jac)

@@ -151,6 +151,13 @@ def test_non_positive_counts_exit_64(argv, capsys):
     assert "expected a positive integer" in capsys.readouterr().err
 
 
+def test_unknown_preset_exits_64(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["routing-opt", "--preset", "bogus"])
+    assert info.value.code == 64
+    assert "invalid choice" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("extra", [
     ["--n-points", "-1"],
     ["--n-points", "0"],

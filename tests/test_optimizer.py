@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -7,13 +8,14 @@ from stringshape import optimizer, studies
 from stringshape.modal import ModalBasis
 from stringshape.optimizer import (PLANAR_REFERENCE_RADIUS, DesignSpace, DesignedString,
                                    brute_force_search, improvement_beta,
-                                   optimal_planar_anchors, planar_baseline_index,
-                                   planar_basis, planar_config_jacobian, planar_peak_search,
+                                   optimal_planar_anchors, planar_basis,
+                                   planar_config_index, planar_config_jacobian,
+                                   planar_full_index, planar_landscape, planar_peak_search,
                                    planar_sample_grams)
 from stringshape.routing import ConstantPitch, Helical, Mount, StringSpec
 from stringshape.sensing import (SensorArray, aleph_sv, config_jacobian, exact_row,
-                                 has_exact_row, span_rows)
-from stringshape.sensitivity import global_index
+                                 has_exact_row, linear_model, span_rows)
+from stringshape.sensitivity import global_index, noise_amp
 
 
 # Relative tolerance of the search against global_index and the three-SVD
@@ -33,22 +35,33 @@ def test_planar_config_jacobian_matches_exact_rows(p):
     np.testing.assert_allclose(planar_config_jacobian(radii, anchors), ref, rtol=0, atol=1e-15)
 
 
-def test_full_landscape_matches_global_index():
-    # Two strings on one point (a1 = a2) leave J_lc singular to round-off;
-    # the landscape must score those 0, and agree with global_index elsewhere.
-    r_1, r_2 = 0.1, -0.1
-    workspace = studies.planar_workspace(4)
-    grams = planar_sample_grams(workspace, studies.PLANAR_CHARACTERISTIC_LENGTH)
-    _, axis, values = planar_peak_search(r_1, r_2, objective="full", gram_samples=grams,
-                                         grid_step=0.1, refine=False, return_grid=True)
+@pytest.mark.parametrize("objective", ["config", "full"])
+def test_planar_landscape_matches_reference(objective):
+    # The config landscape must agree with aleph of linear_model's J_lc, the
+    # full one with global_index.  Two strings on one point (a1 = a2) leave
+    # J_lc singular to round-off: the full index scores those exactly 0.
+    radii = (0.1, -0.1, PLANAR_REFERENCE_RADIUS)
     basis = planar_basis()
-    ref = np.array([[global_index(
-        SensorArray(strings=tuple(StringSpec(ConstantPitch(r, 0.0), a) for r, a in
-                                  zip((r_1, r_2, PLANAR_REFERENCE_RADIUS), (a_1, a_2, 1.0)))),
-        basis, workspace, basis.length, studies.PLANAR_CHARACTERISTIC_LENGTH)
+    c_l = studies.PLANAR_CHARACTERISTIC_LENGTH
+    workspace = studies.planar_workspace(4)
+    if objective == "config":
+        index = planar_config_index
+
+        def reference(array):
+            return noise_amp(linear_model(array, basis)[1])
+    else:
+        index = functools.partial(planar_full_index,
+                                  gram_samples=planar_sample_grams(workspace, c_l))
+
+        def reference(array):
+            return global_index(array, basis, workspace, basis.length, c_l)
+    axis, values = planar_landscape(radii, index, 0.1)
+    ref = np.array([[reference(SensorArray(strings=tuple(
+        StringSpec(ConstantPitch(r, 0.0), a) for r, a in zip(radii, (a_1, a_2, 1.0)))))
         for a_2 in axis] for a_1 in axis])
     assert np.abs(values - ref).max() <= 1e-9 * ref.max()
-    np.testing.assert_array_equal(np.diag(values), 0.0)
+    if objective == "full":
+        np.testing.assert_array_equal(np.diag(values), 0.0)
 
 
 def test_improvement_beta():
@@ -60,19 +73,20 @@ def test_improvement_beta():
 
 def test_planar_config_peaks_match_reference_values():
     # frozen targets for the fixed-radius anchor study (see acceptance A1)
-    peaks = planar_peak_search(0.10, -0.10, objective="config")
+    radii = (0.10, -0.10, PLANAR_REFERENCE_RADIUS)
+    peaks = planar_peak_search(radii, planar_config_index)
     assert len(peaks) >= 2
     locs = sorted((round(p.anchors[0], 3), round(p.anchors[1], 3)) for p in peaks[:2])
     assert abs(locs[0][0] - 0.204) < 0.01 and abs(locs[0][1] - 0.772) < 0.01
     assert abs(locs[1][0] - 0.772) < 0.01 and abs(locs[1][1] - 0.204) < 0.01
     assert peaks[0].value == pytest.approx(1.03e-3, rel=0.03)
-    base = planar_baseline_index(0.10, -0.10)
+    base = noise_amp(planar_config_jacobian(radii, [1.0 / 3.0, 2.0 / 3.0, 1.0]))
     assert improvement_beta(peaks[0].value, base) == pytest.approx(64, abs=3)
 
 
 def test_planar_peak_symmetry_under_radius_swap():
-    pk_a = planar_peak_search(0.10, -0.20, objective="config")[0]
-    pk_b = planar_peak_search(-0.20, 0.10, objective="config")[0]
+    pk_a = planar_peak_search((0.10, -0.20, PLANAR_REFERENCE_RADIUS), planar_config_index)[0]
+    pk_b = planar_peak_search((-0.20, 0.10, PLANAR_REFERENCE_RADIUS), planar_config_index)[0]
     assert pk_a.value == pytest.approx(pk_b.value, rel=1e-6)
     assert pk_a.anchors[0] == pytest.approx(pk_b.anchors[1], abs=1e-3)
 
@@ -84,8 +98,8 @@ def test_optimal_planar_anchors_rejects_more_than_four_strings():
 
 def test_optimal_planar_anchors_p3_matches_table_pattern():
     radii, anchors = optimal_planar_anchors(3)
-    assert anchors[0] == 1.0
-    got = sorted(anchors[1:])
+    assert anchors[-1] == 1.0
+    got = sorted(anchors[:-1])
     # equal-radius 0.25 pair peaks near (0.20, 0.75)
     assert abs(got[0] - 0.20) < 0.02
     assert abs(got[1] - 0.75) < 0.02
