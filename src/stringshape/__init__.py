@@ -2,11 +2,10 @@
 string-encoder routing, plus sensitivity-driven routing-design search."""
 
 from .modal import ModalBasis, curvature, identity_basis
-from .routing import ConstantPitch, Helical, Mount, StringSpec, Tabulated, realizable
+from .routing import ConstantPitch, Helical, Mount, StringSpec, Tabulated
 from .sensing import (Composite, NotRealizableError, Reference, SensorArray,
                       SingularDesignError, SolverError, body_jacobian,
-                      config_jacobian, forward_kinematics, lengths, solve_shape,
-                      string_length)
+                      config_jacobian, forward_kinematics, lengths, solve_shape)
 from .sensitivity import (ConstraintSet, DiskGeometry, WorkspaceSamples,
                           disk_collision_radius, full_map_jacobian, global_index,
                           noise_amp, sample_admissible)

@@ -80,9 +80,9 @@ def _parse_anchor(entry, length, n_disks, where):
 def _parse_path(entry, length, n_disks, where):
     kind = _need(entry, "type", where)
     if kind == "constant_pitch":
-        return ConstantPitch(r_x=_number(entry, "r_x", where),
-                             r_y=_number(entry, "r_y", where, default=0.0))
-    if kind == "helical":
+        make, args = ConstantPitch, (_number(entry, "r_x", where),
+                                     _number(entry, "r_y", where, default=0.0))
+    elif kind == "helical":
         r_s = _number(entry, "r_s", where, minimum=0.0)
         if "omega" in entry:
             omega = _number(entry, "omega", where)
@@ -93,15 +93,25 @@ def _parse_path(entry, length, n_disks, where):
             hole = _number(entry, "hole_angle", where, default=2.0 * np.pi / 32.0)
             omega = n_omega * hole / (length / n_disks)
         alpha = np.deg2rad(_number(entry, "alpha_deg", where, default=0.0))
-        return Helical(r_s=r_s, omega=omega, alpha=alpha)
-    if kind == "tabulated":
+        make, args = Helical, (r_s, omega, alpha)
+    elif kind == "tabulated":
         pts = _need(entry, "samples", where)
         try:
             s, r_x, r_y = zip(*[(p[0], p[1], p[2]) for p in pts])
         except (TypeError, IndexError):
             raise SchemaError(f"{where}.samples: expected rows of [s, r_x, r_y]") from None
-        return Tabulated(tuple(s), tuple(r_x), tuple(r_y))
-    raise SchemaError(f"{where}.type: unknown path type {kind!r}")
+        make, args = Tabulated, (tuple(s), tuple(r_x), tuple(r_y))
+    else:
+        raise SchemaError(f"{where}.type: unknown path type {kind!r}")
+    try:
+        return make(*args)
+    except (ValueError, TypeError) as err:
+        raise SchemaError(f"{where}: {err}") from None
+
+
+def _optional_number(obj, key, where, minimum=None):
+    """A number under key, or None where the key is absent or null."""
+    return None if obj.get(key) is None else _number(obj, key, where, minimum=minimum)
 
 
 def _parse_constraints(obj, where="constraints"):
@@ -122,16 +132,16 @@ def _parse_constraints(obj, where="constraints"):
             strain = tuple(float(v) for v in strain)
         else:
             raise SchemaError(f"{where}.strain_max: scalar or 3-list")
-    bend = obj.get("bend_limit_deg")
-    twist = obj.get("twist_limit_deg")
+    bend = _optional_number(obj, "bend_limit_deg", where)
+    twist = _optional_number(obj, "twist_limit_deg", where)
     return ConstraintSet(
         strain_max=strain,
-        backbone_diameter=obj.get("backbone_diameter"),
+        backbone_diameter=_optional_number(obj, "backbone_diameter", where, minimum=0.0),
         disk=disk,
         realizability=bool(obj.get("realizability", True)),
         bend_limit=np.deg2rad(bend) if bend is not None else None,
         twist_limit=np.deg2rad(twist) if twist is not None else None,
-        subsegment_length=obj.get("subsegment_length"),
+        subsegment_length=_optional_number(obj, "subsegment_length", where, minimum=0.0),
     )
 
 

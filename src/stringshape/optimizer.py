@@ -15,7 +15,7 @@ import numpy as np
 from .modal import ModalBasis
 from .routing import Helical, Mount, StringSpec
 from .sensing import (SIGMA_RATIO_TOL, SensorArray, aleph_gram, aleph_sv, body_jacobian,
-                      body_jacobian_multi, span_rows)
+                      body_jacobian_multi, span_integrals)
 from .sensitivity import map_rank_limited, twist_scaling
 
 PLANAR_REFERENCE_RADIUS = 0.25   # fixed end-anchored tendon, radius in units of L
@@ -271,8 +271,9 @@ class SearchResult:
 def _cumulative_rows(space, c):
     """J_lc rows of every string variant at configuration c.
 
-    Designed strings get span_rows from the origin to every disk edge
-    k*L/n_disks in one call; tip-mounted strings read row[end] - row[anchor].
+    Designed strings get the span_integrals rows from the origin to every
+    disk edge k*L/n_disks in one call; tip-mounted strings read
+    row[end] - row[anchor].
     Fixed strings take config_jacobian's row over their own span, wherever
     they are anchored.  Returns (designed_rows[n_omega][string][disk] -> (m,),
     fixed_rows (k, m)).
@@ -284,14 +285,14 @@ def _cumulative_rows(space, c):
     for iw, n_om in enumerate(space.twist_rates):
         omega = space.omega_of(n_om)
         for i, dstr in enumerate(space.designed):
-            at_disks = span_rows(dstr.path_at(omega), basis, c, 0.0, disk_edges)
+            at_disks = span_integrals(dstr.path_at(omega), basis, c, 0.0, disk_edges)[1]
             if dstr.mount is Mount.TIP:
                 at_disks = at_disks[-1] - at_disks
             designed[iw, i] = at_disks
     fixed = np.zeros((len(space.fixed), basis.m))
     for k, spec in enumerate(space.fixed):
         lo, hi = spec.span(basis.length)
-        fixed[k] = span_rows(spec.path, basis, c, lo, [hi])[0]
+        fixed[k] = span_integrals(spec.path, basis, c, lo, [hi])[1][0]
     return designed, fixed
 
 

@@ -19,6 +19,14 @@ from .routing import ConstantPitch
 from .sensing import Reference, exact_row, lengths
 from .sensitivity import sample_admissible
 
+# Rod solver grid points, sweep under-relaxation and relative residual tolerance.
+ROD_GRID = 801
+ROD_RELAX = 0.5
+ROD_RESID_TOL = 1e-10
+# Largest tip force (N) and moment (N m) of the convergence study's wrenches.
+CONVERGENCE_F_MAX = 60.0
+CONVERGENCE_M_MAX = 6.0
+
 
 class ShootingError(RuntimeError):
     """Fixed-point iteration for the rod equilibrium diverged (load too large)."""
@@ -75,7 +83,7 @@ def _integrate(u, s):
     return th, _cumtrapz(np.sin(th), s), _cumtrapz(np.cos(th), s)
 
 
-def _fixed_point(u0, s, ei, f_x, m_y, relax, resid_tol, max_iter):
+def _fixed_point(u0, s, ei, f_x, m_y, max_iter):
     """Relaxed sweeps on the moment balance until the residual meets tol.
 
     Returns (u, iterations) or None on divergence / iteration budget.
@@ -87,13 +95,13 @@ def _fixed_point(u0, s, ei, f_x, m_y, relax, resid_tol, max_iter):
         resid = np.abs(u - target).max()
         if not np.isfinite(resid):
             return None
-        if resid <= resid_tol * max(np.abs(target).max(), 1.0):
+        if resid <= ROD_RESID_TOL * max(np.abs(target).max(), 1.0):
             return u, it
-        u = relax * target + (1.0 - relax) * u
+        u = ROD_RELAX * target + (1.0 - ROD_RELAX) * u
     return None
 
 
-def planar_rod_bvp(rod, wrench, n_grid=801, relax=0.5, resid_tol=1e-10, max_iter=600):
+def planar_rod_bvp(rod, wrench, max_iter=600):
     """Equilibrium shape of a planar inextensible rod under a tip wrench.
 
     Shooting by fixed-point iteration on the tip position entering the moment
@@ -103,15 +111,14 @@ def planar_rod_bvp(rod, wrench, n_grid=801, relax=0.5, resid_tol=1e-10, max_iter
     """
     f_x, m_y = wrench.planar() if isinstance(wrench, TipWrench) else wrench
     ei = rod.bending_stiffness
-    s = np.linspace(0.0, rod.length, n_grid)
+    s = np.linspace(0.0, rod.length, ROD_GRID)
     total_it = 0
     for n_ramp in (1, 4, 10):
-        u = np.zeros(n_grid)
+        u = np.zeros(ROD_GRID)
         ok = True
         for k in range(1, n_ramp + 1):
             frac = k / n_ramp
-            got = _fixed_point(u, s, ei, frac * f_x, frac * m_y, relax,
-                               resid_tol, max_iter)
+            got = _fixed_point(u, s, ei, frac * f_x, frac * m_y, max_iter)
             if got is None:
                 ok = False
                 break
@@ -147,18 +154,18 @@ def planar_reconstruction_error(sol, rod, radii, anchors, p):
     return e_pos, abs(th_rec - theta[-1])
 
 
-def convergence_study(rod=None, f_max=60.0, m_max=6.0, n_levels=10, p_list=(1, 2, 3, 4)):
+def convergence_study(rod=None, n_levels=10, p_list=(1, 2, 3, 4)):
     """Reconstruction error versus string count over a grid of tip wrenches.
 
-    Wrenches are the Cartesian product of n_levels forces in [-f_max, f_max]
-    and n_levels moments in [-m_max, m_max].  String sets are designed by the
+    Wrenches are the Cartesian product of n_levels forces in +-CONVERGENCE_F_MAX
+    and n_levels moments in +-CONVERGENCE_M_MAX.  String sets are designed by the
     planar anchor-placement search with the last string pinned at radius
     0.25 L on the end disk.  Returns per-p statistics and the per-case table.
     """
     rod = rod or RodSpec(length=0.3, diameter=0.004, elastic_modulus=60e9)
     designs = {p: optimal_planar_anchors(p) for p in p_list}
-    forces = np.linspace(-f_max, f_max, n_levels)
-    moments = np.linspace(-m_max, m_max, n_levels)
+    forces = np.linspace(-CONVERGENCE_F_MAX, CONVERGENCE_F_MAX, n_levels)
+    moments = np.linspace(-CONVERGENCE_M_MAX, CONVERGENCE_M_MAX, n_levels)
     rows = []
     for f_x in forces:
         for m_y in moments:

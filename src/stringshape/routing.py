@@ -13,8 +13,6 @@ from enum import Enum
 
 import numpy as np
 
-from .modal import curvature
-
 
 class Mount(Enum):
     """Which end carries the encoder: integration runs over the string span."""
@@ -73,7 +71,7 @@ class Tabulated:
     r_y_samples: tuple
 
     def __post_init__(self):
-        s = np.asarray(self.s_samples, dtype=float)
+        s, _, _ = np.asarray([self.s_samples, self.r_x_samples, self.r_y_samples], dtype=float)
         if len(s) < 2 or np.any(np.diff(s) <= 0):
             raise ValueError("need at least two strictly increasing sample points")
 
@@ -108,34 +106,14 @@ class StringSpec:
         return self.s_anchor, length
 
 
-def path_velocity(path, basis, c, s):
-    """w'(s) = e3 - r x u + r' evaluated on the given arc lengths; shape (n, 3)."""
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    u = np.atleast_2d(curvature(basis, c, s_arr))
-    r = path.radial(s_arr)
-    rp = path.radial_deriv(s_arr)
-    w = -np.cross(r, u) + rp
+def path_velocity(r, dr, u):
+    """w' = e3 - r x u + r' from evaluated radial offsets r, their derivatives
+    dr and curvatures u, each (n, 3); shape (n, 3)."""
+    w = dr - np.cross(r, u)
     w[:, 2] += 1.0
     return w
 
 
-def tangential_margin(path, basis, c, s):
-    """(w')^T e3 = r_y u_x - r_x u_y + 1 on the given arc lengths."""
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    u = np.atleast_2d(curvature(basis, c, s_arr))
-    r = path.radial(s_arr)
+def tangential_margin(r, u):
+    """(w')^T e3 = r_y u_x - r_x u_y + 1 from evaluated r and u, each (n, 3)."""
     return r[:, 1] * u[:, 0] - r[:, 0] * u[:, 1] + 1.0
-
-
-def realizable(path, basis, c, grid=200, span=None):
-    """Cusp-freeness check: returns (ok, margin) with margin = min (w')^T e3.
-
-    The constraint is evaluated on a uniform grid over `span` (default the
-    whole segment); ok requires a strictly positive margin.
-    """
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
-    lo, hi = (0.0, basis.length) if span is None else span
-    s = np.linspace(lo, hi, grid)
-    margin = float(tangential_margin(path, basis, c, s).min())
-    return margin > 0.0, margin

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import liegroup
 from .liegroup import E3
-from .routing import ConstantPitch, path_velocity, realizable
+from .routing import ConstantPitch, path_velocity, tangential_margin
 
 
 class NotRealizableError(ValueError):
@@ -155,6 +155,8 @@ PANELS_PER_LENGTH = 10
 _GRID_STEPS = np.arange(PANELS_PER_LENGTH + 1)
 _GL_NODES = 0.5 + 0.5 * np.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])
 _GL_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
+# lengths checks the tangential rate on this many uniform points per span.
+REALIZABILITY_GRID = 80
 
 
 def _span_edges(lo, bounds, length):
@@ -184,73 +186,70 @@ def _gauss_legendre(edges):
             (width[:, None] * _GL_WEIGHTS).ravel())
 
 
-def _panel_rows(path, basis, c, edges):
-    """Per-panel Gauss-Legendre sums (n, m) of the J_lc row integrand
-    (r x w'/|w'|)^T Phi over the panels between consecutive edges, with w'
-    from path_velocity."""
+def _panels(path, basis, c, edges):
+    """Per-panel Gauss-Legendre sums over the panels between consecutive
+    edges of the speed |w'| (n,) and of the J_lc row integrand
+    (r x w'/|w'|)^T Phi (n, m), from one evaluation of Phi, r and r'."""
     s, weights = _gauss_legendre(edges)
-    w = path_velocity(path, basis, c, s)
-    wn = w / np.linalg.norm(w, axis=1, keepdims=True)
-    integrand = np.einsum("ni,nij->nj", np.cross(path.radial(s), wn), basis.matrix(s))
-    return (weights[:, None] * integrand).reshape(len(s) // 3, 3, -1).sum(axis=1)
+    phi = basis.matrix(s)
+    r = path.radial(s)
+    w = path_velocity(r, path.radial_deriv(s), phi @ c)
+    speed = np.linalg.norm(w, axis=1)
+    integrand = np.einsum("ni,nij->nj", np.cross(r, w / speed[:, None]), phi)
+    return ((weights * speed).reshape(-1, 3).sum(axis=1),
+            (weights[:, None] * integrand).reshape(-1, 3, basis.m).sum(axis=1))
 
 
-def string_length(spec, basis, c):
-    """Path length of one string at configuration c.
+def span_integrals(path, basis, c, lo, bounds):
+    """Lengths (k,) and J_lc rows (k, m), d(length)/dc, of one string path
+    over [lo, b] for each of k increasing bounds b >= lo.
 
-    Uses the exact affine integral for constant-pitch strings on torsion-free
-    bases and the panel Gauss-Legendre rule otherwise.  Raises
-    NotRealizableError when the tangential rate crosses zero anywhere on an
-    80-point check grid over the span.
+    Constant-pitch paths on a torsion-free basis take exact_row and the
+    length b - lo + row @ c; every other path takes running sums of _panels
+    on _span_edges, so a bound's values equal the ones it gives alone
+    wherever the bounds below it lie on the panel grid.
     """
-    lo, hi = spec.span(basis.length)
-    ok, margin = realizable(spec.path, basis, c, grid=80, span=(lo, hi))
-    if not ok:
-        raise NotRealizableError(margin)
-    if has_exact_row(spec.path, basis):
-        return float(hi - lo + exact_row(spec.path, basis, lo, hi) @ basis.check_coeffs(c))
-    s, weights = _gauss_legendre(_span_edges(lo, [hi], basis.length)[0])
-    return float(weights @ np.linalg.norm(path_velocity(spec.path, basis, c, s), axis=1))
+    if has_exact_row(path, basis):
+        rows = exact_row(path, basis, lo, bounds)
+        return np.asarray(bounds, dtype=float) - lo + rows @ c, rows
+    edges, last = _span_edges(lo, bounds, basis.length)
+    speeds, rows = _panels(path, basis, c, edges)
+    return np.add.accumulate(speeds)[last], np.add.accumulate(rows)[last]
+
+
+def _measure(array, basis, c):
+    """Absolute channel lengths (p,) and J_lc (p, m) at a checked c, one pass per string."""
+    spans = [spec.span(basis.length) for spec in array.strings]
+    ells, rows = zip(*(span_integrals(spec.path, basis, c, lo, [hi])
+                       for spec, (lo, hi) in zip(array.strings, spans)))
+    return array.reduce(np.concatenate(ells)), array.reduce(np.concatenate(rows))
+
+
+def _check_realizable(array, basis, c):
+    """Raise NotRealizableError for the first string whose tangential rate
+    (w')^T e3 is not positive on REALIZABILITY_GRID uniform points of its span."""
+    for i, spec in enumerate(array.strings):
+        s = np.linspace(*spec.span(basis.length), REALIZABILITY_GRID)
+        margin = float(tangential_margin(spec.path.radial(s), basis.matrix(s) @ c).min())
+        if not margin > 0.0:   # NaN fails it too
+            raise NotRealizableError(margin, string_index=i)
 
 
 def lengths(array, basis, c, reference=Reference.DELTA_FROM_STRAIGHT):
-    """Measurement vector (p,) for configuration c."""
+    """Measurement vector (p,) for configuration c; NotRealizableError where
+    a string path has a cusp on its span."""
     c = basis.check_coeffs(c)
-    per_string = []
-    for i, spec in enumerate(array.strings):
-        try:
-            per_string.append(string_length(spec, basis, c))
-        except NotRealizableError as err:
-            raise NotRealizableError(err.margin, string_index=i) from None
-    vals = array.reduce(per_string)
+    _check_realizable(array, basis, c)
+    vals = _measure(array, basis, c)[0]
     if reference is Reference.DELTA_FROM_STRAIGHT:
-        vals = vals - lengths(array, basis, np.zeros(basis.m), Reference.ABSOLUTE)
+        vals = vals - _measure(array, basis, np.zeros(basis.m))[0]
     return vals
 
 
-def span_rows(path, basis, c, lo, bounds):
-    """J_lc rows (k, m), d(length)/dc of one string path over [lo, b] for
-    each of k increasing bounds b >= lo.
-
-    The integrand is (r x w'/|w'|)^T Phi.  Constant-pitch paths on a
-    torsion-free basis take exact_row; every other path takes running sums of
-    the Gauss-Legendre panels on _span_edges, so a row equals the one its
-    bound alone gives wherever the bounds below it lie on the panel grid.
-    """
-    if has_exact_row(path, basis):
-        return exact_row(path, basis, lo, bounds)
-    edges, last = _span_edges(lo, bounds, basis.length)
-    return np.add.accumulate(_panel_rows(path, basis, c, edges))[last]
-
-
 def config_jacobian(array, basis, c):
-    """J_lc (p, m): sensitivity of measurement channels to modal coefficients."""
-    c = basis.check_coeffs(c)
-    rows = []
-    for spec in array.strings:
-        lo, hi = spec.span(basis.length)
-        rows.append(span_rows(spec.path, basis, c, lo, [hi])[0])
-    return array.reduce(rows)
+    """J_lc (p, m): sensitivity of measurement channels to modal coefficients.
+    No cusp check: searches average it over configurations strings cannot follow."""
+    return _measure(array, basis, basis.check_coeffs(c))[1]
 
 
 def linear_model(array, basis):
@@ -261,8 +260,7 @@ def linear_model(array, basis):
     """
     if not array.is_linear_class(basis):
         raise ValueError("array is not linear-class (needs constant pitch and no torsion)")
-    straight = np.zeros(basis.m)
-    return lengths(array, basis, straight, Reference.ABSOLUTE), config_jacobian(array, basis, straight)
+    return _measure(array, basis, np.zeros(basis.m))
 
 
 def _magnus_grid(length, s_query, n_steps):
@@ -344,6 +342,15 @@ class ShapeSolution:
     status: str = "converged"   # or "stagnated"
 
 
+def _solve_aleph(jac, where):
+    """aleph of a solve step's J_lc; SingularDesignError where it is singular."""
+    sv = np.linalg.svd(jac, compute_uv=False)
+    if sv[-1] < SIGMA_RATIO_TOL * sv[0]:
+        raise SingularDesignError(f"configuration-space Jacobian is singular{where} "
+                                  f"(sigma ratio {sv[-1] / sv[0]:.2e})")
+    return float(aleph_sv(sv))
+
+
 def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
                 initial=None):
     """Recover modal coefficients from a measurement vector.
@@ -362,11 +369,7 @@ def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
 
     if array.is_linear_class(basis):
         base, jac = linear_model(array, basis)
-        sv = np.linalg.svd(jac, compute_uv=False)
-        if sv[-1] < SIGMA_RATIO_TOL * sv[0]:
-            raise SingularDesignError(
-                f"configuration-space Jacobian is singular (sigma ratio {sv[-1] / sv[0]:.2e})")
-        aleph = float(aleph_sv(sv))
+        aleph = _solve_aleph(jac, "")
         rhs = measured - base if reference is Reference.ABSOLUTE else measured
         c = np.linalg.lstsq(jac, rhs, rcond=None)[0]
         resid = jac @ c - rhs
@@ -375,31 +378,26 @@ def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
     c = np.zeros(basis.m) if initial is None else basis.check_coeffs(np.asarray(initial, dtype=float)).copy()
 
     # the straight-configuration lengths do not change between iterates
-    straight = (lengths(array, basis, np.zeros(basis.m), Reference.ABSOLUTE)
+    straight = (_measure(array, basis, np.zeros(basis.m))[0]
                 if reference is Reference.DELTA_FROM_STRAIGHT else 0.0)
 
     def residual(cc):
-        return lengths(array, basis, cc, Reference.ABSOLUTE) - straight - measured
+        _check_realizable(array, basis, cc)
+        ell, j_lc = _measure(array, basis, cc)
+        return ell - straight - measured, j_lc
 
-    res = residual(c)
+    res, jac = residual(c)
     rnorm = np.linalg.norm(res)
     best_c, best_r = c.copy(), rnorm
-    aleph = 0.0
     for it in range(1, SOLVE_MAX_ITER + 1):
-        jac = config_jacobian(array, basis, c)
-        sv = np.linalg.svd(jac, compute_uv=False)
-        if sv[-1] < SIGMA_RATIO_TOL * sv[0]:
-            raise SingularDesignError(
-                f"configuration-space Jacobian is singular at iterate {it} "
-                f"(sigma ratio {sv[-1] / sv[0]:.2e})")
-        aleph = float(aleph_sv(sv))
+        aleph = _solve_aleph(jac, f" at iterate {it}")
         step = np.linalg.lstsq(jac, -res, rcond=None)[0]
         # Backtracking: halve until the residual norm decreases (<= 20 times).
         alpha = 1.0
         for _ in range(20):
             trial = c + alpha * step
             try:
-                res_t = residual(trial)
+                res_t, jac_t = residual(trial)
             except NotRealizableError:
                 alpha *= 0.5
                 continue
@@ -411,7 +409,7 @@ def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
             # No descent: the best point seen, stagnated unless at round-off.
             status = "stagnated" if best_r > STAGNATION_TOL * basis.length else "converged"
             return ShapeSolution(best_c, it, float(best_r), aleph, False, status)
-        c, res, rnorm = trial, res_t, rn_t
+        c, res, jac, rnorm = trial, res_t, jac_t, rn_t
         if rnorm < best_r:
             best_c, best_r = c.copy(), rnorm
         if np.linalg.norm(alpha * step) <= SOLVE_STEP_TOL:

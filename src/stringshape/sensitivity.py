@@ -71,7 +71,7 @@ class DiskGeometry:
             raise ValueError("disks must be thinner than the subsegment")
 
 
-def disk_collision_radius(height, radius, subsegment_length, tol=1e-12):
+def disk_collision_radius(height, radius, subsegment_length):
     """Largest radius of curvature rho* at which adjacent disk rims touch.
 
     Solves 2 (rho - r_d) tan(L_s / (2 rho)) = h_d by a downward bracket scan
@@ -97,7 +97,7 @@ def disk_collision_radius(height, radius, subsegment_length, tol=1e-12):
     for _ in range(200):
         mid = 0.5 * (a + b)
         r = resid(mid)
-        if abs(r) <= tol:
+        if abs(r) <= COLLISION_TOL:
             return float(mid)
         if r > 0.0:
             b = mid
@@ -106,8 +106,10 @@ def disk_collision_radius(height, radius, subsegment_length, tol=1e-12):
     return float(0.5 * (a + b))
 
 
-# Arc-length points on which a configuration is checked for admissibility.
+# Arc-length points on which a configuration is checked for admissibility,
+# and the residual (m) at which disk_collision_radius stops bisecting.
 ADMISSIBLE_GRID = 200
+COLLISION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,7 @@ class ConstraintSet:
                 return False
         if self.realizability:
             for path in paths:
-                if tangential_margin(path, basis, c, s).min() <= 0.0:
+                if tangential_margin(path.radial(s), u).min() <= 0.0:
                     return False
         return True
 

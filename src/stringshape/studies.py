@@ -39,6 +39,10 @@ PLANAR_CHARACTERISTIC_LENGTH = 0.22
 
 PLANAR_WORKSPACE_SEED = 20240
 
+# Anchor grid steps (units of L) of the config-space and workspace landscapes.
+PLANAR_CONFIG_STEP = 0.004
+PLANAR_FULL_STEP = 0.01
+
 
 def planar_strain_curvature():
     """Per-axis curvature limit from the strain allowance, normalized by L."""
@@ -67,11 +71,11 @@ class PlanarStudyRow:
     beta: float
 
 
-def _peak_rows(radius_pairs, grid_step, index):
-    """The two highest landscape peaks per radius pair, with the improvement
-    over evenly spaced anchors."""
+def _peak_rows(grid_step, index):
+    """The two highest landscape peaks per radius pair of PLANAR_RADIUS_PAIRS,
+    with the improvement over evenly spaced anchors."""
     rows = []
-    for r_1, r_2 in radius_pairs:
+    for r_1, r_2 in PLANAR_RADIUS_PAIRS:
         radii = (r_1, r_2, PLANAR_REFERENCE_RADIUS)
         base = float(index(planar_config_jacobian(radii, [1.0 / 3.0, 2.0 / 3.0, 1.0])))
         rows += [PlanarStudyRow(r_1, r_2, *pk.anchors, pk.value, improvement_beta(pk.value, base))
@@ -79,31 +83,30 @@ def _peak_rows(radius_pairs, grid_step, index):
     return rows
 
 
-def planar_config_study(radius_pairs=PLANAR_RADIUS_PAIRS, grid_step=0.004):
+def _tip_index(n_samples, seed):
+    """The workspace tip index on the seeded planar workspace."""
+    grams = planar_sample_grams(planar_workspace(n_samples, seed),
+                                PLANAR_CHARACTERISTIC_LENGTH)
+    return functools.partial(planar_full_index, gram_samples=grams)
+
+
+def planar_config_study(grid_step=PLANAR_CONFIG_STEP):
     """Peaks of the config-space index landscape per radius pair.  Pure
     kinematics, no sampling."""
-    return _peak_rows(radius_pairs, grid_step, planar_config_index)
+    return _peak_rows(grid_step, planar_config_index)
 
 
-def planar_full_study(radius_pairs=PLANAR_RADIUS_PAIRS, n_samples=200,
-                      seed=PLANAR_WORKSPACE_SEED, grid_step=0.01,
-                      c_l=PLANAR_CHARACTERISTIC_LENGTH):
+def planar_full_study(n_samples=200, seed=PLANAR_WORKSPACE_SEED, grid_step=PLANAR_FULL_STEP):
     """Peaks of the workspace-averaged tip sensitivity index per radius pair."""
-    grams = planar_sample_grams(planar_workspace(n_samples, seed), c_l)
-    return _peak_rows(radius_pairs, grid_step,
-                      functools.partial(planar_full_index, gram_samples=grams))
+    return _peak_rows(grid_step, _tip_index(n_samples, seed))
 
 
-def planar_landscape_grids(r_1, r_2, n_samples=200, seed=PLANAR_WORKSPACE_SEED,
-                           config_step=0.004, full_step=0.01,
-                           c_l=PLANAR_CHARACTERISTIC_LENGTH):
+def planar_landscape_grids(r_1, r_2, n_samples=200, seed=PLANAR_WORKSPACE_SEED):
     """Both anchor-placement landscapes for one radius pair (CSV export), each
     as (axis, values)."""
     radii = (r_1, r_2, PLANAR_REFERENCE_RADIUS)
-    grams = planar_sample_grams(planar_workspace(n_samples, seed), c_l)
-    return (planar_landscape(radii, planar_config_index, config_step),
-            planar_landscape(radii, functools.partial(planar_full_index, gram_samples=grams),
-                             full_step))
+    return (planar_landscape(radii, planar_config_index, PLANAR_CONFIG_STEP),
+            planar_landscape(radii, _tip_index(n_samples, seed), PLANAR_FULL_STEP))
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +123,8 @@ STIFF_STRING_RADIUS = 0.0587
 STIFF_CHARACTERISTIC_LENGTH = 0.0652
 STIFF_STRING_ANGLES = (45.0, 135.0, 225.0, 315.0)
 STIFF_TENDON_ANGLES = (80.0, 100.0, 170.0, 190.0)
+# Arc lengths of the search objectives: the third disk and the tip.
+STIFF_S_OBJECTIVES = (3 * STIFF_LENGTH / STIFF_N_DISKS, STIFF_LENGTH)
 
 
 def stiff_basis():
@@ -148,7 +153,7 @@ def stiff_fixed_tendons():
     return specs, composites
 
 
-def stiff_design_space(s_objectives=None, c_l=STIFF_CHARACTERISTIC_LENGTH):
+def stiff_design_space():
     """625-design space: four tip-mounted strings over five disk anchors.
 
     epsilon sits at the rank-deficiency level.  The strings are constant
@@ -165,13 +170,11 @@ def stiff_design_space(s_objectives=None, c_l=STIFF_CHARACTERISTIC_LENGTH):
         for ang in STIFF_STRING_ANGLES
     )
     fixed, composites = stiff_fixed_tendons()
-    if s_objectives is None:
-        s_objectives = (3 * STIFF_LENGTH / STIFF_N_DISKS, STIFF_LENGTH)
     return DesignSpace(basis=basis, designed=designed, fixed=fixed,
                        composites=composites,
                        anchor_disks=STIFF_ANCHOR_DISKS,
                        n_disks=STIFF_N_DISKS, twist_rates=(0,),
-                       s_objectives=tuple(s_objectives), c_l=c_l,
+                       s_objectives=STIFF_S_OBJECTIVES, c_l=STIFF_CHARACTERISTIC_LENGTH,
                        epsilon=1e-12)
 
 
@@ -203,6 +206,9 @@ SOFT_TWIST_LIMIT = np.deg2rad(7.5)     # per subsegment
 SOFT_STRING_ANGLES = (45.0, 135.0, 225.0, 315.0)
 SOFT_TENDON_ANGLES = (0.0, 90.0, 180.0, 270.0)
 SOFT_TENDON_ANCHORS = (10, 10, 7, 7)   # disk indices
+# Arc lengths of the search objectives: disks 4 and 6 and the tip.
+SOFT_S_OBJECTIVES = (4 * (SOFT_LENGTH / SOFT_N_DISKS), 6 * (SOFT_LENGTH / SOFT_N_DISKS),
+                     SOFT_LENGTH)
 
 
 def soft_basis():
@@ -218,8 +224,7 @@ def soft_fixed_tendons():
     )
 
 
-def soft_design_space(twist_rates=(0, 1), s_objectives=None,
-                      c_l=SOFT_CHARACTERISTIC_LENGTH):
+def soft_design_space(twist_rates=(0, 1)):
     """20,000-design space: four helical strings, ten disks, two twist rates."""
     basis = soft_basis()
     designed = tuple(
@@ -227,14 +232,11 @@ def soft_design_space(twist_rates=(0, 1), s_objectives=None,
                        mount=Mount.BASE)
         for ang in SOFT_STRING_ANGLES
     )
-    if s_objectives is None:
-        ls = SOFT_LENGTH / SOFT_N_DISKS
-        s_objectives = (4 * ls, 6 * ls, SOFT_LENGTH)
     return DesignSpace(basis=basis, designed=designed, fixed=soft_fixed_tendons(),
                        anchor_disks=tuple(range(1, SOFT_N_DISKS + 1)),
                        n_disks=SOFT_N_DISKS, twist_rates=tuple(twist_rates),
                        hole_angle=SOFT_HOLE_ANGLE,
-                       s_objectives=tuple(s_objectives), c_l=c_l)
+                       s_objectives=SOFT_S_OBJECTIVES, c_l=SOFT_CHARACTERISTIC_LENGTH)
 
 
 def soft_constraints(realizability=False):

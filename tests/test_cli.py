@@ -81,6 +81,31 @@ def test_malformed_robot_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["shape", "lengths"])
+@pytest.mark.parametrize("edit, where", [
+    ({"strings": [{"type": "helical", "r_s": 0, "omega": 5.0, "anchor_s": 0.3}]},
+     "robot.strings[3]"),
+    ({"strings": [{"type": "tabulated", "samples": [[0.2, 0.01, 0.0], [0.1, 0.02, 0.0]],
+                   "anchor_s": 0.3}]}, "robot.strings[3]"),
+    ({"strings": [{"type": "tabulated", "samples": [[0.0, "a", 0.0], [0.3, 0.02, 0.0]],
+                   "anchor_s": 0.3}]}, "robot.strings[3]"),
+    ({"constraints": {"bend_limit_deg": "ten", "subsegment_length": 0.03}},
+     "bend_limit_deg"),
+    ({"constraints": {"backbone_diameter": "4mm", "strain_max": 0.05}},
+     "backbone_diameter"),
+])
+def test_malformed_robot_fields_exit_2(tmp_path, command, edit, where, capsys):
+    # path constructors and constraint values reject bad values as schema errors
+    robot = dict(PLANAR_ROBOT)
+    robot["strings"] = PLANAR_ROBOT["strings"] + edit.get("strings", [])
+    robot.update({k: v for k, v in edit.items() if k != "strings"})
+    path = tmp_path / "robot.json"
+    path.write_text(json.dumps(robot))
+    coeffs = coeff_file(tmp_path, [[0.0, 0.0, 0.0]])
+    assert main([command, str(path), coeffs, "-o", str(tmp_path / "out.csv")]) == 2
+    assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["shape", "lengths"])
 @pytest.mark.parametrize("body", ["0,0,0\n1,2\n", "0,0,0\n1,nan,0\n"])
 def test_ragged_or_non_finite_coefficients_exit_2(tmp_path, robot_file, command, body, capsys):
     coeffs = tmp_path / "coeffs.csv"

@@ -14,7 +14,7 @@ from stringshape.optimizer import (PLANAR_REFERENCE_RADIUS, DesignSpace, Designe
                                    planar_sample_grams)
 from stringshape.routing import ConstantPitch, Helical, Mount, StringSpec
 from stringshape.sensing import (SensorArray, aleph_sv, config_jacobian, exact_row,
-                                 has_exact_row, linear_model, span_rows)
+                                 has_exact_row, linear_model, span_integrals)
 from stringshape.sensitivity import global_index, noise_amp
 
 
@@ -335,7 +335,7 @@ def test_disk_edge_rows_match_config_jacobian_on_soft_preset(n_omega):
                 base = SensorArray((StringSpec(path, edge, Mount.BASE),))
                 tip = SensorArray((StringSpec(path, edge, Mount.TIP),))
                 assert np.array_equal(designed[iw, i, k], config_jacobian(base, basis, c)[0])
-                assert np.array_equal(span_rows(path, basis, c, edge, edges[k:])[-1],
+                assert np.array_equal(span_integrals(path, basis, c, edge, edges[k:])[1][-1],
                                       config_jacobian(tip, basis, c)[0])
 
 

@@ -4,11 +4,23 @@ from hypothesis import given, settings, strategies as st
 
 from stringshape.modal import ModalBasis
 from stringshape.routing import (ConstantPitch, Helical, Mount, StringSpec, Tabulated,
-                                 path_velocity, realizable, tangential_margin)
+                                 path_velocity, tangential_margin)
+from stringshape.sensing import NotRealizableError, Reference, SensorArray, lengths
 
 
 def planar_basis():
     return ModalBasis(y=(0, 1, 2), length=1.0)
+
+
+def velocity(path, basis, c, s):
+    """w' of a path on arc lengths s at configuration c."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    return path_velocity(path.radial(s), path.radial_deriv(s), basis.matrix(s) @ np.asarray(c))
+
+
+def margin(path, basis, c, s):
+    """Tangential rate of a path on arc lengths s at configuration c."""
+    return tangential_margin(path.radial(s), basis.matrix(s) @ np.asarray(c))
 
 
 def test_degenerate_helix_equals_constant_pitch():
@@ -51,7 +63,7 @@ def test_tabulated_matches_sampled_helix():
 
 def test_path_velocity_straight():
     basis = planar_basis()
-    w = path_velocity(ConstantPitch(0.1, 0.0), basis, np.zeros(3), 0.5)
+    w = velocity(ConstantPitch(0.1, 0.0), basis, np.zeros(3), 0.5)
     np.testing.assert_allclose(w, [[0, 0, 1.0]], atol=1e-16)
 
 
@@ -61,7 +73,7 @@ def test_path_velocity_planar_closed_form():
     c = np.array([kappa, 0.0, 0.0])
     r_x = 0.08
     s = np.linspace(0, 1, 11)
-    w = path_velocity(ConstantPitch(r_x, 0.0), basis, c, s)
+    w = velocity(ConstantPitch(r_x, 0.0), basis, c, s)
     np.testing.assert_allclose(w[:, 2], 1 - r_x * kappa, atol=1e-14)
     np.testing.assert_allclose(w[:, :2], 0, atol=1e-14)
 
@@ -72,7 +84,7 @@ def test_path_velocity_zero_torsion_closed_form():
     c = rng.uniform(-2, 2, 4)
     r_x, r_y = 0.05, -0.03
     s = np.linspace(0, 1, 7)
-    w = path_velocity(ConstantPitch(r_x, r_y), basis, c, s)
+    w = velocity(ConstantPitch(r_x, r_y), basis, c, s)
     phi = basis.matrix(s)
     u = phi @ c
     np.testing.assert_allclose(w[:, 2], r_y * u[:, 0] - r_x * u[:, 1] + 1.0, atol=1e-14)
@@ -83,19 +95,25 @@ def test_path_velocity_zero_torsion_closed_form():
 @given(st.floats(-4, 4), st.floats(-4, 4), st.floats(-4, 4))
 def test_constant_pitch_no_transverse_velocity_without_torsion(c0, c1, c2):
     basis = planar_basis()
-    w = path_velocity(ConstantPitch(0.07, 0.02), basis, [c0, c1, c2],
+    w = velocity(ConstantPitch(0.07, 0.02), basis, [c0, c1, c2],
                       np.linspace(0, 1, 23))
     assert np.abs(w[:, :2]).max() <= 1e-14
 
 
 def test_realizable_examples():
+    # lengths checks the tangential rate over the string's span and raises
+    # with the minimum where it is not positive
     basis = planar_basis()
-    ok, margin = realizable(ConstantPitch(0.1, 0.0), basis, np.zeros(3))
-    assert ok and margin == pytest.approx(1.0)
-    ok, margin = realizable(ConstantPitch(0.1, 0.0), basis, [10.0, 0, 0])
-    assert not ok and margin == pytest.approx(0.0, abs=1e-12)
-    ok, margin = realizable(ConstantPitch(0.05, 0.0), basis, [10.0, 0, 0])
-    assert ok and margin == pytest.approx(0.5)
+    s = np.linspace(0, 1, 200)
+    assert margin(ConstantPitch(0.1, 0.0), basis, np.zeros(3), s).min() == pytest.approx(1.0)
+    assert margin(ConstantPitch(0.05, 0.0), basis, [10.0, 0, 0], s).min() == pytest.approx(0.5)
+    array = SensorArray((StringSpec(ConstantPitch(0.05, 0.0), 1.0),))
+    assert lengths(array, basis, [10.0, 0, 0], Reference.ABSOLUTE)[0] == pytest.approx(0.5)
+    array = SensorArray((StringSpec(ConstantPitch(0.1, 0.0), 1.0),))
+    with pytest.raises(NotRealizableError) as err:
+        lengths(array, basis, [10.0, 0, 0])
+    assert err.value.margin == pytest.approx(0.0, abs=1e-12)
+    assert err.value.string_index == 0
 
 
 @settings(max_examples=30)
@@ -106,9 +124,9 @@ def test_margin_affine_in_coefficients(a, b, t):
     rng = np.random.default_rng(1)
     c1, c2 = rng.normal(size=3), rng.normal(size=3)
     s = np.linspace(0, 1, 10)
-    m1 = tangential_margin(path, basis, c1, s)
-    m2 = tangential_margin(path, basis, c2, s)
-    blend = tangential_margin(path, basis, t * c1 + (1 - t) * c2, s)
+    m1 = margin(path, basis, c1, s)
+    m2 = margin(path, basis, c2, s)
+    blend = margin(path, basis, t * c1 + (1 - t) * c2, s)
     np.testing.assert_allclose(blend, t * m1 + (1 - t) * m2, atol=1e-12)
 
 
@@ -119,8 +137,8 @@ def test_violation_matches_curvature_bound():
     rng = np.random.default_rng(2)
     for _ in range(20):
         c = rng.uniform(-8, 8, 4)
-        ok, _ = realizable(path, basis, c)
         s = np.linspace(0, 1, 200)
+        ok = margin(path, basis, c, s).min() > 0.0
         u = basis.matrix(s) @ c
         bound_violated = (u[:, 1] > (path.r_y * u[:, 0] + 1.0) / path.r_x + 1e-12)
         assert ok == (not bound_violated.any())

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from stringshape.modal import ModalBasis, identity_basis
-from stringshape.routing import ConstantPitch, Helical, Mount, StringSpec, path_velocity
+from stringshape.routing import (ConstantPitch, Helical, Mount, StringSpec, path_velocity,
+                                 tangential_margin)
 from stringshape.rodsim import synthetic_spatial_truth
 from stringshape.sensing import (STAGNATION_TOL, Composite, NotRealizableError, Reference,
                                  SensorArray, SingularDesignError, aleph_gram, aleph_sv,
                                  body_jacobian, body_jacobian_multi, config_jacobian,
                                  forward_kinematics, lengths, linear_model, solve_shape,
-                                 span_rows, string_length)
+                                 span_integrals)
 from stringshape.sensitivity import noise_amp
 from stringshape import liegroup as lg
 from stringshape import studies
@@ -36,6 +37,16 @@ def helical_array(L=0.293):
 
 def spatial_basis(L=0.293):
     return ModalBasis(x=(0, 1, 2), y=(0, 1, 2), z=(0, 1), length=L)
+
+
+def string_length(spec, basis, c):
+    """Absolute length of one string, as the only channel of its array."""
+    return lengths(SensorArray((spec,)), basis, c, Reference.ABSOLUTE)[0]
+
+
+def velocity(path, basis, c, s):
+    """w' of a path on arc lengths s at configuration c."""
+    return path_velocity(path.radial(s), path.radial_deriv(s), basis.matrix(s) @ c)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +82,26 @@ def test_not_realizable_raises_with_margin():
     with pytest.raises(NotRealizableError) as err:
         string_length(spec, basis, [6.0, 0, 0])
     assert err.value.margin <= 0
+    assert err.value.string_index == 0
+
+
+def test_stiff_worst_configuration_raises_in_lengths_only():
+    # stiff_workspace(200) does not impose realizability: 39 of its
+    # configurations leave design (1, 2, 3, 4) with a cusp, worst at sample
+    # 187, where string 3 reaches a tangential rate of -0.60.  config_jacobian
+    # serves the search over such workspaces and does not check; lengths does.
+    space = studies.stiff_design_space()
+    array = space.array_for((1, 2, 3, 4), 0)
+    c = studies.stiff_workspace(200, seed=424242).configs[187]
+    assert config_jacobian(array, space.basis, c).shape == (6, space.basis.m)
+    with pytest.raises(NotRealizableError) as err:
+        lengths(array, space.basis, c)
+    assert err.value.string_index == 3
+    assert err.value.margin == pytest.approx(-0.5996, abs=1e-4)
+    lo, hi = array.strings[3].span(space.basis.length)
+    s = np.linspace(lo, hi, 80)
+    assert err.value.margin == tangential_margin(array.strings[3].path.radial(s),
+                                                 space.basis.matrix(s) @ c).min()
 
 
 def test_lengths_delta_reference_zero_at_straight():
@@ -93,13 +124,15 @@ def test_antagonistic_composite_cancels():
     np.testing.assert_allclose(vals, [0.0], atol=1e-12)
 
 
-def test_single_string_array_matches_string_length():
-    basis = planar_basis()
-    spec = StringSpec(ConstantPitch(0.12, 0.0), 0.5)
-    array = SensorArray(strings=(spec,))
-    c = np.array([1.0, -0.5, 0.2])
-    got = lengths(array, basis, c, Reference.ABSOLUTE)
-    assert got[0] == pytest.approx(string_length(spec, basis, c), abs=1e-15)
+def test_array_lengths_match_one_string_arrays():
+    # each channel of an array is the length its string gives alone, for the
+    # panel rule (torsion basis) and the exact rows (planar basis) alike
+    for basis, array in ((spatial_basis(), helical_array()),
+                         (planar_basis(), planar_array([0.12, -0.1], [0.5, 0.8]))):
+        c = np.random.default_rng(3).uniform(-1.0, 1.0, basis.m)
+        got = lengths(array, basis, c, Reference.ABSOLUTE)
+        alone = [string_length(spec, basis, c) for spec in array.strings]
+        np.testing.assert_array_equal(got, alone)
 
 
 def test_tip_mount_length():
@@ -130,19 +163,22 @@ def test_identity_basis_jacobian_row():
 
 def test_span_rows_at_off_grid_bounds_match_one_bound_rows():
     # Bounds off the L/10 panel grid are panel edges for the bounds above
-    # them, so those rows differ from config_jacobian's by quadrature error
-    # only: 1.4e-9 relative at worst over ten seeds.  The first row has no
-    # bound below it and is the same sum.
+    # them, so those rows and lengths differ from the ones config_jacobian and
+    # lengths give by quadrature error only: at worst over ten seeds, 1.4e-9
+    # relative for the rows and 3.7e-11 for the lengths.  The first bound has
+    # no bound below it and gives the same sums.
     basis = spatial_basis()
     c = np.random.default_rng(1).uniform(-3.0, 3.0, basis.m)
     path = Helical(r_s=0.035, omega=6.7, alpha=0.8)
     bounds = [0.037, 0.1234, 0.2, 0.2871]
-    rows = span_rows(path, basis, c, 0.0, bounds)
-    assert rows.shape == (4, basis.m)
-    one = np.array([config_jacobian(SensorArray((StringSpec(path, b),)), basis, c)[0]
-                    for b in bounds])
-    assert np.array_equal(rows[0], one[0])
+    ells, rows = span_integrals(path, basis, c, 0.0, bounds)
+    assert ells.shape == (4,) and rows.shape == (4, basis.m)
+    arrays = [SensorArray((StringSpec(path, b),)) for b in bounds]
+    one = np.array([config_jacobian(a, basis, c)[0] for a in arrays])
+    one_ell = np.array([lengths(a, basis, c, Reference.ABSOLUTE)[0] for a in arrays])
+    assert np.array_equal(rows[0], one[0]) and ells[0] == one_ell[0]
     np.testing.assert_allclose(rows, one, rtol=0, atol=1e-8 * np.abs(one).max())
+    np.testing.assert_allclose(ells, one_ell, rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("path", [Helical(r_s=0.035, omega=6.7), ConstantPitch(0.03, 0.01)])
@@ -152,10 +188,10 @@ def test_span_rows_rejects_bounds_below_lo(path, lo, bounds):
     # panel rule also needs the bounds in order
     basis = ModalBasis(x=(0, 1), y=(0, 1), length=0.3)
     with pytest.raises(ValueError):
-        span_rows(path, basis, np.zeros(basis.m), lo, bounds)
+        span_integrals(path, basis, np.zeros(basis.m), lo, bounds)
     if isinstance(path, Helical):
         with pytest.raises(ValueError, match="must not decrease"):
-            span_rows(path, basis, np.zeros(basis.m), 0.0, [0.2, 0.1])
+            span_integrals(path, basis, np.zeros(basis.m), 0.0, [0.2, 0.1])
 
 
 def test_linear_model_against_brute_quadrature():
@@ -178,8 +214,7 @@ def test_linear_model_against_brute_quadrature():
     for k, spec in enumerate(specs):
         lo, hi = spec.span(0.3)
         s = np.linspace(lo, hi, 20001)
-        from stringshape.routing import path_velocity
-        w = path_velocity(spec.path, basis, c, s)
+        w = velocity(spec.path, basis, c, s)
         brute = np.trapezoid(np.linalg.norm(w, axis=1), s)
         assert got[k] == pytest.approx(brute, rel=1e-9)
     np.testing.assert_allclose(got, base + jac @ c, rtol=1e-12)
@@ -488,10 +523,10 @@ def test_panel_rule_against_richardson_reference():
             lo, hi = spec.span(basis.length)
 
             def speed(s, path=spec.path):
-                return np.linalg.norm(path_velocity(path, basis, c, s), axis=1)
+                return np.linalg.norm(velocity(path, basis, c, s), axis=1)
 
             def row(s, path=spec.path):
-                w = path_velocity(path, basis, c, s)
+                w = velocity(path, basis, c, s)
                 wn = w / np.linalg.norm(w, axis=1, keepdims=True)
                 return np.einsum("ni,nij->nj", np.cross(path.radial(s), wn), basis.matrix(s))
 
