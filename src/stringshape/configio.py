@@ -49,9 +49,9 @@ class RobotConfig:
     basis: ModalBasis
     array: SensorArray
     constraints: ConstraintSet | None
+    realizability: bool   # whether shape applies the cusp rule to the strings
     characteristic_length: float
     n_steps: int
-    seed: int
     n_disks: int | None
     reference: Reference
 
@@ -138,7 +138,6 @@ def _parse_constraints(obj, where="constraints"):
         strain_max=strain,
         backbone_diameter=_optional_number(obj, "backbone_diameter", where, minimum=0.0),
         disk=disk,
-        realizability=bool(obj.get("realizability", True)),
         bend_limit=np.deg2rad(bend) if bend is not None else None,
         twist_limit=np.deg2rad(twist) if twist is not None else None,
         subsegment_length=_optional_number(obj, "subsegment_length", where, minimum=0.0),
@@ -202,12 +201,14 @@ def parse_robot(obj):
         constraints = _parse_constraints(obj.get("constraints"))
     except ValueError as err:
         raise SchemaError(f"robot.constraints: {err}") from None
+    realizability = (obj.get("constraints") or {}).get("realizability", True)
+    if not isinstance(realizability, bool):
+        raise SchemaError(f"robot.constraints.realizability: {realizability!r} is not true or false")
 
     return RobotConfig(
-        basis=basis, array=array, constraints=constraints,
+        basis=basis, array=array, constraints=constraints, realizability=realizability,
         characteristic_length=_number(obj, "c_l", "robot", default=0.25 * length),
         n_steps=int(_number(obj, "n_steps", "robot", default=100, minimum=1)),
-        seed=int(obj.get("seed", 0)),
         n_disks=n_disks,
         reference=reference,
     )

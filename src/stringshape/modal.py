@@ -121,9 +121,13 @@ class ModalBasis:
 
 
 def curvature(basis, c, s):
-    """u(s) = Phi(s) @ c; shape (3,) for scalar s, (n, 3) for arrays."""
-    c = basis.check_coeffs(c)
-    return basis.matrix(s) @ c
+    """u(s) = Phi(s) @ c; (3,) for scalar s, (n, 3) for arrays; a stack c (k, m) adds axis 0."""
+    c = np.asarray(c, dtype=float)
+    if c.ndim not in (1, 2) or c.shape[-1] != basis.m or not np.all(np.isfinite(c)):
+        raise ValueError(f"expected finite coefficients of shape ({basis.m},) or (k, {basis.m}), "
+                         f"got shape {c.shape}")
+    phi = basis.matrix(s)
+    return (c @ phi.reshape(-1, basis.m).T).reshape(c.shape[:-1] + phi.shape[:-1])
 
 
 def identity_basis(length):

@@ -187,6 +187,10 @@ def optimal_planar_anchors(p):
         return radii, np.array([1.0])
     grid_step = {2: 0.002, 3: 0.01, 4: 0.04}[p]
     axis, values = planar_landscape(radii, planar_config_index, grid_step)
+    # permuting the strings off the end disk leaves the index unchanged, so
+    # only strictly increasing anchors compete and round-off breaks no tie
+    increasing = np.all(np.diff(np.indices(values.shape), axis=0) > 0, axis=0)
+    values = np.where(increasing, values, -np.inf)
     best = axis[list(np.unravel_index(np.argmax(values), values.shape))]
     refined, _ = _golden_refine(radii, planar_config_index, best, grid_step)
     return radii, np.append(refined, 1.0)

@@ -187,14 +187,13 @@ def convergence_study(rod=None, n_levels=10, p_list=(1, 2, 3, 4)):
 
 
 def synthetic_spatial_truth(basis_truth, array, constraints, n, seed):
-    """Seeded admissible truth fields with their string lengths.
+    """Seeded admissible truth fields, cusp-free for the array, with their lengths.
 
     basis_truth should strictly contain the sensing basis so reconstruction
     error is meaningful; the lengths' quadrature error (~1e-9 relative) is far
     below that truncation.  Returns a list of (c_truth, length vector) pairs.
     """
-    paths = [spec.path for spec in array.strings] if constraints.realizability else []
-    samples = sample_admissible(basis_truth, constraints, n, seed, paths=paths)
+    samples = sample_admissible(basis_truth, constraints, n, seed, strings=array.strings)
     return [(c, lengths(array, basis_truth, c, Reference.DELTA_FROM_STRAIGHT))
             for c in samples.configs]
 

@@ -115,5 +115,5 @@ def path_velocity(r, dr, u):
 
 
 def tangential_margin(r, u):
-    """(w')^T e3 = r_y u_x - r_x u_y + 1 from evaluated r and u, each (n, 3)."""
-    return r[:, 1] * u[:, 0] - r[:, 0] * u[:, 1] + 1.0
+    """(w')^T e3 = r_y u_x - r_x u_y + 1 from evaluated r and u, each (..., 3)."""
+    return r[..., 1] * u[..., 0] - r[..., 0] * u[..., 1] + 1.0

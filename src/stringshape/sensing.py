@@ -18,6 +18,7 @@ import numpy as np
 
 from . import liegroup
 from .liegroup import E3
+from .modal import curvature
 from .routing import ConstantPitch, path_velocity, tangential_margin
 
 
@@ -155,7 +156,7 @@ PANELS_PER_LENGTH = 10
 _GRID_STEPS = np.arange(PANELS_PER_LENGTH + 1)
 _GL_NODES = 0.5 + 0.5 * np.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])
 _GL_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
-# lengths checks the tangential rate on this many uniform points per span.
+# The cusp rule checks the tangential rate on this many uniform points per span.
 REALIZABILITY_GRID = 80
 
 
@@ -225,14 +226,20 @@ def _measure(array, basis, c):
     return array.reduce(np.concatenate(ells)), array.reduce(np.concatenate(rows))
 
 
+def realizability_margins(strings, basis, c):
+    """The cusp rule: each string's smallest tangential rate (w')^T e3 on
+    REALIZABILITY_GRID uniform points of its span, (n_strings,) for c (m,) and
+    (k, n_strings) for a stack (k, m); a string is realizable where it is positive."""
+    s = np.array([np.linspace(*spec.span(basis.length), REALIZABILITY_GRID) for spec in strings])
+    r = np.array([spec.path.radial(s_i) for spec, s_i in zip(strings, s)])
+    return tangential_margin(r, curvature(basis, c, s)).min(axis=-1)
+
+
 def _check_realizable(array, basis, c):
-    """Raise NotRealizableError for the first string whose tangential rate
-    (w')^T e3 is not positive on REALIZABILITY_GRID uniform points of its span."""
-    for i, spec in enumerate(array.strings):
-        s = np.linspace(*spec.span(basis.length), REALIZABILITY_GRID)
-        margin = float(tangential_margin(spec.path.radial(s), basis.matrix(s) @ c).min())
+    """Raise NotRealizableError for the first string that fails the cusp rule."""
+    for i, margin in enumerate(realizability_margins(array.strings, basis, c)):
         if not margin > 0.0:   # NaN fails it too
-            raise NotRealizableError(margin, string_index=i)
+            raise NotRealizableError(float(margin), string_index=i)
 
 
 def lengths(array, basis, c, reference=Reference.DELTA_FROM_STRAIGHT):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modal import curvature
-from .routing import tangential_margin
-from .sensing import SIGMA_RATIO_TOL, aleph_sv, body_jacobian, config_jacobian
+from .sensing import (SIGMA_RATIO_TOL, aleph_sv, body_jacobian, config_jacobian,
+                      realizability_margins)
 
 
 def noise_amp(a):
@@ -106,10 +106,11 @@ def disk_collision_radius(height, radius, subsegment_length):
     return float(0.5 * (a + b))
 
 
-# Arc-length points on which a configuration is checked for admissibility,
-# and the residual (m) at which disk_collision_radius stops bisecting.
+# Arc-length points of the curvature-bound check, the residual (m) at which
+# disk_collision_radius stops bisecting, and the candidates per sampler block.
 ADMISSIBLE_GRID = 200
 COLLISION_TOL = 1e-12
+SAMPLE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -120,13 +121,13 @@ class ConstraintSet:
     backbone diameter it bounds each curvature component.  Disk geometry adds
     a bending-curvature cap at 1/rho*.  bend_limit/twist_limit are per-
     subsegment angle caps (rad) applied as pointwise curvature bounds
-    angle/L_s.  realizability enforces cusp-free paths for the array in use.
+    angle/L_s.  Realizability is the caller's choice: admissible applies the
+    cusp rule to the strings it is given.
     """
 
     strain_max: tuple | None = None           # (eps_x, eps_y, eps_z)
     backbone_diameter: float | None = None
     disk: DiskGeometry | None = None
-    realizability: bool = True
     bend_limit: float | None = None           # rad per subsegment
     twist_limit: float | None = None          # rad per subsegment
     subsegment_length: float | None = None
@@ -164,24 +165,20 @@ class ConstraintSet:
             bounds[2] = min(bounds[2], self.twist_limit / l_s)
         return bounds
 
-    def admissible(self, basis, c, paths=()):
-        """Check a configuration on ADMISSIBLE_GRID uniform arc lengths."""
-        s = np.linspace(0.0, basis.length, ADMISSIBLE_GRID)
-        u = np.atleast_2d(curvature(basis, c, s))
+    def admissible(self, basis, c, strings=()):
+        """Whether c (m,), or each row of a stack c (k, m), keeps within the bounds
+        on ADMISSIBLE_GRID arc lengths and passes the cusp rule for each string."""
+        u = curvature(basis, c, np.linspace(0.0, basis.length, ADMISSIBLE_GRID))
+        stack, u = np.atleast_2d(c), u.reshape(-1, ADMISSIBLE_GRID, 3)
         bounds = self.axis_bounds()
-        for axis in range(3):
-            if np.isfinite(bounds[axis]) and np.abs(u[:, axis]).max() > bounds[axis] + 1e-12:
-                return False
+        ok = np.all(np.abs(u).max(axis=1) <= bounds + 1e-12, axis=1)
         if self.disk is not None or self.bend_limit is not None:
             # bending magnitude cap applies to the combined x/y curvature
-            xy_cap = min(bounds[0], bounds[1])
-            if np.hypot(u[:, 0], u[:, 1]).max() > xy_cap + 1e-12:
-                return False
-        if self.realizability:
-            for path in paths:
-                if tangential_margin(path.radial(s), u).min() <= 0.0:
-                    return False
-        return True
+            ok &= np.hypot(u[..., 0], u[..., 1]).max(axis=1) <= min(bounds[:2]) + 1e-12
+        if strings and ok.any():
+            # the cusp rule only for the candidates within the bounds
+            ok[ok] = np.all(realizability_margins(strings, basis, stack[ok]) > 0.0, axis=1)
+        return ok if np.ndim(c) == 2 else bool(ok[0])
 
 
 @dataclass
@@ -192,44 +189,38 @@ class WorkspaceSamples:
         return len(self.configs)
 
 
-def sample_admissible(basis, constraints, n_target, seed, paths=(), box_scale=1.0,
+def sample_admissible(basis, constraints, n_target, seed, strings=(), box_scale=1.0,
                       min_acceptance=1e-4):
     """Rejection-sample admissible configurations, reproducible for a seed.
 
     Coefficients are drawn uniformly in a per-axis box at the curvature bound
     (Chebyshev columns are bounded by one, so coefficient and curvature scales
     are commensurate), optionally shrunk by box_scale, then filtered through
-    the full constraint check.
+    the full constraint check with the given strings, SAMPLE_BLOCK candidates
+    at a time; a block draws the same stream as single candidates, so the
+    first n_target admissible draws do not depend on the block size.
     """
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
     bounds = constraints.axis_bounds()
-    if not np.all(np.isfinite(bounds)):
-        finite = bounds[np.isfinite(bounds)]
-        if len(finite) == 0:
-            raise ValueError("constraints impose no curvature bound to sample within")
-        bounds = np.where(np.isfinite(bounds), bounds, finite.max())
-    half = np.concatenate([
-        np.full(len(basis.x), bounds[0]),
-        np.full(len(basis.y), bounds[1]),
-        np.full(len(basis.z), bounds[2]),
-    ]) * box_scale
+    finite = np.isfinite(bounds)
+    if not finite.any():
+        raise ValueError("constraints impose no curvature bound to sample within")
+    bounds = np.where(finite, bounds, bounds[finite].max())
+    half = np.repeat(bounds, [len(basis.x), len(basis.y), len(basis.z)]) * box_scale
     rng = np.random.default_rng(seed)
-    out = np.empty((n_target, basis.m))
-    accepted = 0
-    attempts = 0
+    kept, accepted, attempts = [], 0, 0
     max_attempts = max(int(n_target / min_acceptance), 10 * n_target)
     while accepted < n_target:
         if attempts >= max_attempts:
             raise RuntimeError(
                 f"workspace acceptance rate below {min_acceptance:g}; "
                 "rescale the sampling box")
-        c = rng.uniform(-half, half)
-        attempts += 1
-        if constraints.admissible(basis, c, paths=paths):
-            out[accepted] = c
-            accepted += 1
-    return WorkspaceSamples(out)
+        c = rng.uniform(-half, half, size=(min(SAMPLE_BLOCK, max_attempts - attempts), basis.m))
+        attempts += len(c)
+        kept.append(c[constraints.admissible(basis, c, strings)])
+        accepted += len(kept[-1])
+    return WorkspaceSamples(np.concatenate(kept)[:n_target])
 
 
 def global_index(array, basis, samples, s, c_l):

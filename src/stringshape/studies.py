@@ -57,8 +57,7 @@ def planar_workspace(n_samples=200, seed=PLANAR_WORKSPACE_SEED):
     """
     basis = planar_basis()
     cap = min(PLANAR_BOX_CURVATURE, planar_strain_curvature())
-    constraints = ConstraintSet(axis_cap=(cap, cap, cap), realizability=False)
-    return sample_admissible(basis, constraints, n_samples, seed)
+    return sample_admissible(basis, ConstraintSet(axis_cap=(cap, cap, cap)), n_samples, seed)
 
 
 @dataclass
@@ -183,8 +182,7 @@ def stiff_workspace(n_samples=200, seed=424242):
     PLANAR_ROD_LENGTH (1/m) per coefficient, inside the 5 % strain limit."""
     basis = stiff_basis()
     constraints = ConstraintSet(strain_max=(PLANAR_STRAIN_MAX,) * 3,
-                                backbone_diameter=PLANAR_BACKBONE_DIAMETER,
-                                realizability=False)
+                                backbone_diameter=PLANAR_BACKBONE_DIAMETER)
     # Load-envelope scale as in the planar study, here in physical units:
     # the strain limit's curvature bound (25 1/m) shrinks to the load box.
     box = PLANAR_BOX_CURVATURE / PLANAR_ROD_LENGTH / constraints.axis_bounds()[0]
@@ -239,9 +237,8 @@ def soft_design_space(twist_rates=(0, 1)):
                        s_objectives=SOFT_S_OBJECTIVES, c_l=SOFT_CHARACTERISTIC_LENGTH)
 
 
-def soft_constraints(realizability=False):
-    return ConstraintSet(realizability=realizability,
-                         bend_limit=SOFT_BEND_LIMIT, twist_limit=SOFT_TWIST_LIMIT,
+def soft_constraints():
+    return ConstraintSet(bend_limit=SOFT_BEND_LIMIT, twist_limit=SOFT_TWIST_LIMIT,
                          subsegment_length=SOFT_LENGTH / SOFT_N_DISKS)
 
 

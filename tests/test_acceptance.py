@@ -153,9 +153,8 @@ def test_a3_convergence_study(convergence_stats):
         assert seconds <= 300.0, f"convergence study took {seconds:.0f} s"
 
 
-def _round_trip(array, basis, constraints, n_cases, seed, tol, paths=None):
-    paths = [s.path for s in array.strings] if paths is None else paths
-    samples = sample_admissible(basis, constraints, n_cases, seed, paths=paths)
+def _round_trip(array, basis, constraints, n_cases, seed, tol):
+    samples = sample_admissible(basis, constraints, n_cases, seed, strings=array.strings)
     worst = 0.0
     for c_true in samples.configs:
         meas = lengths(array, basis, c_true, Reference.DELTA_FROM_STRAIGHT)
@@ -172,7 +171,7 @@ def test_a4_round_trip_reconstruction():
         array = SensorArray(strings=tuple(
             StringSpec(ConstantPitch(r, 0.0), a)
             for r, a in zip((0.10, -0.10, 0.25), (0.204, 0.772, 1.0))))
-        cs = ConstraintSet(axis_cap=(4.0, 4.0, 4.0), realizability=True)
+        cs = ConstraintSet(axis_cap=(4.0, 4.0, 4.0))
         _round_trip(array, basis, cs, 100, seed=101, tol=1e-8)
 
         # zero-torsion constant-pitch with composite tendon channels
@@ -180,14 +179,14 @@ def test_a4_round_trip_reconstruction():
         array = space.array_for((4, 4, 2, 2), 0)
         basis = space.basis
         cap = 0.04 / 0.002
-        cs = ConstraintSet(axis_cap=(cap, cap, cap), realizability=True)
+        cs = ConstraintSet(axis_cap=(cap, cap, cap))
         _round_trip(array, basis, cs, 100, seed=202, tol=1e-8)
 
         # helical + torsion, Gauss-Newton
         space = studies.soft_design_space()
         array = space.array_for((4, 3, 9, 4), 1)
         basis = space.basis
-        cs = studies.soft_constraints(realizability=True)
+        cs = studies.soft_constraints()
         _round_trip(array, basis, cs, 100, seed=303, tol=1e-6)
 
 
@@ -223,15 +222,11 @@ def test_a5_jacobian_finite_difference_agreement():
         stiff = studies.stiff_design_space()
         pitch_array = stiff.array_for((4, 4, 2, 2), 0)
 
-        cs_soft = studies.soft_constraints(realizability=True)
-        soft_samples = sample_admissible(
-            soft.basis, cs_soft, 20, seed=11,
-            paths=[s.path for s in helical_array.strings])
+        soft_samples = sample_admissible(soft.basis, studies.soft_constraints(), 20, seed=11,
+                                         strings=helical_array.strings)
         cap = 0.04 / 0.002
-        cs_stiff = ConstraintSet(axis_cap=(cap, cap, cap), realizability=True)
-        stiff_samples = sample_admissible(
-            stiff.basis, cs_stiff, 20, seed=12,
-            paths=[s.path for s in pitch_array.strings])
+        stiff_samples = sample_admissible(stiff.basis, ConstraintSet(axis_cap=(cap, cap, cap)),
+                                          20, seed=12, strings=pitch_array.strings)
 
         for array, basis, samples in ((helical_array, soft.basis, soft_samples),
                                       (pitch_array, stiff.basis, stiff_samples)):

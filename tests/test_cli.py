@@ -92,6 +92,7 @@ def test_malformed_robot_exits_2(tmp_path):
      "bend_limit_deg"),
     ({"constraints": {"backbone_diameter": "4mm", "strain_max": 0.05}},
      "backbone_diameter"),
+    ({"constraints": {"realizability": "false"}}, "realizability"),
 ])
 def test_malformed_robot_fields_exit_2(tmp_path, command, edit, where, capsys):
     # path constructors and constraint values reject bad values as schema errors
@@ -143,14 +144,40 @@ def test_underdetermined_exits_4(tmp_path, capsys):
     assert "underdetermined" in capsys.readouterr().err
 
 
-def test_inadmissible_configuration_exits_3(tmp_path):
+def test_inadmissible_configuration_exits_3(tmp_path, capsys):
     robot = dict(PLANAR_ROBOT)
     robot["constraints"] = {"strain_max": 0.05, "backbone_diameter": 0.004,
                             "realizability": True}
     path = tmp_path / "robot.json"
     path.write_text(json.dumps(robot))
-    coeffs = coeff_file(tmp_path, [[200.0, 0.0, 0.0]])
-    assert main(["shape", str(path), coeffs]) == 3
+    # all rows are checked in one call; the first bad one is reported
+    coeffs = coeff_file(tmp_path, [[0.0, 0.0, 0.0], [200.0, 0.0, 0.0], [0.0, 300.0, 0.0]])
+    assert main(["shape", str(path), coeffs, "-o", str(tmp_path / "p.csv")]) == 3
+    assert "row 1 " in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_tip_strings_cusped_below_their_anchors_are_admissible(tmp_path):
+    # u_y = 3 - 3 (2 s / L - 1): the tangential rate 1 - r_x u_y of r_x = 0.25
+    # is negative near the base and positive on [L/2, L], the tip-mounted span
+    robot = {"version": 1, "L": 1.0, "basis": {"y": [0, 1]},
+             "strings": [{"type": "constant_pitch", "r_x": r_x, "anchor_s": 0.5,
+                          "mount": "tip"} for r_x in (0.25, -0.25)],
+             "constraints": {"realizability": True}}
+    path = tmp_path / "robot.json"
+    path.write_text(json.dumps(robot))
+    coeffs = tmp_path / "coeffs.csv"
+    write_csv(str(coeffs), ["c_0", "c_1"], [[0.0, 0.0], [3.0, -3.0]])
+    assert main(["shape", str(path), str(coeffs), "-o", str(tmp_path / "p.csv")]) == 0
+    assert main(["lengths", str(path), str(coeffs), "-o", str(tmp_path / "l.csv")]) == 0
+
+
+def test_unused_seed_key_is_ignored(tmp_path):
+    robot = dict(PLANAR_ROBOT, seed="abc")
+    path = tmp_path / "robot.json"
+    path.write_text(json.dumps(robot))
+    coeffs = coeff_file(tmp_path, [[0.0, 0.0, 0.0]])
+    assert main(["shape", str(path), coeffs, "-o", str(tmp_path / "p.csv")]) == 0
 
 
 def test_unknown_flag_exits_64():

@@ -78,8 +78,7 @@ def test_synthetic_truth_model_matched_round_trip():
                   for t, a in zip(np.deg2rad([0, 90, 180, 270]),
                                   (0.293, 0.293, 0.2051, 0.1172)))
     array = SensorArray(strings=specs)
-    cs = ConstraintSet(strain_max=(0.05, 0.05, 0.05), backbone_diameter=0.004,
-                       realizability=True)
+    cs = ConstraintSet(strain_max=(0.05, 0.05, 0.05), backbone_diameter=0.004)
     cases = synthetic_spatial_truth(basis, array, cs, n=4, seed=11)
     for c_true, ell in cases:
         sol = solve_shape(array, basis, ell)
@@ -92,8 +91,7 @@ def test_synthetic_truth_respects_constraints():
                   for t, a in zip(np.deg2rad([30, 120, 210, 300, 75, 255]),
                                   (0.3, 0.3, 0.25, 0.2, 0.15, 0.1)))
     array = SensorArray(strings=specs)
-    cs = ConstraintSet(strain_max=(0.04, 0.04, 0.04), backbone_diameter=0.004,
-                       realizability=True)
+    cs = ConstraintSet(strain_max=(0.04, 0.04, 0.04), backbone_diameter=0.004)
     cases = synthetic_spatial_truth(basis, array, cs, n=5, seed=2)
     bound = 0.04 / 0.002
     s = np.linspace(0, 0.3, 200)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stringshape import sensitivity, studies
 from stringshape.modal import ModalBasis
-from stringshape.routing import ConstantPitch, StringSpec
-from stringshape.sensing import SensorArray, config_jacobian, linear_model
+from stringshape.routing import ConstantPitch, Helical, StringSpec
+from stringshape.sensing import (NotRealizableError, SensorArray, config_jacobian, lengths,
+                                 linear_model)
 from stringshape.sensitivity import (ConstraintSet, DiskGeometry,
                                      disk_collision_radius, full_map_index,
                                      full_map_jacobian, global_index,
@@ -134,8 +136,7 @@ def test_disk_collision_impossible_geometry():
 # ---------------------------------------------------------------------------
 
 def test_axis_bounds_strain():
-    cs = ConstraintSet(strain_max=(0.05, 0.05, 0.05), backbone_diameter=0.004,
-                       realizability=False)
+    cs = ConstraintSet(strain_max=(0.05, 0.05, 0.05), backbone_diameter=0.004)
     np.testing.assert_allclose(cs.axis_bounds(), [25.0, 25.0, 25.0])
 
 
@@ -143,11 +144,11 @@ def test_axis_bounds_disk_and_limits():
     disk = DiskGeometry(height=0.01, radius=0.05, subsegment_length=0.05)
     rho = disk_collision_radius(0.01, 0.05, 0.05)
     cs = ConstraintSet(strain_max=(0.05, 0.05, 0.05), backbone_diameter=0.004,
-                       disk=disk, realizability=False)
+                       disk=disk)
     bounds = cs.axis_bounds()
     np.testing.assert_allclose(bounds[:2], min(25.0, 1.0 / rho))
     cs = ConstraintSet(bend_limit=np.deg2rad(10), twist_limit=np.deg2rad(7.5),
-                       subsegment_length=0.0293, realizability=False)
+                       subsegment_length=0.0293)
     bounds = cs.axis_bounds()
     assert bounds[0] == pytest.approx(np.deg2rad(10) / 0.0293)
     assert bounds[2] == pytest.approx(np.deg2rad(7.5) / 0.0293)
@@ -156,13 +157,12 @@ def test_axis_bounds_disk_and_limits():
 def test_zero_config_always_admissible():
     cs = ConstraintSet(strain_max=(0.05, 0.05, 0.05), backbone_diameter=0.004)
     basis = planar_basis()
-    assert cs.admissible(basis, np.zeros(3), paths=[ConstantPitch(0.25, 0.0)])
+    assert cs.admissible(basis, np.zeros(3), strings=planar_array().strings)
 
 
 def test_sampling_reproducible_and_admissible():
     basis = planar_basis()
-    cs = ConstraintSet(strain_max=(0.05, 0.05, 0.05), backbone_diameter=2.0,
-                       realizability=False)
+    cs = ConstraintSet(strain_max=(0.05, 0.05, 0.05), backbone_diameter=2.0)
     a = sample_admissible(basis, cs, 50, seed=7)
     b = sample_admissible(basis, cs, 50, seed=7)
     np.testing.assert_array_equal(a.configs, b.configs)
@@ -175,10 +175,9 @@ def test_sampling_reproducible_and_admissible():
 
 def test_sampling_respects_realizability():
     basis = planar_basis()
-    cs = ConstraintSet(strain_max=(0.5, 0.5, 0.5), backbone_diameter=2.0,
-                       realizability=True)
-    paths = [ConstantPitch(0.25, 0.0)]
-    samples = sample_admissible(basis, cs, 30, seed=3, paths=paths)
+    cs = ConstraintSet(strain_max=(0.5, 0.5, 0.5), backbone_diameter=2.0)
+    strings = (StringSpec(ConstantPitch(0.25, 0.0), 1.0),)
+    samples = sample_admissible(basis, cs, 30, seed=3, strings=strings)
     s = np.linspace(0, 1, 200)
     for c in samples.configs:
         u_y = (basis.matrix(s) @ c)[:, 1]
@@ -187,11 +186,96 @@ def test_sampling_respects_realizability():
 
 def test_sampling_acceptance_guard():
     basis = planar_basis()
-    cs = ConstraintSet(strain_max=(1e-9, 1e-9, 1e-9), backbone_diameter=2.0,
-                       realizability=False)
+    cs = ConstraintSet(strain_max=(1e-9, 1e-9, 1e-9), backbone_diameter=2.0)
     # box >> admissible region: force pathological acceptance via box_scale
     with pytest.raises(RuntimeError):
         sample_admissible(basis, cs, 200, seed=1, box_scale=1e9, min_acceptance=0.5)
+
+
+def _stiff_strain_set():
+    """The constraints of studies.stiff_workspace, design (1, 2, 3, 4) of the
+    stiff space (tip-mounted strings) and the workspace's box scale."""
+    cs = ConstraintSet(strain_max=(studies.PLANAR_STRAIN_MAX,) * 3,
+                       backbone_diameter=studies.PLANAR_BACKBONE_DIAMETER)
+    box = studies.PLANAR_BOX_CURVATURE / studies.PLANAR_ROD_LENGTH / cs.axis_bounds()[0]
+    return cs, studies.stiff_design_space().array_for((1, 2, 3, 4), 0), box
+
+
+def _passes_lengths(array, basis, c):
+    try:
+        lengths(array, basis, c)
+    except NotRealizableError:
+        return False
+    return True
+
+
+def test_admissible_agrees_with_lengths_on_stiff_workspace():
+    # one cusp rule: admissible with the strings accepts exactly the
+    # configurations whose string lengths exist (161 of 200 here); a check
+    # over [0, L] rejected five whose tip-mounted strings cusp below their anchors
+    cs, array, _ = _stiff_strain_set()
+    basis = studies.stiff_basis()
+    configs = studies.stiff_workspace(200, 424242).configs
+    expect = np.array([_passes_lengths(array, basis, c) for c in configs])
+    got = cs.admissible(basis, configs, array.strings)
+    np.testing.assert_array_equal(got, expect)
+    assert got.sum() == 161
+
+
+@pytest.mark.parametrize("seed", [3, 12])
+def test_realizability_on_samples_pass_lengths(seed):
+    cs, array, box = _stiff_strain_set()
+    basis = studies.stiff_basis()
+    samples = sample_admissible(basis, cs, 40, seed, strings=array.strings, box_scale=box)
+    assert all(_passes_lengths(array, basis, c) for c in samples.configs)
+
+
+def _stack_cases():
+    """(basis, constraints, strings, box half-width): the stiff design
+    (1, 2, 3, 4) under a disk cap, and helical strings of radius 0.2 m (wide
+    enough to cusp) under the soft bend/twist limits, in boxes where
+    candidates fail on bounds, on cusps alone and not at all."""
+    disk = DiskGeometry(height=0.01, radius=0.05, subsegment_length=0.05)
+    stiff = studies.stiff_design_space()
+    helical = tuple(StringSpec(Helical(0.2, 10.0, alpha), studies.SOFT_LENGTH * frac)
+                    for alpha, frac in ((0.0, 1.0), (2.0, 0.6), (4.0, 0.3)))
+    return [(stiff.basis,
+             ConstraintSet(strain_max=(0.05,) * 3, backbone_diameter=0.004, disk=disk),
+             stiff.array_for((1, 2, 3, 4), 0).strings, 8.0),
+            (studies.soft_basis(), studies.soft_constraints(), helical, 3.0)]
+
+
+@pytest.mark.parametrize("basis, cs, strings, half", _stack_cases(), ids=["disk", "bend-twist"])
+def test_admissible_stack_matches_rows(basis, cs, strings, half):
+    configs = np.random.default_rng(5).uniform(-half, half, size=(300, basis.m))
+    for given in (strings, ()):
+        rows = np.array([cs.admissible(basis, c, given) for c in configs])
+        np.testing.assert_array_equal(cs.admissible(basis, configs, given), rows)
+        assert 0 < rows.sum() < len(rows)
+    # some candidates within the bounds fail the cusp rule alone
+    assert (cs.admissible(basis, configs) & ~cs.admissible(basis, configs, strings)).any()
+
+
+def test_admissible_rejects_malformed_stacks():
+    cs = ConstraintSet(axis_cap=(1.0, 1.0, 1.0))
+    basis = planar_basis()
+    for bad in (np.zeros((2, 4)), np.zeros((2, 2, 3)), [[0.0, np.nan, 0.0]], np.zeros(2)):
+        with pytest.raises(ValueError, match="coefficients"):
+            cs.admissible(basis, bad)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_sampling_does_not_depend_on_block_size(monkeypatch, block):
+    cs, array, box = _stiff_strain_set()
+    basis = studies.stiff_basis()
+    draws = [lambda: studies.planar_workspace(20),
+             lambda: studies.soft_workspace(3, 7),
+             lambda: sample_admissible(basis, cs, 20, 12, strings=array.strings,
+                                       box_scale=box)]
+    expect = [draw().configs for draw in draws]
+    monkeypatch.setattr(sensitivity, "SAMPLE_BLOCK", block)
+    for draw, configs in zip(draws, expect):
+        np.testing.assert_array_equal(draw().configs, configs)
 
 
 def test_global_index_single_sample_equals_pointwise():
