@@ -62,15 +62,25 @@ def _number_list(kind):
     return parse
 
 
-def _pose_rows(sample_idx, s_values, poses):
-    rows = []
-    for s, pose in zip(s_values, poses):
-        quat = rotation_to_quaternion(pose[:3, :3])
-        rows.append([sample_idx, float(s), *map(float, pose[:3, 3]), *map(float, quat)])
-    return rows
-
-
 POSE_HEADER = ["sample", "s_m", "x_m", "y_m", "z_m", "q_w", "q_x", "q_y", "q_z"]
+# Coefficient rows per forward_kinematics call of shape: a stack's Magnus
+# arrays grow with its rows (about 50 kB per row at 100 steps), so a table
+# goes through in blocks of this many, each written before the next.  On
+# the stiff robot, blocks of 64 rows write 250- and 10,000-row tables as fast
+# as blocks of 256, with 7 and 12 MB less peak memory.
+SHAPE_BLOCK = 64
+
+
+def _pose_rows(robot, coeffs, s_values):
+    """CSV rows of the poses at s_values of every coefficient row, one
+    forward_kinematics call per block of SHAPE_BLOCK rows, generated lazily."""
+    for k0 in range(0, len(coeffs), SHAPE_BLOCK):
+        poses = forward_kinematics(robot.basis, coeffs[k0:k0 + SHAPE_BLOCK], s_values,
+                                   n_steps=robot.n_steps)
+        for k, row_poses in enumerate(poses, k0):
+            for s, pose in zip(s_values, row_poses):
+                quat = rotation_to_quaternion(pose[:3, :3])
+                yield [k, float(s), *map(float, pose[:3, 3]), *map(float, quat)]
 
 
 def cmd_shape(args):
@@ -88,12 +98,8 @@ def cmd_shape(args):
         if len(bad):
             print(f"configuration row {bad[0]} violates the constraint set", file=sys.stderr)
             return EXIT_INADMISSIBLE
-    rows = []
-    for k, c in enumerate(coeffs):
-        poses = forward_kinematics(robot.basis, c, s_values, n_steps=robot.n_steps)
-        rows.extend(_pose_rows(k, s_values, poses))
-    write_csv(args.output, POSE_HEADER, rows)
-    print(f"wrote {len(rows)} poses to {args.output}")
+    write_csv(args.output, POSE_HEADER, _pose_rows(robot, coeffs, s_values))
+    print(f"wrote {len(coeffs) * len(s_values)} poses to {args.output}")
     return EXIT_OK
 
 
@@ -268,17 +274,22 @@ def cmd_spatial_study(args):
     array = space.array_for(anchors, args.n_omega)
     cases = synthetic_spatial_truth(truth_basis, array, studies.soft_constraints(),
                                     args.cases, args.seed)
-    rows = []
-    fails = stagnations = 0
+    solved, fails = [], 0
     for k, (c_true, ell) in enumerate(cases):
         try:
             sol = solve_shape(array, basis, ell, Reference.DELTA_FROM_STRAIGHT)
         except (SolverError, SingularDesignError):
             fails += 1
             continue
-        stagnations += sol.status == "stagnated"
-        pose_t = forward_kinematics(truth_basis, c_true, [basis.length])[0]
-        pose_e = forward_kinematics(basis, sol.c, [basis.length])[0]
+        solved.append((k, c_true, sol))
+    stagnations = sum(sol.status == "stagnated" for _, _, sol in solved)
+    # truth and estimate tip poses, one stacked pass each
+    c_true = np.reshape([c for _, c, _ in solved], (-1, truth_basis.m))
+    c_est = np.reshape([sol.c for _, _, sol in solved], (-1, basis.m))
+    tips = zip(forward_kinematics(truth_basis, c_true, [basis.length])[:, 0],
+               forward_kinematics(basis, c_est, [basis.length])[:, 0])
+    rows = []
+    for (k, _, sol), (pose_t, pose_e) in zip(solved, tips):
         err = error_metrics(pose_t, pose_e, basis.length, space.c_l)
         rows.append([k, err.e_p, err.theta_e, err.e_n, sol.iterations, sol.residual_norm])
     write_csv(args.output,

@@ -113,6 +113,14 @@ class ModalBasis:
             raise ValueError("coefficients must be finite")
         return c
 
+    def check_stack(self, c):
+        """Finite coefficients c (m,), or a stack of them (k, m)."""
+        c = np.asarray(c, dtype=float)
+        if c.ndim not in (1, 2) or c.shape[-1] != self.m or not np.all(np.isfinite(c)):
+            raise ValueError(f"expected finite coefficients of shape ({self.m},) or (k, {self.m}), "
+                             f"got shape {c.shape}")
+        return c
+
     def split(self, c):
         """Coefficient vector -> (c_x, c_y, c_z) per-axis views."""
         c = self.check_coeffs(c)
@@ -122,10 +130,7 @@ class ModalBasis:
 
 def curvature(basis, c, s):
     """u(s) = Phi(s) @ c; (3,) for scalar s, (n, 3) for arrays; a stack c (k, m) adds axis 0."""
-    c = np.asarray(c, dtype=float)
-    if c.ndim not in (1, 2) or c.shape[-1] != basis.m or not np.all(np.isfinite(c)):
-        raise ValueError(f"expected finite coefficients of shape ({basis.m},) or (k, {basis.m}), "
-                         f"got shape {c.shape}")
+    c = basis.check_stack(c)
     phi = basis.matrix(s)
     return (c @ phi.reshape(-1, basis.m).T).reshape(c.shape[:-1] + phi.shape[:-1])
 

@@ -78,8 +78,7 @@ def planar_sample_grams(samples, c_l):
     """(S J_xc(L))^T (S J_xc(L)) per workspace configuration."""
     basis = planar_basis()
     configs = getattr(samples, "configs", samples)
-    jxc = twist_scaling(c_l)[:, None] * np.array([body_jacobian(basis, c, basis.length)
-                                                  for c in configs])
+    jxc = twist_scaling(c_l)[:, None] * body_jacobian(basis, configs, basis.length)
     return np.swapaxes(jxc, -1, -2) @ jxc
 
 
@@ -419,8 +418,7 @@ def brute_force_search(space, samples, jobs=1):
 
     # Design-independent: body Jacobians at the objective arc lengths, kept
     # by position so that a repeated arc length is one more column.
-    jxc = np.array([body_jacobian_multi(basis, c, space.s_objectives)
-                    for c in configs])                  # (S, n_objectives, 6, m)
+    jxc = body_jacobian_multi(basis, configs, space.s_objectives)   # (S, n_objectives, 6, m)
     jxc = scale[:, None] * np.moveaxis(jxc, 1, 0)
 
     # Cumulative rows for every string variant; row sample 0 is the straight

@@ -297,37 +297,45 @@ def _magnus_grid(length, s_query, n_steps):
 
 
 def _magnus_steps(basis, c, starts, widths):
-    """The twists eta = [Phi c; e3] (n, 2, 6) at both Gauss-Legendre points of
-    every step, from one basis.matrix call; their derivatives d eta / dc
-    (n, 2, 6, m); and the Magnus element Psi of every step (n, 6)."""
+    """For a stack c (S, m): the twists eta = [Phi c; e3] (S, n, 2, 6) at both
+    Gauss-Legendre points of every step, from one basis.matrix call; their
+    derivatives d eta / dc (n, 2, 6, m), the same for every configuration;
+    and the Magnus element Psi of every step (S, n, 6)."""
     n = len(starts)
     s = starts[:, None] + liegroup.GL_POINTS * widths[:, None]
     deta = np.zeros((n, 2, 6, basis.m))
     deta[:, :, :3] = basis.matrix(s.ravel()).reshape(n, 2, 3, basis.m)
-    eta = deta @ c
+    eta = (deta @ c[:, None, None, :, None])[..., 0]
     eta[..., 3:] = E3
-    psi = [liegroup.magnus_element(e1, e2, h) for (e1, e2), h in zip(eta, widths)]
-    return eta, deta, psi
+    return eta, deta, liegroup.magnus_element(eta[..., 0, :], eta[..., 1, :], widths)
 
 
 def body_jacobian(basis, c, s, n_steps=100):
-    """J_xc (6, m): body twist of the frame at arc length s per unit dc."""
-    return body_jacobian_multi(basis, c, [s], n_steps)[0]
+    """J_xc (6, m): body twist of the frame at arc length s per unit dc;
+    (S, 6, m) for a stack c (S, m)."""
+    return body_jacobian_multi(basis, c, [s], n_steps)[..., 0, :, :]
 
 
 def body_jacobian_multi(basis, c, s_list, n_steps=100):
-    """J_xc (k, 6, m) at the arc lengths s_list, in one pass over the Magnus
-    grid of _magnus_grid: Ad(exp(-Psi)) chains with the exact dPsi/dc."""
-    c = basis.check_coeffs(c)
+    """J_xc (k, 6, m) at the arc lengths s_list, or (S, k, 6, m) for a stack
+    c (S, m), in one pass over the Magnus grid of _magnus_grid for the whole
+    stack: Ad(exp(-Psi)) chains with dexp(Psi) of the exact dPsi/dc, one
+    batched product per step."""
+    c = basis.check_stack(c)
     starts, widths, source, at = _magnus_grid(basis.length, s_list, n_steps)
-    eta, deta, psi = _magnus_steps(basis, c, starts, widths)
-    jac = np.zeros((len(psi) + 1, 6, basis.m))
-    for i, (h, src) in enumerate(zip(widths, source)):
-        dpsi = liegroup.magnus_element_diff(*eta[i], *deta[i], h)
-        step = liegroup.exp_se3(psi[i])
-        jac[i + 1] = (liegroup.adjoint(liegroup.inv_pose(step)) @ jac[src]
-                      + liegroup.dexp_se3(psi[i], dpsi))
-    return jac[at]
+    eta, deta, psi = _magnus_steps(basis, np.atleast_2d(c), starts, widths)
+    gain = liegroup.dexp_se3(psi, liegroup.magnus_element_diff(
+        eta[..., 0, :], eta[..., 1, :], deta[:, 0], deta[:, 1], widths))
+    # Ad(exp(-Psi)) = [[R^T, 0], [hat(-R^T p) R^T, R^T]] for exp(Psi) = (R, p)
+    step = liegroup.exp_se3(psi)
+    rot_t = np.swapaxes(step[..., :3, :3], -1, -2)
+    back = np.zeros(psi.shape[:-1] + (6, 6))
+    back[..., :3, :3] = back[..., 3:, 3:] = rot_t
+    back[..., 3:, :3] = liegroup.hat(-(rot_t @ step[..., :3, 3:])[..., 0]) @ rot_t
+    jac = np.zeros((len(psi), len(widths) + 1, 6, basis.m))
+    for i, src in enumerate(source):
+        jac[:, i + 1] = back[:, i] @ jac[:, src] + gain[:, i]
+    return jac[:, at] if c.ndim == 2 else jac[0, at]
 
 
 # Residual norm, per unit L, below which a no-descent exit is round-off: soft
@@ -426,12 +434,14 @@ def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
 
 
 def forward_kinematics(basis, c, s_query, n_steps=100):
-    """Poses (k, 4, 4) at the arc lengths s_query, base frame at identity,
-    as the product of exp(Psi) over the Magnus grid of _magnus_grid."""
-    c = basis.check_coeffs(c)
+    """Poses (k, 4, 4) at the arc lengths s_query, or (S, k, 4, 4) for a stack
+    c (S, m), base frame at identity, as the product of exp(Psi) over the
+    Magnus grid of _magnus_grid, one batched product per step."""
+    c = basis.check_stack(c)
     starts, widths, source, at = _magnus_grid(basis.length, s_query, n_steps)
-    psi = _magnus_steps(basis, c, starts, widths)[2]
-    poses = np.tile(np.eye(4), (len(psi) + 1, 1, 1))
-    for i, (p, src) in enumerate(zip(psi, source)):
-        poses[i + 1] = poses[src] @ liegroup.exp_se3(p)
-    return poses[at]
+    step = liegroup.exp_se3(_magnus_steps(basis, np.atleast_2d(c), starts, widths)[2])
+    poses = np.zeros((len(step), len(widths) + 1, 4, 4))
+    poses[:, 0] = np.eye(4)
+    for i, src in enumerate(source):
+        poses[:, i + 1] = poses[:, src] @ step[:, i]
+    return poses[:, at] if c.ndim == 2 else poses[0, at]

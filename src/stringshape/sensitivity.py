@@ -34,9 +34,11 @@ def twist_scaling(c_l):
 
 
 def length_twist_map(array, basis, c, s, c_l):
-    """B (6, p): measured length changes -> scaled body twist at arc length s."""
-    j_lc = config_jacobian(array, basis, c)
+    """B (6, p): measured length changes -> scaled body twist at arc length s;
+    (S, 6, p) for a stack c (S, m), whose J_xc come from one Magnus pass."""
     j_xc = body_jacobian(basis, c, s)
+    j_lc = np.reshape([config_jacobian(array, basis, row) for row in np.reshape(c, (-1, basis.m))],
+                      j_xc.shape[:-2] + (array.p, basis.m))
     return (twist_scaling(c_l)[:, None] * j_xc) @ np.linalg.pinv(j_lc, rcond=SIGMA_RATIO_TOL)
 
 
@@ -228,6 +230,8 @@ def global_index(array, basis, samples, s, c_l):
     configs = samples.configs if isinstance(samples, WorkspaceSamples) else np.asarray(samples)
     if len(configs) == 0:
         raise ValueError("need at least one workspace sample")
-    vals = [full_map_index(array, basis, c, s, c_l) for c in configs]
-    return float(np.mean(vals))
+    if map_rank_limited(array.p, basis.m):
+        return 0.0
+    b = length_twist_map(array, basis, configs, s, c_l)
+    return float(np.mean(aleph_sv(np.linalg.svd(b, compute_uv=False))))
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from stringshape import cli, studies
 from stringshape.cli import main
 from stringshape.configio import read_csv_matrix, write_csv
 
@@ -304,3 +306,63 @@ def test_seeded_outputs_identical(tmp_path, robot_file):
         assert rc == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def _preset_robot(preset):
+    """Robot file of a preset robot of studies with one of its designs: the
+    stiff design (1, 2, 3, 4) with the capstan tendon pairs, or the soft
+    design (4, 3, 9, 4) at n_omega 1 with its four tendons."""
+    def pitch(radius, angle, **anchor):
+        return {"type": "constant_pitch", "r_x": radius * np.cos(np.deg2rad(angle)),
+                "r_y": radius * np.sin(np.deg2rad(angle)), **anchor}
+
+    if preset == "stiff":
+        return {"version": 1, "L": studies.STIFF_LENGTH, "basis": {"x": [0, 1, 2], "y": [0, 1, 2]},
+                "n_disks": studies.STIFF_N_DISKS,
+                "strings": [pitch(studies.STIFF_STRING_RADIUS, ang, anchor_disk=disk, mount="tip")
+                            for ang, disk in zip(studies.STIFF_STRING_ANGLES, (1, 2, 3, 4))]
+                + [pitch(studies.STIFF_TENDON_RADIUS, ang, anchor_s=studies.STIFF_LENGTH)
+                   for ang in studies.STIFF_TENDON_ANGLES],
+                "composites": [{"members": [4, 5], "signs": [1, 1]},
+                               {"members": [6, 7], "signs": [-1, -1]}],
+                "c_l": studies.STIFF_CHARACTERISTIC_LENGTH}
+    return {"version": 1, "L": studies.SOFT_LENGTH,
+            "basis": {"x": [0, 1, 2], "y": [0, 1, 2], "z": [0, 1]}, "n_disks": studies.SOFT_N_DISKS,
+            "strings": [{"type": "helical", "r_s": studies.SOFT_STRING_RADIUS, "n_omega": 1,
+                         "alpha_deg": ang, "anchor_disk": disk}
+                        for ang, disk in zip(studies.SOFT_STRING_ANGLES, (4, 3, 9, 4))]
+            + [pitch(studies.SOFT_TENDON_RADIUS, ang, anchor_disk=disk)
+               for ang, disk in zip(studies.SOFT_TENDON_ANGLES, studies.SOFT_TENDON_ANCHORS)],
+            "c_l": studies.SOFT_CHARACTERISTIC_LENGTH}
+
+
+# SHA-256 of the pose CSV of 7 workspace rows per preset (stiff_workspace(7, 3),
+# soft_workspace(7, 7)) as written when shape took one forward_kinematics
+# call per row: at the default 21 on-grid points, and at --s-values mixing
+# nodes with arc lengths between them.
+SHAPE_CSV_SHA256 = {
+    ("stiff", None): "917632ce7deeef0068b2de7c79453f3b0c6f0b7587f74f6866487e6bdf609341",
+    ("stiff", "0,0.1,0.1234,0.2,0.29,0.30065"): "c9f0b967633066dcae866dfa26c43ae7aa7fff17c45508c2bf896c21d2b07b13",
+    ("soft", None): "b8e497b7d475df86e7118f0c8df3eb8854df92cd87a216cdab31a47fccc42197",
+    ("soft", "0,0.1,0.1234,0.2,0.29,0.293"): "68498c1b9c785e2d0efbe8c7248f1c141f87b85509d88bdcbc596d0cbb15bf6c",
+}
+
+
+@pytest.mark.parametrize("preset, s_values", list(SHAPE_CSV_SHA256))
+@pytest.mark.parametrize("block", [3, cli.SHAPE_BLOCK])
+def test_shape_csv_of_preset_robots_is_pinned(tmp_path, monkeypatch, preset, s_values, block):
+    # shape runs its table through forward_kinematics in blocks of
+    # SHAPE_BLOCK rows; the bytes must not depend on the block size
+    monkeypatch.setattr(cli, "SHAPE_BLOCK", block)
+    robot = tmp_path / "robot.json"
+    robot.write_text(json.dumps(_preset_robot(preset)))
+    workspace = getattr(studies, f"{preset}_workspace")(7, {"stiff": 3, "soft": 7}[preset])
+    coeffs = tmp_path / "coeffs.csv"
+    write_csv(str(coeffs), [f"c_{i}" for i in range(workspace.configs.shape[1])],
+              workspace.configs.tolist())
+    out = tmp_path / "poses.csv"
+    extra = [] if s_values is None else ["--s-values", s_values]
+    assert main(["shape", str(robot), str(coeffs), "-o", str(out), *extra]) == 0
+    n_points = 21 if s_values is None else len(s_values.split(","))
+    assert len(out.read_text().splitlines()) == 1 + 7 * n_points
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SHAPE_CSV_SHA256[preset, s_values]

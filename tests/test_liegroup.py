@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from stringshape import liegroup as lg
@@ -109,6 +110,74 @@ def test_dexp_columns():
     cols = lg.dexp_se3(psi, d)
     for k in range(4):
         np.testing.assert_allclose(cols[:, k], lg.dexp_se3(psi, d[:, k]), atol=1e-14)
+
+
+def _dexp_series(psi, dpsi):
+    """Reference dexp: sum_k (-1)^k/(k+1)! ad(psi)^k dpsi, summed until a term
+    falls below 1e-17 of the largest entry of the sum, at most 60 terms."""
+    a = lg.ad(psi)
+    term = np.array(dpsi, dtype=float)
+    out = term.copy()
+    scale = max(np.abs(out).max(), 1.0)
+    for k in range(1, 60):
+        term = (a @ term) / -(k + 1)
+        out = out + term
+        scale = max(scale, np.abs(out).max())
+        if np.abs(term).max() < 1e-17 * scale:
+            break
+    return out
+
+
+@pytest.mark.parametrize("theta", [
+    1e-8, 1e-5, lg.SMALL_ANGLE * (1 - 1e-9), lg.SMALL_ANGLE * (1 + 1e-9), 1e-3, 0.01, 0.1,
+    lg.DEXP_SMALL_ANGLE * (1 - 1e-9), lg.DEXP_SMALL_ANGLE * (1 + 1e-9), 1.0, 2.0, np.pi,
+    6.0, 3 * np.pi])
+def test_closed_form_dexp_matches_series(theta):
+    rng = np.random.default_rng(int(theta * 1e9) % 2**32)
+    # The series sums terms up to |ad|^k/(k+1)!, so its own round-off grows
+    # like expm1(|w|)/|w|; against a 40-digit sum the closed form stays
+    # within 1.2e-15 up to 3 pi, the series within 1e-13.
+    tol = 1e-15 * max(1.0, np.expm1(theta) / theta)
+    for _ in range(5):
+        w = rng.normal(size=3)
+        psi = np.concatenate([theta * w / np.linalg.norm(w), rng.normal(size=3)])
+        d = rng.normal(size=(6, 4))
+        ref = _dexp_series(psi, d)
+        assert np.linalg.norm(lg.dexp_se3(psi, d) - ref) <= tol * np.linalg.norm(ref)
+
+
+def test_dexp_taylor_branch_continuity(monkeypatch):
+    # At DEXP_SMALL_ANGLE the series and the trig branch give the same
+    # operator to round-off (about 3e-16 relative); the switch is moved to
+    # either side to evaluate both at one psi.
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        w = rng.normal(size=3)
+        psi = np.concatenate([lg.DEXP_SMALL_ANGLE * w / np.linalg.norm(w), rng.normal(size=3)])
+        d = rng.normal(size=(6, 3))
+        switch = lg.DEXP_SMALL_ANGLE
+        monkeypatch.setattr(lg, "DEXP_SMALL_ANGLE", 2.0 * switch)
+        series = lg.dexp_se3(psi, d)
+        monkeypatch.setattr(lg, "DEXP_SMALL_ANGLE", 0.5 * switch)
+        trig = lg.dexp_se3(psi, d)
+        monkeypatch.setattr(lg, "DEXP_SMALL_ANGLE", switch)
+        assert np.linalg.norm(series - trig) <= 1e-15 * np.linalg.norm(series)
+
+
+def test_stacked_kernels_match_single_calls():
+    # one stack holds angles on both sides of both Taylor switches
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=(4, 10, 6)) * np.geomspace(1e-9, 10.0, 40).reshape(4, 10, 1)
+    d = rng.normal(size=(4, 10, 6, 3))
+    exp, dexp, dexp_vec = lg.exp_se3(psi), lg.dexp_se3(psi, d), lg.dexp_se3(psi, d[..., 0])
+    ad, hat = lg.ad(psi), lg.hat(psi[..., 3:])
+    assert exp.shape == (4, 10, 4, 4) and dexp.shape == (4, 10, 6, 3)
+    for idx in np.ndindex(4, 10):
+        np.testing.assert_array_equal(exp[idx], lg.exp_se3(psi[idx]))
+        np.testing.assert_array_equal(dexp[idx], lg.dexp_se3(psi[idx], d[idx]))
+        np.testing.assert_array_equal(dexp_vec[idx], lg.dexp_se3(psi[idx], d[idx][:, 0]))
+        np.testing.assert_array_equal(ad[idx], lg.ad(psi[idx]))
+        np.testing.assert_array_equal(hat[idx], lg.hat(psi[idx][3:]))
 
 
 def test_magnus_zero_curvature():

@@ -359,6 +359,48 @@ def test_empty_query():
     basis = spatial_basis()
     assert forward_kinematics(basis, np.zeros(8), []).shape == (0, 4, 4)
     assert body_jacobian_multi(basis, np.zeros(8), []).shape == (0, 6, 8)
+    stack = np.zeros((3, 8))
+    assert forward_kinematics(basis, stack, []).shape == (3, 0, 4, 4)
+    assert body_jacobian_multi(basis, stack, []).shape == (3, 0, 6, 8)
+    assert forward_kinematics(basis, np.zeros((0, 8)), [0.1]).shape == (0, 1, 4, 4)
+    assert body_jacobian_multi(basis, np.zeros((0, 8)), [0.1]).shape == (0, 1, 6, 8)
+
+
+def _stack_cases():
+    truth = ModalBasis(x=(0, 1, 2, 3), y=(0, 1, 2, 3), z=(0, 1, 2), length=studies.SOFT_LENGTH)
+    return {
+        "stiff": (studies.stiff_basis(), studies.stiff_workspace(6, 3).configs),
+        "soft": (studies.soft_basis(), studies.soft_workspace(6, 7).configs),   # torsion column
+        "planar": (planar_basis(), studies.planar_workspace(6).configs),
+        "truth": (truth, np.random.default_rng(16).uniform(-3.0, 3.0, (6, truth.m))),
+    }
+
+
+@pytest.mark.parametrize("case", ["stiff", "soft", "planar", "truth"])
+def test_stacked_poses_and_jacobians_match_row_by_row(case):
+    # one Magnus pass for a stack (S, m) gives each row's (m,) result, at
+    # grid nodes and at arc lengths between them
+    basis, configs = _stack_cases()[case]
+    L = basis.length
+    s_query = [0.0, 0.4 * L, 0.4037 * L, 0.61 * L, 0.9999 * L, L]
+    poses = forward_kinematics(basis, configs, s_query)
+    jac = body_jacobian_multi(basis, configs, s_query)
+    assert poses.shape == (6, 6, 4, 4) and jac.shape == (6, 6, 6, basis.m)
+    for k, c in enumerate(configs):
+        np.testing.assert_array_equal(poses[k], forward_kinematics(basis, c, s_query))
+        np.testing.assert_array_equal(jac[k], body_jacobian_multi(basis, c, s_query))
+    np.testing.assert_array_equal(body_jacobian(basis, configs, 0.4037 * L), jac[:, 2])
+
+
+def test_malformed_stacks_raise():
+    basis = spatial_basis()
+    bad_row = np.zeros((2, 8))
+    bad_row[1, 3] = np.nan
+    for c in (np.zeros((2, 7)), np.zeros((2, 2, 8)), bad_row):
+        with pytest.raises(ValueError, match="coefficients"):
+            forward_kinematics(basis, c, [0.1])
+        with pytest.raises(ValueError, match="coefficients"):
+            body_jacobian_multi(basis, c, [0.1])
 
 
 # ---------------------------------------------------------------------------
