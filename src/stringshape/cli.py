@@ -63,11 +63,13 @@ def _number_list(kind):
 
 
 POSE_HEADER = ["sample", "s_m", "x_m", "y_m", "z_m", "q_w", "q_x", "q_y", "q_z"]
-# Coefficient rows per forward_kinematics call of shape: a stack's Magnus
-# arrays grow with its rows (about 50 kB per row at 100 steps), so a table
-# goes through in blocks of this many, each written before the next.  On
-# the stiff robot, blocks of 64 rows write 250- and 10,000-row tables as fast
-# as blocks of 256, with 7 and 12 MB less peak memory.
+# Coefficient rows per stacked call of shape (forward_kinematics) and of
+# lengths: a stack's Magnus arrays grow with its rows (about 50 kB per row at
+# 100 steps), and so do its string integrals (about 20 kB per row on the soft
+# robot), so a table goes through in blocks of this many.  shape writes each
+# block before the next.  On the stiff robot, blocks of 64 rows write 250- and
+# 10,000-row pose tables as fast as blocks of 256, with 7 and 12 MB less peak
+# memory.
 SHAPE_BLOCK = 64
 
 
@@ -107,13 +109,13 @@ def cmd_lengths(args):
     robot = load_robot(args.robot)
     _, coeffs = read_csv_matrix(args.coefficients, expected_cols=robot.basis.m)
     rows = []
-    for k, c in enumerate(coeffs):
+    for k0 in range(0, len(coeffs), SHAPE_BLOCK):
         try:
-            vals = lengths(robot.array, robot.basis, c, robot.reference)
+            rows += lengths(robot.array, robot.basis, coeffs[k0:k0 + SHAPE_BLOCK],
+                            robot.reference).tolist()
         except NotRealizableError as err:
-            print(f"configuration row {k}: {err}", file=sys.stderr)
+            print(f"configuration row {k0 + err.row}: {err}", file=sys.stderr)
             return EXIT_INADMISSIBLE
-        rows.append(list(map(float, vals)))
     header = [f"ell_{i}_m" for i in range(robot.array.p)]
     write_csv(args.output, header, rows)
     print(f"wrote {len(rows)} measurement rows to {args.output}")

@@ -193,9 +193,8 @@ def synthetic_spatial_truth(basis_truth, array, constraints, n, seed):
     error is meaningful; the lengths' quadrature error (~1e-9 relative) is far
     below that truncation.  Returns a list of (c_truth, length vector) pairs.
     """
-    samples = sample_admissible(basis_truth, constraints, n, seed, strings=array.strings)
-    return [(c, lengths(array, basis_truth, c, Reference.DELTA_FROM_STRAIGHT))
-            for c in samples.configs]
+    configs = sample_admissible(basis_truth, constraints, n, seed, strings=array.strings).configs
+    return list(zip(configs, lengths(array, basis_truth, configs, Reference.DELTA_FROM_STRAIGHT)))
 
 
 @dataclass

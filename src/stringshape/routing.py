@@ -26,6 +26,8 @@ class ConstantPitch:
     r_x: float
     r_y: float = 0.0
 
+    breakpoints = ()   # arc lengths where r' jumps: none
+
     def radial(self, s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
         out = np.zeros((len(s), 3))
@@ -46,6 +48,8 @@ class Helical:
     omega: float
     alpha: float = 0.0
 
+    breakpoints = ()
+
     def __post_init__(self):
         if self.r_s <= 0:
             raise ValueError("helical radius must be positive")
@@ -64,7 +68,8 @@ class Helical:
 
 @dataclass(frozen=True)
 class Tabulated:
-    """Sampled (s, r_x, r_y) path; linear interpolation, centered-FD derivative."""
+    """Sampled (s, r_x, r_y) path, linear between the samples and constant
+    beyond them; r' jumps at the samples, its breakpoints."""
 
     s_samples: tuple
     r_x_samples: tuple
@@ -82,13 +87,20 @@ class Tabulated:
         ry = np.interp(s, sx, np.asarray(self.r_y_samples, dtype=float))
         return np.stack([rx, ry, np.zeros_like(s)], axis=1)
 
+    @property
+    def breakpoints(self):
+        return self.s_samples
+
     def radial_deriv(self, s):
+        """The exact slope of the piece that holds each s, the piece to its
+        right at an inner sample, and zero outside the samples."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
         sx = np.asarray(self.s_samples, dtype=float)
-        h = max(1e-6, 1e-4 * (sx[-1] - sx[0]))
-        lo = np.clip(s - h, sx[0], sx[-1])
-        hi = np.clip(s + h, sx[0], sx[-1])
-        return (self.radial(hi) - self.radial(lo)) / (hi - lo)[:, None]
+        slopes = np.diff([self.r_x_samples, self.r_y_samples], axis=1) / np.diff(sx)
+        piece = np.clip(np.searchsorted(sx, s, side="right") - 1, 0, len(sx) - 2)
+        out = np.zeros((len(s), 3))
+        out[:, :2] = np.where(((s >= sx[0]) & (s <= sx[-1]))[:, None], slopes[:, piece].T, 0.0)
+        return out
 
 
 @dataclass(frozen=True)
@@ -108,9 +120,9 @@ class StringSpec:
 
 def path_velocity(r, dr, u):
     """w' = e3 - r x u + r' from evaluated radial offsets r, their derivatives
-    dr and curvatures u, each (n, 3); shape (n, 3)."""
+    dr and curvatures u, each (..., 3) and broadcast together."""
     w = dr - np.cross(r, u)
-    w[:, 2] += 1.0
+    w[..., 2] += 1.0
     return w
 
 

@@ -18,16 +18,17 @@ import numpy as np
 
 from . import liegroup
 from .liegroup import E3
-from .modal import curvature
 from .routing import ConstantPitch, path_velocity, tangential_margin
 
 
 class NotRealizableError(ValueError):
-    """A string path develops a cusp at this configuration."""
+    """A string path develops a cusp at this configuration; for a stack of
+    configurations, row names the first one with a cusp."""
 
-    def __init__(self, margin, string_index=None):
+    def __init__(self, margin, string_index=None, row=None):
         self.margin = margin
         self.string_index = string_index
+        self.row = row
         where = "" if string_index is None else f" (string {string_index})"
         super().__init__(f"string path not realizable{where}: min tangential rate {margin:.3e} <= 0")
 
@@ -160,13 +161,15 @@ _GL_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 REALIZABILITY_GRID = 80
 
 
-def _span_edges(lo, bounds, length):
+def _span_edges(lo, bounds, length, breakpoints):
     """Panel edges from lo through increasing bounds >= lo: lo, then per bound
-    the L/PANELS_PER_LENGTH grid points strictly inside the gap from the
-    previous edge and the bound itself, so an anchor anywhere is an edge.
-    Returns the edges and, per bound, the index of the panel ending there."""
-    grid = _GRID_STEPS * length / PANELS_PER_LENGTH
+    the L/PANELS_PER_LENGTH grid points and the path's breakpoints strictly
+    inside the gap from the previous edge and the bound itself, so an anchor
+    anywhere is an edge and no panel spans a jump of r'.  Returns the edges
+    and, per bound, the index of the panel ending there."""
     tol = 1e-12 * length
+    grid = np.sort(np.concatenate([_GRID_STEPS * length / PANELS_PER_LENGTH, breakpoints]))
+    grid = grid[np.diff(grid, prepend=-np.inf) > tol]   # a breakpoint on the grid is one edge
     pieces, last, n_panels, prev = [[lo]], [], 0, lo
     for b in bounds:
         if not b >= prev:   # NaN fails it too
@@ -187,18 +190,28 @@ def _gauss_legendre(edges):
             (width[:, None] * _GL_WEIGHTS).ravel())
 
 
-def _panels(path, basis, c, edges):
-    """Per-panel Gauss-Legendre sums over the panels between consecutive
-    edges of the speed |w'| (n,) and of the J_lc row integrand
-    (r x w'/|w'|)^T Phi (n, m), from one evaluation of Phi, r and r'."""
+def _panel_sums(phi, r, dr, weights, c):
+    """Per-panel Gauss-Legendre sums of the speed |w'| (..., n) and of the J_lc
+    row integrand (r x w'/|w'|)^T Phi (..., n, m) at c (m,), or a stack (k, m),
+    from Phi (3n, 3, m), r, r' (3n, 3) and the weights (3n,) at the nodes of n
+    panels, three per panel in panel order."""
+    # one (3, m) @ (m, 1) product per node and configuration, so that each
+    # row of a stack equals its own (m,) call bit for bit
+    w = path_velocity(r, dr, (phi @ c[..., None, :, None])[..., 0])
+    speed = np.linalg.norm(w, axis=-1)
+    integrand = np.einsum("...ni,nij->...nj", np.cross(r, w / speed[..., None]), phi)
+    integrand *= weights[:, None]
+    lead = speed.shape[:-1]
+    return ((weights * speed).reshape(lead + (-1, 3)).sum(axis=-1),
+            integrand.reshape(lead + (-1, 3, phi.shape[-1])).sum(axis=-2))
+
+
+def _path_nodes(path, lo, bounds, length):
+    """Gauss-Legendre nodes, weights, r and r' of a path on the panels of
+    _span_edges, and per bound the index of the panel ending there."""
+    edges, last = _span_edges(lo, bounds, length, path.breakpoints)
     s, weights = _gauss_legendre(edges)
-    phi = basis.matrix(s)
-    r = path.radial(s)
-    w = path_velocity(r, path.radial_deriv(s), phi @ c)
-    speed = np.linalg.norm(w, axis=1)
-    integrand = np.einsum("ni,nij->nj", np.cross(r, w / speed[:, None]), phi)
-    return ((weights * speed).reshape(-1, 3).sum(axis=1),
-            (weights[:, None] * integrand).reshape(-1, 3, basis.m).sum(axis=1))
+    return s, weights, path.radial(s), path.radial_deriv(s), last
 
 
 def span_integrals(path, basis, c, lo, bounds):
@@ -206,57 +219,131 @@ def span_integrals(path, basis, c, lo, bounds):
     over [lo, b] for each of k increasing bounds b >= lo.
 
     Constant-pitch paths on a torsion-free basis take exact_row and the
-    length b - lo + row @ c; every other path takes running sums of _panels
-    on _span_edges, so a bound's values equal the ones it gives alone
-    wherever the bounds below it lie on the panel grid.
+    length b - lo + row @ c; every other path takes running sums of
+    _panel_sums on _span_edges, so a bound's values equal the ones it gives
+    alone wherever the bounds below it lie on the panel grid.
     """
     if has_exact_row(path, basis):
         rows = exact_row(path, basis, lo, bounds)
         return np.asarray(bounds, dtype=float) - lo + rows @ c, rows
-    edges, last = _span_edges(lo, bounds, basis.length)
-    speeds, rows = _panels(path, basis, c, edges)
+    s, weights, r, dr, last = _path_nodes(path, lo, bounds, basis.length)
+    speeds, rows = _panel_sums(basis.matrix(s), r, dr, weights, c)
     return np.add.accumulate(speeds)[last], np.add.accumulate(rows)[last]
 
 
-def _measure(array, basis, c):
-    """Absolute channel lengths (p,) and J_lc (p, m) at a checked c, one pass per string."""
-    spans = [spec.span(basis.length) for spec in array.strings]
-    ells, rows = zip(*(span_integrals(spec.path, basis, c, lo, [hi])
-                       for spec, (lo, hi) in zip(array.strings, spans)))
-    return array.reduce(np.concatenate(ells)), array.reduce(np.concatenate(rows))
+def _cusp_grid(strings, basis):
+    """r (n_strings, REALIZABILITY_GRID, 3) on uniform points of each string's
+    span, and Phi there with its rows flattened and transposed, (m, ...)."""
+    s = np.array([np.linspace(*spec.span(basis.length), REALIZABILITY_GRID) for spec in strings])
+    r = np.array([spec.path.radial(s_i) for spec, s_i in zip(strings, s)])
+    return r, basis.matrix(s).reshape(-1, basis.m).T
+
+
+def _margins(cusp_grid, c):
+    """Each string's smallest tangential rate on its _cusp_grid at c (m,) or a
+    stack (k, m): (n_strings,) or (k, n_strings)."""
+    r, phi_t = cusp_grid
+    return tangential_margin(r, (c @ phi_t).reshape(c.shape[:-1] + r.shape)).min(axis=-1)
 
 
 def realizability_margins(strings, basis, c):
     """The cusp rule: each string's smallest tangential rate (w')^T e3 on
     REALIZABILITY_GRID uniform points of its span, (n_strings,) for c (m,) and
     (k, n_strings) for a stack (k, m); a string is realizable where it is positive."""
-    s = np.array([np.linspace(*spec.span(basis.length), REALIZABILITY_GRID) for spec in strings])
-    r = np.array([spec.path.radial(s_i) for spec, s_i in zip(strings, s)])
-    return tangential_margin(r, curvature(basis, c, s)).min(axis=-1)
+    return _margins(_cusp_grid(strings, basis), basis.check_stack(c))
 
 
-def _check_realizable(array, basis, c):
-    """Raise NotRealizableError for the first string that fails the cusp rule."""
-    for i, margin in enumerate(realizability_margins(array.strings, basis, c)):
-        if not margin > 0.0:   # NaN fails it too
-            raise NotRealizableError(float(margin), string_index=i)
+def _check_realizable(cusp_grid, c):
+    """Raise NotRealizableError for the first string that fails the cusp rule
+    on its _cusp_grid, in the first such row of a stack."""
+    margins = _margins(cusp_grid, c)
+    bad = np.argwhere(~(margins > 0.0))   # NaN fails it too
+    if len(bad):
+        at = tuple(bad[0])
+        raise NotRealizableError(float(margins[at]), string_index=int(at[-1]),
+                                 row=int(at[0]) if c.ndim == 2 else None)
+
+
+class _StringTable:
+    """The part of every string integral of a sensor array that does not
+    depend on c, built once per call and read by each configuration it
+    evaluates:
+
+    - Phi, r, r' and the weights at the Gauss-Legendre nodes of every string
+      without an exact row, in one array, and each panel's (string, slot) in a
+      zero-padded strings x panels layout;
+    - the constant rows and straight lengths of the exact-row strings.
+
+    Each string's values equal span_integrals' over its span bit for bit: the
+    panel sums come from the same _panel_sums, and np.add.accumulate along
+    the padded panel axis adds them in span_integrals' order.
+    """
+
+    def __init__(self, array, basis):
+        self.array, self.m = array, basis.m
+        strings = array.strings
+        spans = [spec.span(basis.length) for spec in strings]
+        self.exact = [i for i, spec in enumerate(strings) if has_exact_row(spec.path, basis)]
+        self.paneled = [i for i in range(len(strings)) if i not in self.exact]
+        self.exact_rows = np.array([exact_row(strings[i].path, basis, spans[i][0], [spans[i][1]])
+                                    for i in self.exact])   # (n_exact, 1, m)
+        self.exact_base = np.array([spans[i][1] - spans[i][0] for i in self.exact])
+        if self.paneled:
+            s, weights, r, dr, last = zip(*(
+                _path_nodes(strings[i].path, spans[i][0], [spans[i][1]], basis.length)
+                for i in self.paneled))
+            self.phi = basis.matrix(np.concatenate(s))
+            self.weights, self.r, self.dr = map(np.concatenate, (weights, r, dr))
+            self.last_slot = np.array([panel[0] for panel in last])
+            self.panel_string = np.repeat(np.arange(len(last)), self.last_slot + 1)
+            self.panel_slot = np.concatenate([np.arange(n + 1) for n in self.last_slot])
+
+    def per_string(self, c):
+        """Per-string lengths (..., n_strings) and J_lc rows (..., n_strings, m)
+        at c (m,) or a stack (k, m)."""
+        lead = c.shape[:-1]
+        ells = np.zeros(lead + (len(self.array.strings),))
+        rows = np.zeros(lead + (len(self.array.strings), self.m))
+        if self.exact:
+            # one (1, m) @ (m, 1) product per string, as span_integrals' row @ c
+            ells[..., self.exact] = (self.exact_base
+                                     + (self.exact_rows @ c[..., None, :, None])[..., 0, 0])
+            rows[..., self.exact, :] = self.exact_rows[:, 0]
+        if self.paneled:
+            speeds, panel_rows = _panel_sums(self.phi, self.r, self.dr, self.weights, c)
+            padded = np.zeros(lead + (len(self.paneled), self.last_slot.max() + 1, self.m + 1))
+            padded[..., self.panel_string, self.panel_slot, :] = np.concatenate(
+                [speeds[..., None], panel_rows], axis=-1)
+            total = np.add.accumulate(padded, axis=-2)[
+                ..., np.arange(len(self.paneled)), self.last_slot, :]
+            ells[..., self.paneled], rows[..., self.paneled, :] = total[..., 0], total[..., 1:]
+        return ells, rows
+
+    def measure(self, c):
+        """Absolute channel lengths (..., p) and J_lc (..., p, m) at c (m,) or a stack (k, m)."""
+        ells, rows = self.per_string(c)
+        return (np.moveaxis(self.array.reduce(np.moveaxis(ells, -1, 0)), 0, -1),
+                np.moveaxis(self.array.reduce(np.moveaxis(rows, -2, 0)), 0, -2))
 
 
 def lengths(array, basis, c, reference=Reference.DELTA_FROM_STRAIGHT):
-    """Measurement vector (p,) for configuration c; NotRealizableError where
-    a string path has a cusp on its span."""
-    c = basis.check_coeffs(c)
-    _check_realizable(array, basis, c)
-    vals = _measure(array, basis, c)[0]
+    """Measurement vector (p,) for configuration c, or (k, p) for a stack
+    (k, m), from one string table and one straight pass; NotRealizableError
+    where a string path has a cusp on its span."""
+    c = basis.check_stack(c)
+    _check_realizable(_cusp_grid(array.strings, basis), c)
+    table = _StringTable(array, basis)
+    vals = table.measure(c)[0]
     if reference is Reference.DELTA_FROM_STRAIGHT:
-        vals = vals - _measure(array, basis, np.zeros(basis.m))[0]
+        vals = vals - table.measure(np.zeros(basis.m))[0]
     return vals
 
 
 def config_jacobian(array, basis, c):
-    """J_lc (p, m): sensitivity of measurement channels to modal coefficients.
-    No cusp check: searches average it over configurations strings cannot follow."""
-    return _measure(array, basis, basis.check_coeffs(c))[1]
+    """J_lc (p, m): sensitivity of measurement channels to modal coefficients;
+    (k, p, m) for a stack c (k, m).  No cusp check: searches average it over
+    configurations strings cannot follow."""
+    return _StringTable(array, basis).measure(basis.check_stack(c))[1]
 
 
 def linear_model(array, basis):
@@ -267,7 +354,7 @@ def linear_model(array, basis):
     """
     if not array.is_linear_class(basis):
         raise ValueError("array is not linear-class (needs constant pitch and no torsion)")
-    return _measure(array, basis, np.zeros(basis.m))
+    return _StringTable(array, basis).measure(np.zeros(basis.m))
 
 
 def _magnus_grid(length, s_query, n_steps):
@@ -392,13 +479,15 @@ def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
 
     c = np.zeros(basis.m) if initial is None else basis.check_coeffs(np.asarray(initial, dtype=float)).copy()
 
-    # the straight-configuration lengths do not change between iterates
-    straight = (_measure(array, basis, np.zeros(basis.m))[0]
+    # one string table and cusp grid serve every iterate, and the straight
+    # lengths do not change
+    table, cusp_grid = _StringTable(array, basis), _cusp_grid(array.strings, basis)
+    straight = (table.measure(np.zeros(basis.m))[0]
                 if reference is Reference.DELTA_FROM_STRAIGHT else 0.0)
 
     def residual(cc):
-        _check_realizable(array, basis, cc)
-        ell, j_lc = _measure(array, basis, cc)
+        _check_realizable(cusp_grid, cc)
+        ell, j_lc = table.measure(cc)
         return ell - straight - measured, j_lc
 
     res, jac = residual(c)

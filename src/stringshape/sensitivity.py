@@ -35,10 +35,10 @@ def twist_scaling(c_l):
 
 def length_twist_map(array, basis, c, s, c_l):
     """B (6, p): measured length changes -> scaled body twist at arc length s;
-    (S, 6, p) for a stack c (S, m), whose J_xc come from one Magnus pass."""
+    (S, 6, p) for a stack c (S, m), whose J_xc come from one Magnus pass and
+    J_lc from one string table."""
     j_xc = body_jacobian(basis, c, s)
-    j_lc = np.reshape([config_jacobian(array, basis, row) for row in np.reshape(c, (-1, basis.m))],
-                      j_xc.shape[:-2] + (array.p, basis.m))
+    j_lc = config_jacobian(array, basis, c)
     return (twist_scaling(c_l)[:, None] * j_xc) @ np.linalg.pinv(j_lc, rcond=SIGMA_RATIO_TOL)
 
 

@@ -9,6 +9,7 @@ import pytest
 from stringshape import cli, studies
 from stringshape.cli import main
 from stringshape.configio import read_csv_matrix, write_csv
+from stringshape.sensing import lengths
 
 PLANAR_ROBOT = {
     "version": 1,
@@ -157,6 +158,31 @@ def test_inadmissible_configuration_exits_3(tmp_path, capsys):
     assert main(["shape", str(path), coeffs, "-o", str(tmp_path / "p.csv")]) == 3
     assert "row 1 " in capsys.readouterr().err
     assert not (tmp_path / "p.csv").exists()
+
+
+def test_lengths_blocks_write_the_same_table(tmp_path, robot_file, monkeypatch, capsys):
+    # lengths runs its table in stacks of SHAPE_BLOCK rows: the CSV is the one
+    # one call per row writes, whatever the block size, and a cusp is
+    # reported by its row in the file
+    rows = [[0.0, 0.0, 0.0], [1.0, -0.5, 0.2], [2.0, 1.0, -1.0], [-3.0, 0.5, 0.0], [0.5, 0.5, 0.5]]
+    coeffs = coeff_file(tmp_path, rows)
+    # u_y = 20 gives string 2 (r_x = 0.075) the rate 1 - 1.5
+    cusped = str(tmp_path / "cusped.csv")
+    write_csv(cusped, ["c_0", "c_1", "c_2"], rows[:3] + [[20.0, 0.0, 0.0]])
+    robot = cli.load_robot(robot_file)
+    expect = tmp_path / "expect.csv"
+    write_csv(str(expect), ["ell_0_m", "ell_1_m", "ell_2_m"],
+              [list(map(float, lengths(robot.array, robot.basis, row))) for row in rows])
+    for block in (2, cli.SHAPE_BLOCK):
+        monkeypatch.setattr(cli, "SHAPE_BLOCK", block)
+        out = tmp_path / f"l{block}.csv"
+        assert main(["lengths", robot_file, coeffs, "-o", str(out)]) == 0
+        assert out.read_bytes() == expect.read_bytes()
+        bad = tmp_path / "bad.csv"
+        capsys.readouterr()
+        assert main(["lengths", robot_file, cusped, "-o", str(bad)]) == 3
+        assert "configuration row 3: string path not realizable (string 2)" in capsys.readouterr().err
+        assert not bad.exists()
 
 
 def test_tip_strings_cusped_below_their_anchors_are_admissible(tmp_path):

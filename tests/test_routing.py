@@ -61,6 +61,27 @@ def test_tabulated_matches_sampled_helix():
     np.testing.assert_allclose(tab.radial_deriv(s), h.radial_deriv(s), atol=1e-3)
 
 
+def test_tabulated_slope_is_exact_per_piece():
+    # the slope of the piece holding s, the right-hand piece at an inner
+    # knot, the last piece at the last knot, and zero where r is constant
+    tab = Tabulated((0.05, 0.1, 0.3), (0.01, 0.03, 0.02), (0.0, -0.02, 0.0))
+    s = np.array([0.0, 0.05, 0.07, 0.1, 0.2, 0.3, 0.4])
+    expect = [[0, 0], [0.4, -0.4], [0.4, -0.4], [-0.05, 0.1], [-0.05, 0.1], [-0.05, 0.1], [0, 0]]
+    got = tab.radial_deriv(s)
+    np.testing.assert_allclose(got[:, :2], expect, rtol=1e-12, atol=0)
+    assert not got[:, 2].any()
+
+
+def test_tabulated_path_beyond_its_samples_has_finite_length():
+    # r is constant outside the samples, so a straight string whose span
+    # covers more than them runs 0.1 m parallel, 0.1 m on the slope 0.1 and
+    # 0.1 m parallel again; a centered difference there divided 0 by 0
+    tab = Tabulated((0.1, 0.2), (0.01, 0.02), (0.0, 0.0))
+    basis = ModalBasis(x=(0,), y=(0,), z=(0,), length=0.3)
+    got = lengths(SensorArray((StringSpec(tab, 0.3),)), basis, np.zeros(3), Reference.ABSOLUTE)
+    assert got[0] == pytest.approx(0.2 + 0.1 * np.sqrt(1.01), rel=1e-14)
+
+
 def test_path_velocity_straight():
     basis = planar_basis()
     w = velocity(ConstantPitch(0.1, 0.0), basis, np.zeros(3), 0.5)

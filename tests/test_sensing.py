@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from stringshape.modal import ModalBasis, identity_basis
-from stringshape.routing import (ConstantPitch, Helical, Mount, StringSpec, path_velocity,
-                                 tangential_margin)
+from stringshape.routing import (ConstantPitch, Helical, Mount, StringSpec, Tabulated,
+                                 path_velocity, tangential_margin)
 from stringshape.rodsim import synthetic_spatial_truth
 from stringshape.sensing import (STAGNATION_TOL, Composite, NotRealizableError, Reference,
                                  SensorArray, SingularDesignError, aleph_gram, aleph_sv,
@@ -192,6 +192,131 @@ def test_span_rows_rejects_bounds_below_lo(path, lo, bounds):
     if isinstance(path, Helical):
         with pytest.raises(ValueError, match="must not decrease"):
             span_integrals(path, basis, np.zeros(basis.m), 0.0, [0.2, 0.1])
+
+
+def _string_by_string(array, basis, c):
+    """Absolute channel lengths (p,) and J_lc (p, m) at c (m,), one
+    span_integrals call per string: the reference of the string table."""
+    ells, rows = [], []
+    for spec in array.strings:
+        lo, hi = spec.span(basis.length)
+        ell, row = span_integrals(spec.path, basis, c, lo, [hi])
+        ells.append(ell[0])
+        rows.append(row[0])
+    return array.reduce(ells), array.reduce(rows)
+
+
+def mixed_array(L=0.293):
+    """Every path kind at base and tip mounts, a base anchor at s = 0 (an
+    empty span) and two composites."""
+    tab = Tabulated((0.0, 0.04, 0.11, 0.2, L), (0.03, 0.036, 0.028, 0.034, 0.03),
+                    (0.0, 0.012, 0.02, -0.01, 0.004))
+    specs = (StringSpec(ConstantPitch(0.03, 0.01), L),
+             StringSpec(ConstantPitch(-0.02, 0.03), 0.1, Mount.TIP),
+             StringSpec(ConstantPitch(0.0, -0.035), 0.0),
+             StringSpec(Helical(r_s=0.035, omega=6.7, alpha=0.4), 0.2),
+             StringSpec(Helical(r_s=0.03, omega=-4.0, alpha=2.0), 0.05, Mount.TIP),
+             StringSpec(tab, 0.15),
+             StringSpec(tab, 0.0871, Mount.TIP),
+             StringSpec(Helical(r_s=0.035, omega=6.7, alpha=3.5), L))
+    return SensorArray(strings=specs, composites=(Composite((1, 6), (1, -1)),
+                                                  Composite((3, 7), (-1, -1))))
+
+
+@pytest.mark.parametrize("basis", [spatial_basis(), ModalBasis(x=(0, 1, 2), y=(0, 1, 2), length=0.293)],
+                         ids=["torsion", "torsion-free"])
+def test_string_table_matches_span_integrals(basis):
+    # lengths and config_jacobian read one table over all strings, constant-
+    # pitch strings taking exact rows on the torsion-free basis; each channel
+    # equals span_integrals string by string, for c (m,) and for every row of
+    # a stack (k, m)
+    array = mixed_array()
+    configs = np.random.default_rng(2).uniform(-1.0, 1.0, (5, basis.m))
+    stack_ell = lengths(array, basis, configs, Reference.ABSOLUTE)
+    stack_jac = config_jacobian(array, basis, configs)
+    stack_delta = lengths(array, basis, configs)
+    assert stack_ell.shape == (5, array.p) and stack_jac.shape == (5, array.p, basis.m)
+    for c, ell_k, jac_k, delta_k in zip(configs, stack_ell, stack_jac, stack_delta):
+        ell, jac = _string_by_string(array, basis, c)
+        assert np.array_equal(lengths(array, basis, c, Reference.ABSOLUTE), ell)
+        assert np.array_equal(config_jacobian(array, basis, c), jac)
+        assert np.array_equal(ell_k, ell) and np.array_equal(jac_k, jac)
+        assert np.array_equal(lengths(array, basis, c), delta_k)
+
+
+def test_stacked_lengths_name_first_failing_row_and_string():
+    # tangential rates 1 - r_x u_y with u_y = c_0: row 1 has a cusp on
+    # string 1 only, row 2 on string 2, row 3 on strings 0 and 1
+    basis = planar_basis()
+    array = planar_array([0.05, 0.2, -0.2], [1.0, 1.0, 1.0])
+    configs = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [-6.0, 0.0, 0.0], [30.0, 0.0, 0.0]])
+    with pytest.raises(NotRealizableError) as stacked:
+        lengths(array, basis, configs)
+    with pytest.raises(NotRealizableError) as single:
+        lengths(array, basis, configs[2])
+    assert (stacked.value.row, stacked.value.string_index) == (2, 2)
+    assert (single.value.row, single.value.string_index) == (None, 2)
+    assert stacked.value.margin == single.value.margin < 0
+    assert str(stacked.value) == str(single.value)
+    config_jacobian(array, basis, configs)   # no cusp check
+
+
+def test_tabulated_panel_rule_against_piecewise_reference():
+    # The knots of a tabulated path inside a span are panel edges and r' is
+    # the exact slope of each piece, so lengths and rows meet the panel
+    # rule's tolerances of test_panel_rule_against_richardson_reference
+    # against a Richardson-extrapolated trapezoid on each piece with that
+    # slope.  Worst of these nine: lengths 1.4e-10, rows 5.2e-9; a
+    # centered-difference r' across unmarked knots gave 1.4e-3 and 4.6e-3.
+    basis = studies.soft_basis()
+    L = basis.length
+    s_k = np.array([0.0, 0.031, 0.07, 0.118, 0.15, 0.2032, 0.251, L])
+    angle = np.linspace(0.2, 2.9, 8)
+    radius = np.array([0.035, 0.04, 0.03, 0.038, 0.033, 0.041, 0.036, 0.034])
+    r_k = np.stack([radius * np.cos(angle), radius * np.sin(angle), np.zeros(8)], axis=1)
+    path = Tabulated(tuple(s_k), tuple(r_k[:, 0]), tuple(r_k[:, 1]))
+    slopes = np.diff(r_k, axis=0) / np.diff(s_k)[:, None]
+    rng = np.random.default_rng(5)
+    for spec in (StringSpec(path, L), StringSpec(path, 0.16), StringSpec(path, 0.09, Mount.TIP)):
+        lo, hi = spec.span(L)
+        edges = np.unique(np.clip(s_k, lo, hi))
+        for c in rng.uniform(-3.0, 3.0, (3, basis.m)):
+            ref_ell, ref_row = 0.0, 0.0
+            for a, b in zip(edges[:-1], edges[1:]):
+                slope = slopes[np.searchsorted(s_k, a, side="right") - 1]
+
+                def velocity_on_piece(s, slope=slope):
+                    return path_velocity(path.radial(s), slope, basis.matrix(s) @ c)
+
+                def row(s):
+                    w = velocity_on_piece(s)
+                    wn = w / np.linalg.norm(w, axis=1, keepdims=True)
+                    return np.einsum("ni,nij->nj", np.cross(path.radial(s), wn), basis.matrix(s))
+
+                ref_ell += _richardson(lambda s: np.linalg.norm(velocity_on_piece(s), axis=1), a, b)
+                ref_row += _richardson(row, a, b)
+            got_row = config_jacobian(SensorArray((spec,)), basis, c)[0]
+            assert np.abs(got_row - ref_row).max() <= 1e-8 * np.abs(ref_row).max()
+            assert string_length(spec, basis, c) == pytest.approx(ref_ell, rel=1e-9)
+
+
+def test_solve_shape_tabulates_once_whatever_its_iterations(monkeypatch):
+    # one string table per solve: Phi is evaluated as often by a 4-iteration
+    # solve as by a 6-iteration one, not once more per residual
+    space = studies.soft_design_space()
+    basis = space.basis
+    array = space.array_for((4, 3, 9, 4), 1)
+    c = studies.soft_workspace(1, seed=7).configs[0]
+    measured = [lengths(array, basis, scale * c) for scale in (0.1, 1.0)]
+    matrix, calls = ModalBasis.matrix, []
+    monkeypatch.setattr(ModalBasis, "matrix", lambda self, s: calls.append(s) or matrix(self, s))
+    counts, iterations = [], []
+    for meas in measured:
+        calls.clear()
+        iterations.append(solve_shape(array, basis, meas).iterations)
+        counts.append(len(calls))
+    assert iterations == [4, 6]
+    assert counts[0] == counts[1]
 
 
 def test_linear_model_against_brute_quadrature():
