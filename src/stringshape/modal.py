@@ -121,12 +121,6 @@ class ModalBasis:
                              f"got shape {c.shape}")
         return c
 
-    def split(self, c):
-        """Coefficient vector -> (c_x, c_y, c_z) per-axis views."""
-        c = self.check_coeffs(c)
-        nx, ny = len(self.x), len(self.y)
-        return c[:nx], c[nx:nx + ny], c[nx + ny:]
-
 
 def curvature(basis, c, s):
     """u(s) = Phi(s) @ c; (3,) for scalar s, (n, 3) for arrays; a stack c (k, m) adds axis 0."""

@@ -89,7 +89,7 @@ class Peak:
 
 
 def _local_maxima(values):
-    """Indices of strict interior local maxima on a 2-D grid."""
+    """Indices (n, 2) of strict interior local maxima on a 2-D grid."""
     v = values
     core = v[1:-1, 1:-1]
     mask = np.ones_like(core, dtype=bool)
@@ -98,8 +98,7 @@ def _local_maxima(values):
             if di == 0 and dj == 0:
                 continue
             mask &= core > v[1 + di:v.shape[0] - 1 + di, 1 + dj:v.shape[1] - 1 + dj]
-    ii, jj = np.nonzero(mask)
-    return list(zip(ii + 1, jj + 1))
+    return np.argwhere(mask) + 1
 
 
 # Coordinate sweeps of the golden-section refinement, and the bracket width
@@ -109,63 +108,80 @@ GOLDEN_TOL = 1e-5
 
 
 def _golden_refine(radii, index, x0, grid_step):
-    """Coordinate-wise golden-section ascent of the landscape from the grid
-    point x0, over brackets of two grid steps kept inside the grid.  Returns
-    the anchors of the strings off the end disk and the index there."""
+    """Coordinate-wise golden-section ascent of the landscape from each grid
+    point of x0 (n, d), over brackets of two grid steps kept inside the grid.
+
+    The starts move in lockstep: each step makes one index call on the rows
+    whose bracket is still open, and each row takes the bracket updates of a
+    run from its start alone (a bracket clipped at the grid edge closes in
+    fewer steps).  Returns the anchors (n, d) of the strings off the end disk
+    and the index there (n,).
+    """
     def fn(x):
-        return float(index(planar_config_jacobian(radii, [*x, 1.0])))
+        return index(planar_config_jacobian(radii, np.column_stack([x, np.ones(len(x))])))
 
     lo, hi, span = grid_step, 1.0 - grid_step, 2 * grid_step
     x = np.array(x0, dtype=float)
     for _ in range(GOLDEN_ROUNDS):
-        for k in range(len(x)):
-            a = max(lo, x[k] - span)
-            b = min(hi, x[k] + span)
-
-            def g(t):
-                y = x.copy()
-                y[k] = t
+        for k in range(x.shape[1]):
+            def g(rows, t):
+                y = x[rows]
+                y[:, k] = t
                 return fn(y)
 
+            a = np.maximum(lo, x[:, k] - span)
+            b = np.minimum(hi, x[:, k] + span)
             c1 = b - GOLDEN * (b - a)
             c2 = a + GOLDEN * (b - a)
-            f1, f2 = g(c1), g(c2)
-            while b - a > GOLDEN_TOL:
-                if f1 < f2:
-                    a, c1, f1 = c1, c2, f2
-                    c2 = a + GOLDEN * (b - a)
-                    f2 = g(c2)
-                else:
-                    b, c2, f2 = c2, c1, f1
-                    c1 = b - GOLDEN * (b - a)
-                    f1 = g(c1)
-            x[k] = 0.5 * (a + b)
+            f1, f2 = np.split(g(np.tile(np.arange(len(x)), 2), np.concatenate([c1, c2])), 2)
+            rows = np.flatnonzero(b - a > GOLDEN_TOL)
+            while len(rows):
+                # up: the maximum lies right of c1, so a moves to c1 and c2
+                # is the new point; otherwise b moves to c2 and c1 is new
+                up = f1[rows] < f2[rows]
+                a_r = np.where(up, c1[rows], a[rows])
+                b_r = np.where(up, b[rows], c2[rows])
+                t = np.where(up, a_r + GOLDEN * (b_r - a_r), b_r - GOLDEN * (b_r - a_r))
+                f_t = g(rows, t)
+                c1[rows], c2[rows] = np.where(up, c2[rows], t), np.where(up, t, c1[rows])
+                f1[rows], f2[rows] = np.where(up, f2[rows], f_t), np.where(up, f_t, f1[rows])
+                a[rows], b[rows] = a_r, b_r
+                rows = rows[b_r - a_r > GOLDEN_TOL]
+            x[:, k] = 0.5 * (a + b)
         span *= 0.25
     return x, fn(x)
+
+
+# Grid rows of a landscape per index call.  A workspace index holds a few
+# (rows, len(axis), samples, 3, 3) temporaries: 14 MB each for the whole
+# 99 x 99 grid of 20 samples, 1.1 MB for a block of 8 rows.
+LANDSCAPE_BLOCK = 8
 
 
 def planar_landscape(radii, index, grid_step):
     """index(J_lc) over the anchor placements of p planar strings.
 
     Radii and anchors are in units of L.  Every string but the last sits on
-    axis = arange(grid_step, 1, grid_step); the last is pinned at L.  Returns
-    axis and the values, of shape (len(axis),) * (p - 1).
+    axis = arange(grid_step, 1, grid_step); the last is pinned at L.  index
+    is called on blocks of LANDSCAPE_BLOCK grid rows.  Returns axis and the
+    values, of shape (len(axis),) * (p - 1).
     """
     axis = np.arange(grid_step, 1.0, grid_step)
     grids = np.meshgrid(*[axis] * (len(radii) - 1), indexing="ij")
     anchors = np.stack([*grids, np.ones_like(grids[0])], axis=-1)
-    return axis, index(planar_config_jacobian(radii, anchors))
+    values = [index(planar_config_jacobian(radii, anchors[i:i + LANDSCAPE_BLOCK]))
+              for i in range(0, len(axis), LANDSCAPE_BLOCK)]
+    return axis, np.concatenate(values)
 
 
 def planar_peak_search(radii, index, grid_step=PLANAR_GRID_STEP):
-    """All local maxima of the landscape of three planar strings, refined,
-    highest first.  index is planar_config_index or planar_full_index bound
-    to the sample Grams of planar_sample_grams."""
+    """All local maxima of the landscape of three planar strings, refined in
+    one lockstep run, highest first.  index is planar_config_index or
+    planar_full_index bound to the sample Grams of planar_sample_grams."""
     axis, values = planar_landscape(radii, index, grid_step)
-    peaks = []
-    for i, j in _local_maxima(values):
-        x, v = _golden_refine(radii, index, (axis[i], axis[j]), grid_step)
-        peaks.append(Peak(anchors=(float(x[0]), float(x[1])), value=v))
+    x, v = _golden_refine(radii, index, axis[_local_maxima(values)], grid_step)
+    peaks = [Peak(anchors=(float(a_1), float(a_2)), value=float(val))
+             for (a_1, a_2), val in zip(x, v)]
     peaks.sort(key=lambda p: -p.value)
     return peaks
 
@@ -191,8 +207,8 @@ def optimal_planar_anchors(p):
     increasing = np.all(np.diff(np.indices(values.shape), axis=0) > 0, axis=0)
     values = np.where(increasing, values, -np.inf)
     best = axis[list(np.unravel_index(np.argmax(values), values.shape))]
-    refined, _ = _golden_refine(radii, planar_config_index, best, grid_step)
-    return radii, np.append(refined, 1.0)
+    refined, _ = _golden_refine(radii, planar_config_index, best[None], grid_step)
+    return radii, np.append(refined[0], 1.0)
 
 
 # ---------------------------------------------------------------------------

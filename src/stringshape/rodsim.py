@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modal import ModalBasis, curvature
+from .modal import ModalBasis
 from .optimizer import optimal_planar_anchors
 from .routing import ConstantPitch
 from .sensing import Reference, exact_row, lengths
@@ -61,21 +61,25 @@ class TipWrench:
 
 @dataclass
 class PlanarRodSolution:
+    """One equilibrium, or a stack of k of them with a leading axis of k on
+    every array but s."""
+
     s: np.ndarray          # arc-length grid
     curvature: np.ndarray  # u_y(s) on the grid (1/m)
     theta: np.ndarray      # bending angle (rad)
     x: np.ndarray          # world x position (m)
     z: np.ndarray          # world z position (m)
-    iterations: int
+    iterations: int        # fixed-point sweeps, summed over a stack
 
     @property
     def tip(self):
-        return np.array([self.x[-1], self.z[-1]])
+        return np.stack([self.x[..., -1], self.z[..., -1]], axis=-1)
 
 
 def _cumtrapz(values, s):
-    """Cumulative trapezoid of a grid function, 0 at s[0]."""
-    return np.concatenate([[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(s))])
+    """Cumulative trapezoid of grid functions (..., len(s)), 0 at s[0]."""
+    steps = np.cumsum(0.5 * (values[..., 1:] + values[..., :-1]) * np.diff(s), axis=-1)
+    return np.concatenate([np.zeros(values.shape[:-1] + (1,)), steps], axis=-1)
 
 
 def _integrate(u, s):
@@ -83,104 +87,119 @@ def _integrate(u, s):
     return th, _cumtrapz(np.sin(th), s), _cumtrapz(np.cos(th), s)
 
 
-def _fixed_point(u0, s, ei, f_x, m_y, max_iter):
-    """Relaxed sweeps on the moment balance until the residual meets tol.
-
-    Returns (u, iterations) or None on divergence / iteration budget.
-    """
-    u = u0.copy()
-    for it in range(1, max_iter + 1):
-        _, _, z = _integrate(u, s)
-        target = (m_y + f_x * (z[-1] - z)) / ei
-        resid = np.abs(u - target).max()
-        if not np.isfinite(resid):
-            return None
-        if resid <= ROD_RESID_TOL * max(np.abs(target).max(), 1.0):
-            return u, it
-        u = ROD_RELAX * target + (1.0 - ROD_RELAX) * u
-    return None
+def _interp(x, s, values):
+    """np.interp(x, s, row) of every finite row of values (..., len(s)) at
+    one x inside [s[0], s[-1]], by np.interp's own formula."""
+    j = int(np.searchsorted(s, x, side="right")) - 1
+    if j == len(s) - 1:
+        return values[..., j]
+    slope = (values[..., j + 1] - values[..., j]) / (s[j + 1] - s[j])
+    return slope * (x - s[j]) + values[..., j]
 
 
 def planar_rod_bvp(rod, wrench, max_iter=600):
     """Equilibrium shape of a planar inextensible rod under a tip wrench.
 
-    Shooting by fixed-point iteration on the tip position entering the moment
-    arm, under-relaxed; stubborn load combinations fall back to load
-    continuation.  Raises ShootingError when no schedule converges within
-    max_iter sweeps per load step.
+    wrench is a TipWrench, one (f_x, m_y) pair or a (k, 2) stack of them.
+    Shooting by fixed-point iteration on the tip position entering the
+    moment arm, under-relaxed; a case whose load fails in one step falls back
+    to load continuation in 4, then 10 steps.  A stack sweeps all its open
+    cases at once, each on its own schedule, so each case takes the sweeps
+    and values of a solve on its own; the solution gains a leading axis of k
+    and its iterations are summed.  Raises ShootingError, naming the wrench,
+    when no schedule converges within max_iter sweeps per load step.
     """
-    f_x, m_y = wrench.planar() if isinstance(wrench, TipWrench) else wrench
+    loads = np.asarray(wrench.planar() if isinstance(wrench, TipWrench) else wrench, dtype=float)
+    stack = np.atleast_2d(loads)
     ei = rod.bending_stiffness
     s = np.linspace(0.0, rod.length, ROD_GRID)
+    n_ramps = np.array([1, 4, 10])
+    u = np.zeros((len(stack), ROD_GRID))
+    ramp = np.zeros(len(stack), dtype=int)     # index of the case's schedule
+    step = np.ones(len(stack), dtype=int)      # its load step, from 1
+    sweeps = np.zeros(len(stack), dtype=int)   # sweeps of that step
     total_it = 0
-    for n_ramp in (1, 4, 10):
-        u = np.zeros(ROD_GRID)
-        ok = True
-        for k in range(1, n_ramp + 1):
-            frac = k / n_ramp
-            got = _fixed_point(u, s, ei, frac * f_x, frac * m_y, max_iter)
-            if got is None:
-                ok = False
-                break
-            u, it = got
-            total_it += it
-        if ok:
-            th, x, z = _integrate(u, s)
-            return PlanarRodSolution(s, u, th, x, z, total_it)
-    raise ShootingError(f"no equilibrium for f_x={f_x} N, m_y={m_y} N m (load too large)")
+    live = np.arange(len(stack))
+    while len(live):
+        frac = (step[live] / n_ramps[ramp[live]])[:, None]
+        f_x, m_y = frac * stack[live, :1], frac * stack[live, 1:]
+        u_l = u[live]
+        z = _cumtrapz(np.cos(_cumtrapz(u_l, s)), s)
+        target = (m_y + f_x * (z[:, -1:] - z)) / ei
+        resid = np.abs(u_l - target).max(axis=1)
+        sweeps[live] += 1
+        finite = np.isfinite(resid)
+        done = finite & (resid <= ROD_RESID_TOL * np.maximum(np.abs(target).max(axis=1), 1.0))
+        u[live] = np.where(done[:, None], u_l, ROD_RELAX * target + (1.0 - ROD_RELAX) * u_l)
+        failed = live[~done & (~finite | (sweeps[live] == max_iter))]
+        converged = live[done]
+        total_it += int(sweeps[converged].sum())
+        step[converged] += 1
+        sweeps[converged] = 0
+        ramp[failed] += 1
+        unsolved = failed[ramp[failed] == len(n_ramps)]
+        if len(unsolved):
+            f_x, m_y = stack[unsolved[0]]
+            raise ShootingError(f"no equilibrium for f_x={f_x} N, m_y={m_y} N m (load too large)")
+        u[failed], step[failed], sweeps[failed] = 0.0, 1, 0
+        live = live[step[live] <= n_ramps[ramp[live]]]
+    th, x, z = _integrate(u, s)
+    if loads.ndim == 1:
+        u, th, x, z = u[0], th[0], x[0], z[0]
+    return PlanarRodSolution(s, u, th, x, z, total_it)
 
 
 def planar_reconstruction_error(sol, rod, radii, anchors, p):
-    """Reconstruct one rod shape from noiseless string lengths; return errors.
+    """Reconstruct rod shapes from noiseless string lengths; return errors.
 
     String lengths along the true shape use the solver's own cumulative
     trapezoid rule so measurement generation and the linear sensing model
     agree to quadrature accuracy.  Returns (position error %, |tip angle
-    error| rad).
+    error| rad), floats for one solution and (k,) arrays for a stack.
     """
     length = rod.length
     basis = ModalBasis(y=tuple(range(p)), length=length)
-    s, theta = sol.s, sol.theta     # theta is the solver's cumulative trapezoid of u
-    ell = [a * length - r * length * np.interp(a * length, s, theta)
-           for r, a in zip(radii, anchors)]
+    s, theta = sol.s, np.atleast_2d(sol.theta)   # theta is the solver's cumulative trapezoid of u
+    ell = np.stack([a * length - r * length * _interp(a * length, s, theta)
+                    for r, a in zip(radii, anchors)], axis=-1)
     jac = np.stack([exact_row(ConstantPitch(r * length), basis, 0.0, a * length)
                     for r, a in zip(radii, anchors)])
-    c = np.linalg.solve(jac, np.asarray(ell) - np.asarray(anchors) * length)
-
-    th_rec = float(basis.integral(0.0, length)[1] @ c)   # exact tip angle
-    u_rec = curvature(basis, c, s)[:, 1]
+    # one solve and one (1, p) row product per solution, as for a solution
+    # alone, so that every row of a stack equals its own reconstruction
+    c = np.linalg.solve(jac, (ell - np.asarray(anchors) * length)[..., None]).swapaxes(-1, -2)
+    th_rec = (c @ basis.integral(0.0, length)[1][:, None])[:, 0, 0]   # exact tip angle
+    u_rec = (c @ basis.matrix(s)[:, 1].T)[:, 0]
     _, x_r, z_r = _integrate(u_rec, s)
-    e_pos = float(np.hypot(x_r[-1] - sol.x[-1], z_r[-1] - sol.z[-1]) / length * 100.0)
-    return e_pos, abs(th_rec - theta[-1])
+    tip = np.atleast_2d(sol.tip)
+    e_pos = np.hypot(x_r[:, -1] - tip[:, 0], z_r[:, -1] - tip[:, 1]) / length * 100.0
+    e_rot = np.abs(th_rec - theta[:, -1])
+    if np.ndim(sol.theta) == 1:
+        return float(e_pos[0]), float(e_rot[0])
+    return e_pos, e_rot
 
 
 def convergence_study(rod=None, n_levels=10, p_list=(1, 2, 3, 4)):
     """Reconstruction error versus string count over a grid of tip wrenches.
 
     Wrenches are the Cartesian product of n_levels forces in +-CONVERGENCE_F_MAX
-    and n_levels moments in +-CONVERGENCE_M_MAX.  String sets are designed by the
-    planar anchor-placement search with the last string pinned at radius
-    0.25 L on the end disk.  Returns per-p statistics and the per-case table.
+    and n_levels moments in +-CONVERGENCE_M_MAX, solved as one stack.  String
+    sets are designed by the planar anchor-placement search with the last
+    string pinned at radius 0.25 L on the end disk.  Returns per-p statistics
+    and the per-case table.
     """
     rod = rod or RodSpec(length=0.3, diameter=0.004, elastic_modulus=60e9)
     designs = {p: optimal_planar_anchors(p) for p in p_list}
     forces = np.linspace(-CONVERGENCE_F_MAX, CONVERGENCE_F_MAX, n_levels)
     moments = np.linspace(-CONVERGENCE_M_MAX, CONVERGENCE_M_MAX, n_levels)
-    rows = []
-    for f_x in forces:
-        for m_y in moments:
-            sol = planar_rod_bvp(rod, (f_x, m_y))
-            rec = {"f_x": f_x, "m_y": m_y}
-            for p in p_list:
-                radii, anchors = designs[p]
-                e_pos, e_rot = planar_reconstruction_error(sol, rod, radii, anchors, p)
-                rec[f"e_p_{p}"] = e_pos
-                rec[f"e_rot_{p}"] = e_rot
-            rows.append(rec)
+    wrenches = np.stack(np.meshgrid(forces, moments, indexing="ij"), axis=-1).reshape(-1, 2)
+    sol = planar_rod_bvp(rod, wrenches)
+    rows = [{"f_x": f_x, "m_y": m_y} for f_x, m_y in wrenches]
     stats = {}
     for p in p_list:
-        ep = np.array([r[f"e_p_{p}"] for r in rows])
-        er = np.array([r[f"e_rot_{p}"] for r in rows])
+        ep, er = planar_reconstruction_error(sol, rod, *designs[p], p)
+        for rec, e_pos, e_rot in zip(rows, ep, er):
+            rec[f"e_p_{p}"] = float(e_pos)
+            rec[f"e_rot_{p}"] = e_rot
         stats[p] = {"mean_e_p": float(ep.mean()), "max_e_p": float(ep.max()),
                     "max_rot": float(er.max())}
     return stats, rows

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modal import curvature
-from .sensing import (SIGMA_RATIO_TOL, aleph_sv, body_jacobian, config_jacobian,
-                      realizability_margins)
+from .sensing import SIGMA_RATIO_TOL, _cusp_grid, _margins, aleph_sv, body_jacobian, config_jacobian
 
 
 def noise_amp(a):
@@ -167,20 +165,29 @@ class ConstraintSet:
             bounds[2] = min(bounds[2], self.twist_limit / l_s)
         return bounds
 
-    def admissible(self, basis, c, strings=()):
+    def grids(self, basis, strings=()):
+        """What admissible needs that does not depend on c: the axis bounds,
+        Phi on the ADMISSIBLE_GRID points with its rows flattened and
+        transposed, and the strings' cusp grid (None without strings)."""
+        phi = basis.matrix(np.linspace(0.0, basis.length, ADMISSIBLE_GRID))
+        return (self.axis_bounds(), phi.reshape(-1, basis.m).T,
+                _cusp_grid(strings, basis) if strings else None)
+
+    def admissible(self, basis, c, strings=(), grids=None):
         """Whether c (m,), or each row of a stack c (k, m), keeps within the bounds
-        on ADMISSIBLE_GRID arc lengths and passes the cusp rule for each string."""
-        u = curvature(basis, c, np.linspace(0.0, basis.length, ADMISSIBLE_GRID))
-        stack, u = np.atleast_2d(c), u.reshape(-1, ADMISSIBLE_GRID, 3)
-        bounds = self.axis_bounds()
+        on ADMISSIBLE_GRID arc lengths and passes the cusp rule for each string.
+        grids is grids(basis, strings), for a caller that checks many stacks."""
+        bounds, phi_t, cusp_grid = grids or self.grids(basis, strings)
+        c = basis.check_stack(c)
+        stack, u = np.atleast_2d(c), (c @ phi_t).reshape(-1, ADMISSIBLE_GRID, 3)
         ok = np.all(np.abs(u).max(axis=1) <= bounds + 1e-12, axis=1)
         if self.disk is not None or self.bend_limit is not None:
             # bending magnitude cap applies to the combined x/y curvature
             ok &= np.hypot(u[..., 0], u[..., 1]).max(axis=1) <= min(bounds[:2]) + 1e-12
-        if strings and ok.any():
+        if cusp_grid is not None and ok.any():
             # the cusp rule only for the candidates within the bounds
-            ok[ok] = np.all(realizability_margins(strings, basis, stack[ok]) > 0.0, axis=1)
-        return ok if np.ndim(c) == 2 else bool(ok[0])
+            ok[ok] = np.all(_margins(cusp_grid, stack[ok]) > 0.0, axis=1)
+        return ok if c.ndim == 2 else bool(ok[0])
 
 
 @dataclass
@@ -204,7 +211,8 @@ def sample_admissible(basis, constraints, n_target, seed, strings=(), box_scale=
     """
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
-    bounds = constraints.axis_bounds()
+    grids = constraints.grids(basis, strings)
+    bounds = grids[0]
     finite = np.isfinite(bounds)
     if not finite.any():
         raise ValueError("constraints impose no curvature bound to sample within")
@@ -220,7 +228,7 @@ def sample_admissible(basis, constraints, n_target, seed, strings=(), box_scale=
                 "rescale the sampling box")
         c = rng.uniform(-half, half, size=(min(SAMPLE_BLOCK, max_attempts - attempts), basis.m))
         attempts += len(c)
-        kept.append(c[constraints.admissible(basis, c, strings)])
+        kept.append(c[constraints.admissible(basis, c, strings, grids)])
         accepted += len(kept[-1])
     return WorkspaceSamples(np.concatenate(kept)[:n_target])
 

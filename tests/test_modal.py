@@ -67,8 +67,6 @@ def test_mixed_axes_column_count():
     basis = ModalBasis(x=(0, 1, 2), y=(0, 1, 2), z=(0, 1), length=0.293)
     assert basis.m == 8
     assert basis.matrix(0.1).shape == (3, 8)
-    cx, cy, cz = basis.split(np.arange(8.0))
-    assert list(cx) == [0, 1, 2] and list(cy) == [3, 4, 5] and list(cz) == [6, 7]
 
 
 def test_curvature_examples():

@@ -107,6 +107,97 @@ def test_optimal_planar_anchors_p3_matches_table_pattern():
         assert np.all(np.diff(optimal_planar_anchors(p)[1]) > 0), p
 
 
+def _golden_one_start(radii, index, x0, grid_step):
+    """Reference: the golden-section refinement of a single start, with
+    scalar brackets and one index call per point."""
+    def fn(x):
+        return float(index(planar_config_jacobian(radii, [*x, 1.0])))
+
+    lo, hi, span = grid_step, 1.0 - grid_step, 2 * grid_step
+    x = np.array(x0, dtype=float)
+    for _ in range(optimizer.GOLDEN_ROUNDS):
+        for k in range(len(x)):
+            a = max(lo, x[k] - span)
+            b = min(hi, x[k] + span)
+
+            def g(t):
+                y = x.copy()
+                y[k] = t
+                return fn(y)
+
+            c1 = b - optimizer.GOLDEN * (b - a)
+            c2 = a + optimizer.GOLDEN * (b - a)
+            f1, f2 = g(c1), g(c2)
+            while b - a > optimizer.GOLDEN_TOL:
+                if f1 < f2:
+                    a, c1, f1 = c1, c2, f2
+                    c2 = a + optimizer.GOLDEN * (b - a)
+                    f2 = g(c2)
+                else:
+                    b, c2, f2 = c2, c1, f1
+                    c1 = b - optimizer.GOLDEN * (b - a)
+                    f1 = g(c1)
+            x[k] = 0.5 * (a + b)
+        span *= 0.25
+    return x, fn(x)
+
+
+def _tip_index(n_samples):
+    grams = planar_sample_grams(studies.planar_workspace(n_samples),
+                                studies.PLANAR_CHARACTERISTIC_LENGTH)
+    return functools.partial(planar_full_index, gram_samples=grams)
+
+
+def _flat_index(jac):
+    return np.zeros(jac.shape[:-2])
+
+
+# "flat" ties every comparison, which moves b
+@pytest.mark.parametrize("objective, grid_step",
+                         [("config", 0.004), ("full", 0.01), ("flat", 0.01)])
+def test_lockstep_golden_refine_matches_one_start_at_a_time(objective, grid_step):
+    radii = (0.10, -0.20, PLANAR_REFERENCE_RADIUS)
+    index = {"config": planar_config_index, "flat": _flat_index}.get(objective) or _tip_index(4)
+    axis, values = planar_landscape(radii, index, grid_step)
+    # the landscape's own maxima, and starts on and next to the grid edges,
+    # whose clipped brackets close in fewer steps
+    starts = np.concatenate([axis[optimizer._local_maxima(values)],
+                             axis[[[0, 40], [-1, 20], [1, -2], [0, -1], [50, 1]]]])
+    rows_per_call = []
+
+    def counted(jac):
+        rows_per_call.append(len(jac))
+        return index(jac)
+
+    x, v = optimizer._golden_refine(radii, counted, starts, grid_step)
+    for start, x_k, v_k in zip(starts, x, v):
+        ref_x, ref_v = _golden_one_start(radii, index, start, grid_step)
+        np.testing.assert_array_equal(x_k, ref_x)
+        assert v_k == ref_v
+    # every call but the first and last of a line search is on the open rows,
+    # which are fewer than all starts once the clipped brackets have closed
+    assert min(rows_per_call) < len(starts) < max(rows_per_call)
+
+
+# Grids of 499 and 99 rows end in a partial block; p = 4 has 24 rows a side.
+@pytest.mark.parametrize("p, grid_step, objective",
+                         [(2, 0.002, "config"), (3, 0.01, "config"), (3, 0.01, "full"),
+                          (4, 0.04, "config")])
+def test_landscape_blocks_match_one_index_call(p, grid_step, objective):
+    radii = (0.20, -0.10, 0.15, PLANAR_REFERENCE_RADIUS)[-p:]
+    index = planar_config_index if objective == "config" else _tip_index(5)
+    axis, values = planar_landscape(radii, index, grid_step)
+    grids = np.meshgrid(*[axis] * (p - 1), indexing="ij")
+    anchors = np.stack([*grids, np.ones_like(grids[0])], axis=-1)
+    np.testing.assert_array_equal(values, index(planar_config_jacobian(radii, anchors)))
+
+
+def test_peak_search_of_a_landscape_without_maxima():
+    # a constant index has no strict maximum: nothing to refine
+    assert planar_peak_search((0.1, -0.1, PLANAR_REFERENCE_RADIUS),
+                              lambda jac: np.ones(jac.shape[:-2]), 0.1) == []
+
+
 def _tiny_space():
     basis = ModalBasis(x=(0, 1), y=(0, 1), length=0.3)
     designed = tuple(DesignedString(ConstantPitch(0.05 * np.cos(t), 0.05 * np.sin(t)),

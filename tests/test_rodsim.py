@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from stringshape.modal import ModalBasis
-from stringshape.rodsim import (RodSpec, ShootingError, TipWrench,
+from stringshape import rodsim
+from stringshape.optimizer import optimal_planar_anchors
+from stringshape.rodsim import (PlanarRodSolution, RodSpec, ShootingError, TipWrench,
                                 convergence_study, error_metrics,
                                 planar_reconstruction_error, planar_rod_bvp,
                                 synthetic_spatial_truth)
@@ -53,6 +55,83 @@ def test_tip_wrench_validation():
 def test_shooting_error_for_absurd_load():
     with pytest.raises(ShootingError):
         planar_rod_bvp(ROD, (1e9, 0.0), max_iter=50)
+
+
+def _cumtrapz(values, s):
+    return np.concatenate([[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(s))])
+
+
+def _rod_one_wrench(rod, f_x, m_y, max_iter=600):
+    """Reference: one wrench at a time, each load step a fixed-point loop of
+    its own.  Returns (u, theta, x, z, sweeps, load steps of the schedule
+    that converged), or None where no schedule converges."""
+    ei = rod.bending_stiffness
+    s = np.linspace(0.0, rod.length, rodsim.ROD_GRID)
+
+    def integrate(u):
+        th = _cumtrapz(u, s)
+        return th, _cumtrapz(np.sin(th), s), _cumtrapz(np.cos(th), s)
+
+    def fixed_point(u, f, m):
+        u = u.copy()
+        for it in range(1, max_iter + 1):
+            _, _, z = integrate(u)
+            target = (m + f * (z[-1] - z)) / ei
+            resid = np.abs(u - target).max()
+            if not np.isfinite(resid):
+                return None
+            if resid <= rodsim.ROD_RESID_TOL * max(np.abs(target).max(), 1.0):
+                return u, it
+            u = rodsim.ROD_RELAX * target + (1.0 - rodsim.ROD_RELAX) * u
+        return None
+
+    total = 0
+    for n_ramp in (1, 4, 10):
+        u = np.zeros(rodsim.ROD_GRID)
+        for k in range(1, n_ramp + 1):
+            got = fixed_point(u, k / n_ramp * f_x, k / n_ramp * m_y)
+            if got is None:
+                break
+            u, it = got
+            total += it
+        else:
+            return (u, *integrate(u), total, n_ramp)
+    return None
+
+
+def test_stacked_rod_solve_matches_one_wrench_at_a_time():
+    # (152, -20) fails in one load step and converges under continuation
+    wrenches = np.array([(0.0, 0.0), (60.0, -6.0), (-60.0, 6.0), (152.0, -20.0),
+                         (13.3, 2.7), (-45.0, -1.0)])
+    refs = [_rod_one_wrench(ROD, f_x, m_y) for f_x, m_y in wrenches]
+    assert [ref[-1] for ref in refs] == [1, 1, 1, 4, 1, 1]
+    stack = planar_rod_bvp(ROD, wrenches)
+    assert stack.iterations == sum(ref[4] for ref in refs)
+    for k, ((f_x, m_y), ref) in enumerate(zip(wrenches, refs)):
+        one = planar_rod_bvp(ROD, (f_x, m_y))
+        assert one.iterations == ref[4]
+        for got in (one, PlanarRodSolution(stack.s, *(getattr(stack, f)[k] for f in
+                                                      ("curvature", "theta", "x", "z")), 0)):
+            for field, value in zip(("curvature", "theta", "x", "z"), ref):
+                np.testing.assert_array_equal(getattr(got, field), value, err_msg=field)
+    np.testing.assert_array_equal(stack.tip, np.stack([stack.x[:, -1], stack.z[:, -1]], axis=-1))
+    # one stacked reconstruction equals the reconstructions of each solution
+    for p in (1, 2, 4):
+        e_pos, e_rot = planar_reconstruction_error(stack, ROD, *optimal_planar_anchors(p), p)
+        for k, f_x in enumerate(wrenches[:, 0]):
+            one = PlanarRodSolution(stack.s, stack.curvature[k], stack.theta[k], stack.x[k],
+                                    stack.z[k], 0)
+            assert (e_pos[k], e_rot[k]) == planar_reconstruction_error(
+                one, ROD, *optimal_planar_anchors(p), p)
+
+
+def test_stacked_rod_solve_names_the_failing_wrench():
+    wrenches = np.array([(1.0, 0.1), (1e9, 0.0), (20.0, 2.0)])
+    assert _rod_one_wrench(ROD, 1e9, 0.0, max_iter=50) is None
+    with pytest.raises(ShootingError, match=r"f_x=1000000000\.0 N, m_y=0\.0 N m"):
+        planar_rod_bvp(ROD, wrenches, max_iter=50)
+    assert planar_rod_bvp(ROD, wrenches[[0, 2]], max_iter=50).iterations == sum(
+        _rod_one_wrench(ROD, f_x, m_y, max_iter=50)[4] for f_x, m_y in wrenches[[0, 2]])
 
 
 def test_reconstruction_exact_for_matched_field():

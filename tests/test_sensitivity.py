@@ -278,6 +278,35 @@ def test_sampling_does_not_depend_on_block_size(monkeypatch, block):
         np.testing.assert_array_equal(draw().configs, configs)
 
 
+def test_sampler_builds_its_grids_once(monkeypatch):
+    # one grids() per call and one admissible() per block, with the samples
+    # of a sampler whose every block rebuilds them
+    cs, array, box = _stiff_strain_set()
+    basis = studies.stiff_basis()
+    calls = {"grids": 0, "admissible": 0}
+    grids, admissible = ConstraintSet.grids, ConstraintSet.admissible
+
+    def draw():
+        return sample_admissible(basis, cs, 300, 12, strings=array.strings,
+                                 box_scale=2.0 * box).configs
+
+    def counted_grids(self, *args):
+        calls["grids"] += 1
+        return grids(self, *args)
+
+    def counted(self, *args):
+        calls["admissible"] += 1
+        return admissible(self, *args)
+
+    monkeypatch.setattr(ConstraintSet, "grids", counted_grids)
+    monkeypatch.setattr(ConstraintSet, "admissible", counted)
+    got = draw()
+    assert calls["grids"] == 1 and calls["admissible"] > 1
+    monkeypatch.setattr(ConstraintSet, "admissible",
+                        lambda self, basis, c, strings, given: admissible(self, basis, c, strings))
+    np.testing.assert_array_equal(got, draw())
+
+
 def test_global_index_single_sample_equals_pointwise():
     basis = planar_basis()
     array = planar_array()
