@@ -152,9 +152,9 @@ def _golden_refine(radii, index, x0, grid_step):
     return x, fn(x)
 
 
-# Grid rows of a landscape per index call.  A workspace index holds a few
-# (rows, len(axis), samples, 3, 3) temporaries: 14 MB each for the whole
-# 99 x 99 grid of 20 samples, 1.1 MB for a block of 8 rows.
+# Grid rows' worth of anchor placements per index call.  A workspace index
+# holds a few (points, samples, 3, 3) temporaries: 14 MB each for the whole
+# 99 x 99 grid of 20 samples, 1.1 MB for 8 rows of it.
 LANDSCAPE_BLOCK = 8
 
 
@@ -162,16 +162,45 @@ def planar_landscape(radii, index, grid_step):
     """index(J_lc) over the anchor placements of p planar strings.
 
     Radii and anchors are in units of L.  Every string but the last sits on
-    axis = arange(grid_step, 1, grid_step); the last is pinned at L.  index
-    is called on blocks of LANDSCAPE_BLOCK grid rows.  Returns axis and the
-    values, of shape (len(axis),) * (p - 1).
+    axis = arange(grid_step, 1, grid_step); the last is pinned at L.  Returns
+    axis and the values, of shape (len(axis),) * (p - 1).
+
+    index must not change under J_lc -> P D J_lc, P a row permutation and D
+    a diagonal of signs (true of any function of the singular values).  Two
+    free strings of equal |r| that swap anchors do just that to J_lc, so
+    index is called only on the representatives, the placements whose
+    anchors do not decrease within each group of free strings of equal |r|,
+    and every other placement takes the value of its sorted representative.
+    The representatives go to index in C order, LANDSCAPE_BLOCK full grid
+    rows' worth of points per call.
     """
+    radii = np.asarray(radii, dtype=float)
     axis = np.arange(grid_step, 1.0, grid_step)
-    grids = np.meshgrid(*[axis] * (len(radii) - 1), indexing="ij")
-    anchors = np.stack([*grids, np.ones_like(grids[0])], axis=-1)
-    values = [index(planar_config_jacobian(radii, anchors[i:i + LANDSCAPE_BLOCK]))
-              for i in range(0, len(axis), LANDSCAPE_BLOCK)]
-    return axis, np.concatenate(values)
+    n, d = len(axis), len(radii) - 1
+    anchors = np.ix_(*[axis] * d)
+    ids = np.ix_(*[np.arange(n)] * d)
+    # the comparators (a, b) of a bubble sort of the anchor indices within
+    # each group of free strings of equal |r|
+    free = np.abs(radii[:-1])
+    swaps = []
+    for r in dict.fromkeys(free.tolist()):
+        group = np.flatnonzero(free == r)
+        swaps += [(group[j], group[j + 1])
+                  for top in range(len(group) - 1, 0, -1) for j in range(top)]
+    rep = np.ones((n,) * d, dtype=bool)
+    for a, b in swaps:
+        rep &= ids[a] <= ids[b]
+    points = [np.broadcast_to(g, rep.shape)[rep] for g in anchors]
+    points = np.column_stack([*points, np.ones(len(points[0]))])
+    block = LANDSCAPE_BLOCK * n ** (d - 1)
+    values = np.zeros(rep.shape)
+    values[rep] = np.concatenate([index(planar_config_jacobian(radii, points[i:i + block]))
+                                  for i in range(0, len(points), block)])
+    # the comparators in reverse order carry each representative's value to
+    # every placement that the sort takes to it
+    for a, b in reversed(swaps):
+        values = np.where(ids[a] > ids[b], values.swapaxes(a, b), values)
+    return axis, values
 
 
 def planar_peak_search(radii, index, grid_step=PLANAR_GRID_STEP):
@@ -202,10 +231,9 @@ def optimal_planar_anchors(p):
         return radii, np.array([1.0])
     grid_step = {2: 0.002, 3: 0.01, 4: 0.04}[p]
     axis, values = planar_landscape(radii, planar_config_index, grid_step)
-    # permuting the strings off the end disk leaves the index unchanged, so
-    # only strictly increasing anchors compete and round-off breaks no tie
-    increasing = np.all(np.diff(np.indices(values.shape), axis=0) > 0, axis=0)
-    values = np.where(increasing, values, -np.inf)
+    # every permutation of the strings off the end disk takes the value of
+    # its increasing representative, which argmax meets first; equal anchors
+    # leave J_lc singular and score 0
     best = axis[list(np.unravel_index(np.argmax(values), values.shape))]
     refined, _ = _golden_refine(radii, planar_config_index, best[None], grid_step)
     return radii, np.append(refined[0], 1.0)
@@ -330,9 +358,11 @@ def _evaluate_chunk(payload):
     of J_lc drive the workspace-mean screen.  Where J_lc has full column
     rank, B = S J_xc J_lc^+ satisfies B B^T = W^T W with W = A^-T (S J_xc)^T,
     A being J_lc itself (p = m) or its R factor (p > m), so aleph(B) comes
-    from one inverse and the singular values of the m x 6 W.  Rank-deficient
-    samples keep the truncated pseudo-inverse.  Where map_rank_limited(p, m)
-    holds, every index is 0 by the shape of B alone.
+    from one inverse and the singular values of the m x 6 W.  A rank-deficient
+    sample scores 0 where m <= 6, since rank(B) <= rank(J_lc) < m <= min(6, p)
+    then makes its index 0 by shape; where m > 6 it keeps the truncated
+    pseudo-inverse.  Where map_rank_limited(p, m) holds, every index is 0 by
+    the shape of B alone.
     """
     (space, channels, anc, iws, des_rows, fix_rows, jxc) = payload
     m = space.basis.m
@@ -365,14 +395,16 @@ def _evaluate_chunk(payload):
     square = np.linalg.qr(jlc, mode="r") if p > m else jlc
     inv_t = np.swapaxes(np.linalg.inv(np.where(full[..., None, None], square, np.eye(m))), -1, -2)
     deficient = np.nonzero(~full)
-    if len(deficient[0]):
+    served = m > 6 and len(deficient[0]) > 0
+    if served:
         u_m, s_m, vt_m = np.linalg.svd(jlc[deficient], full_matrices=False)
         inv_s = np.divide(1.0, s_m, out=np.zeros_like(s_m),
                           where=s_m > SIGMA_RATIO_TOL * s_m[..., :1])
         pinv = np.einsum("...ji,...j,...kj->...ik", vt_m, inv_s, u_m)
     for k in range(len(space.s_objectives)):
-        val = aleph_sv(np.linalg.svd(inv_t @ np.swapaxes(jxc[k], -1, -2), compute_uv=False))
-        if len(deficient[0]):
+        val = full * aleph_sv(np.linalg.svd(inv_t @ np.swapaxes(jxc[k], -1, -2),
+                                            compute_uv=False))
+        if served:
             b = jxc[k][deficient[1]] @ pinv
             val[deficient] = aleph_sv(np.linalg.svd(b, compute_uv=False))
         ag[keep, k] = val.mean(axis=1)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modal import ModalBasis
-from .optimizer import (PLANAR_REFERENCE_RADIUS, DesignSpace, DesignedString,
+from .optimizer import (PLANAR_REFERENCE_RADIUS, DesignSpace, DesignedString, Peak,
                         improvement_beta, planar_basis, planar_config_index,
                         planar_config_jacobian, planar_full_index, planar_landscape,
                         planar_peak_search, planar_sample_grams)
@@ -72,13 +72,23 @@ class PlanarStudyRow:
 
 def _peak_rows(grid_step, index):
     """The two highest landscape peaks per radius pair of PLANAR_RADIUS_PAIRS,
-    with the improvement over evenly spaced anchors."""
-    rows = []
+    with the improvement over evenly spaced anchors.
+
+    index sees J_lc only up to row order and sign (see planar_landscape), so
+    a pair whose |r| swap those of an earlier pair has that pair's landscape
+    transposed: it takes that pair's peaks with the two anchors swapped, and
+    its beta against its own evenly spaced baseline.
+    """
+    rows, found = [], {}
     for r_1, r_2 in PLANAR_RADIUS_PAIRS:
         radii = (r_1, r_2, PLANAR_REFERENCE_RADIUS)
         base = float(index(planar_config_jacobian(radii, [1.0 / 3.0, 2.0 / 3.0, 1.0])))
+        mirror = found.get((abs(r_2), abs(r_1)))
+        peaks = (planar_peak_search(radii, index, grid_step)[:2] if mirror is None else
+                 [Peak(pk.anchors[::-1], pk.value) for pk in mirror])
+        found[abs(r_1), abs(r_2)] = peaks
         rows += [PlanarStudyRow(r_1, r_2, *pk.anchors, pk.value, improvement_beta(pk.value, base))
-                 for pk in planar_peak_search(radii, index, grid_step)[:2]]
+                 for pk in peaks]
     return rows
 
 

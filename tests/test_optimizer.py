@@ -192,6 +192,56 @@ def test_landscape_blocks_match_one_index_call(p, grid_step, objective):
     np.testing.assert_array_equal(values, index(planar_config_jacobian(radii, anchors)))
 
 
+def _sorted_within_groups(radii, shape):
+    """Grid indices (d, *shape) of every placement and of its representative,
+    the indices sorted within each group of free strings of equal |r|."""
+    ids = np.indices(shape)
+    free = np.abs(np.asarray(radii[:-1]))
+    rep = ids.copy()
+    for r in np.unique(free):
+        group = np.flatnonzero(free == r)
+        rep[group] = np.sort(ids[group], axis=0)
+    return ids, rep
+
+
+# Two equal-|r| strings on both study grids, three (the radii of
+# optimal_planar_anchors(4)), and an equal-|r| pair around a third string.
+@pytest.mark.parametrize("radii, grid_step, objective",
+                         [((0.10, -0.10, PLANAR_REFERENCE_RADIUS), 0.004, "config"),
+                          ((0.10, -0.10, PLANAR_REFERENCE_RADIUS), 0.01, "full"),
+                          ((-0.25, 0.25, -0.25, 0.25), 0.04, "config"),
+                          ((0.10, 0.20, -0.10, PLANAR_REFERENCE_RADIUS), 0.04, "config")])
+def test_orbit_landscape_matches_one_index_call(radii, grid_step, objective):
+    index = planar_config_index if objective == "config" else _tip_index(20)
+    axis, values = planar_landscape(radii, index, grid_step)
+    grids = np.meshgrid(*[axis] * (len(radii) - 1), indexing="ij")
+    ref = index(planar_config_jacobian(radii, np.stack([*grids, np.ones_like(grids[0])], -1)))
+    ids, rep = _sorted_within_groups(radii, values.shape)
+    # representatives bit for bit; every other placement takes its
+    # representative's value, within round-off of its own
+    on_rep = np.all(ids == rep, axis=0)
+    np.testing.assert_array_equal(values[on_rep], ref[on_rep])
+    np.testing.assert_array_equal(values, values[tuple(rep)])
+    assert np.abs(values - ref).max() <= 1e-12 * ref.max()
+    if objective == "full":
+        np.testing.assert_array_equal(np.diag(values), 0.0)
+
+
+def test_equal_radius_landscape_evaluates_each_orbit_once():
+    points = []
+
+    def counted(jac):
+        points.append(len(jac))
+        return planar_config_index(jac)
+
+    axis, _ = planar_landscape((0.10, -0.10, PLANAR_REFERENCE_RADIUS), counted, 0.004)
+    n = len(axis)
+    assert sum(points) == n * (n + 1) // 2
+    # LANDSCAPE_BLOCK grid rows' worth per call, the last call the rest
+    block = optimizer.LANDSCAPE_BLOCK * n
+    assert points[:-1] == [block] * (len(points) - 1) and 0 < points[-1] <= block
+
+
 def test_peak_search_of_a_landscape_without_maxima():
     # a constant index has no strict maximum: nothing to refine
     assert planar_peak_search((0.1, -0.1, PLANAR_REFERENCE_RADIUS),
@@ -542,8 +592,9 @@ def test_search_kernel_rank_deficient_sample_matches_three_svd_reference(monkeyp
     # 1 takes string 0's rows at workspace sample 2 (row sample 3) only.
     # Designs with both strings on one disk then have two equal rows there,
     # while their straight J_lc is untouched.  On the stiff preset (m = 6) B
-    # loses rank with J_lc and the sample scores round-off; on the soft
-    # subspace (m = 8) J_lc keeps rank 7 and the sample scores above 0.
+    # loses rank with J_lc and the sample scores 0 by shape; on the soft
+    # subspace (m = 8) J_lc keeps rank 7 and the sample takes the
+    # pseudo-inverse, scoring above 0.
     if preset == "stiff":
         space, samples = studies.stiff_design_space(), studies.stiff_workspace(6, seed=1)
     else:
@@ -562,9 +613,17 @@ def test_search_kernel_rank_deficient_sample_matches_three_svd_reference(monkeyp
     r0, rg, rbad = _three_svd_chunk(payload)
     np.testing.assert_array_equal(bad, rbad)
     np.testing.assert_array_equal(a0, r0)
-    # designs that pass both screens and take the pseudo-inverse at that sample
-    assert int((~bad & (anc[:, 0] == anc[:, 1])).sum()) == served
+    # designs that pass both screens and lose rank at that sample
+    served_at = ~bad & (anc[:, 0] == anc[:, 1])
+    assert int(served_at.sum()) == served
     assert (np.abs(ag - rg) / rg)[~bad].max() <= REFERENCE_RTOL
+    if preset == "stiff":
+        # scored on that sample alone, with no screen, the served designs
+        # read exactly 0, where the reference reads round-off
+        alone = (replace(space, epsilon=0.0), channels, anc, iws, des_rows[[0, 3]],
+                 fix_rows[[0, 3]], jxc[:, [2]])
+        assert np.all(optimizer._evaluate_chunk(alone)[1][served_at] == 0.0)
+        assert 0.0 < _three_svd_chunk(alone)[1][served_at].max() < 1e-30
 
 
 def test_search_kernel_overdetermined_spaces(monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stringshape import studies
+from stringshape import optimizer, studies
 from stringshape.sensing import Reference, lengths, solve_shape
 
 
@@ -94,3 +94,24 @@ def test_soft_round_trip_through_preset():
     meas = lengths(array, basis, c_true, Reference.DELTA_FROM_STRAIGHT)
     sol = solve_shape(array, basis, meas)
     assert np.linalg.norm(sol.c - c_true) <= 1e-6
+
+
+def test_planar_config_study_mirror_pair_takes_swapped_peaks():
+    # (0.2, -0.1) has the transposed landscape of (0.1, -0.2): its rows are
+    # that pair's peaks with the anchors swapped, value for value, with beta
+    # against its own evenly spaced baseline, and they agree with a direct
+    # search of its own landscape to within the refinement's bracket.
+    rows = studies.planar_config_study()
+    by_pair = {}
+    for row in rows:
+        by_pair.setdefault((row.r_1, row.r_2), []).append(row)
+    radii = (0.20, -0.10, optimizer.PLANAR_REFERENCE_RADIUS)
+    base = optimizer.planar_config_index(
+        optimizer.planar_config_jacobian(radii, [1.0 / 3.0, 2.0 / 3.0, 1.0]))
+    direct = optimizer.planar_peak_search(radii, optimizer.planar_config_index)
+    assert len(by_pair[(0.20, -0.10)]) == 2
+    for a, b, pk in zip(by_pair[(0.10, -0.20)], by_pair[(0.20, -0.10)], direct):
+        assert (b.anchor_1, b.anchor_2, b.value) == (a.anchor_2, a.anchor_1, a.value)
+        assert b.beta == optimizer.improvement_beta(b.value, base)
+        assert max(abs(b.anchor_1 - pk.anchors[0]), abs(b.anchor_2 - pk.anchors[1])) <= 1e-5
+        assert b.value == pytest.approx(pk.value, rel=1e-9)
