@@ -538,10 +538,21 @@ def _three_svd_chunk(payload):
     return a0, ag, bad
 
 
+def _rows_per_sample(payload):
+    """The payload with its cumulative rows at all 1 + S row samples: a
+    linear-class search passes the straight rows alone, which serve every
+    sample, and they are repeated here; other payloads are returned as is."""
+    (space, channels, anc, iws, des_rows, fix_rows, jxc) = payload
+    n_rows = 1 + jxc.shape[1]
+    return (space, channels, anc, iws, np.broadcast_to(des_rows, (n_rows, *des_rows.shape[1:])),
+            np.broadcast_to(fix_rows, (n_rows, *fix_rows.shape[1:])), jxc)
+
+
 def _search_and_reference(monkeypatch, space, samples):
     new = brute_force_search(space, samples)
     with monkeypatch.context() as patched:
-        patched.setattr(optimizer, "_evaluate_chunk", _three_svd_chunk)
+        patched.setattr(optimizer, "_evaluate_chunk",
+                        lambda pl: _three_svd_chunk(_rows_per_sample(pl)))
         ref = brute_force_search(space, samples)
     return new, ref
 
@@ -589,7 +600,9 @@ def test_search_kernel_rank_deficient_sample_matches_three_svd_reference(monkeyp
                                                                          served):
     # No preset design passes both screens and loses rank at a sample, so the
     # truncated pseudo-inverse is served by an edited payload: designed string
-    # 1 takes string 0's rows at workspace sample 2 (row sample 3) only.
+    # 1 takes string 0's rows at workspace sample 2 (row sample 3) only.  The
+    # stiff search passes its constant rows once; they are repeated per
+    # sample before the edit, so the kernel's per-sample path is the one run.
     # Designs with both strings on one disk then have two equal rows there,
     # while their straight J_lc is untouched.  On the stiff preset (m = 6) B
     # loses rank with J_lc and the sample scores 0 by shape; on the soft
@@ -603,7 +616,8 @@ def test_search_kernel_rank_deficient_sample_matches_three_svd_reference(monkeyp
     payloads = []
     with monkeypatch.context() as patched:
         patched.setattr(optimizer, "_evaluate_chunk",
-                        lambda pl: payloads.append(pl) or _three_svd_chunk(pl))
+                        lambda pl: payloads.append(_rows_per_sample(pl))
+                        or _three_svd_chunk(payloads[-1]))
         brute_force_search(space, samples)
     space, channels, anc, iws, des_rows, fix_rows, jxc = payloads[0]
     des_rows = des_rows.copy()
@@ -626,14 +640,80 @@ def test_search_kernel_rank_deficient_sample_matches_three_svd_reference(monkeyp
         assert 0.0 < _three_svd_chunk(alone)[1][served_at].max() < 1e-30
 
 
-def test_search_kernel_overdetermined_spaces(monkeypatch):
-    # Stiff preset plus a seventh channel (p = 7 > m = 6): J_lc is replaced by
-    # its R factor.  The best designs also agree with global_index, which
-    # takes the pseudo-inverse of the 7 x 6 Jacobian.
+def _stiff_with_seventh_channel():
     base = studies.stiff_design_space()
     extra = StringSpec(ConstantPitch(studies.STIFF_STRING_RADIUS, 0.0), studies.STIFF_LENGTH)
     space = replace(base, fixed=base.fixed + (extra,))
     assert space.array_for((1, 2, 3, 4), 0).p == 7
+    return space
+
+
+def _count_row_calls(monkeypatch):
+    calls = []
+    rows = optimizer._cumulative_rows
+    monkeypatch.setattr(optimizer, "_cumulative_rows",
+                        lambda space, c: calls.append(c) or rows(space, c))
+    return calls
+
+
+def _served_linear_space():
+    # p = m = 8 on a torsion-free cubic basis, both designed strings on one
+    # path: with no screen (epsilon = 0) the designs with both on one disk,
+    # or one on the tip disk (an empty span), keep a rank-deficient J_lc,
+    # which m > 6 serves by the pseudo-inverse
+    basis = ModalBasis(x=(0, 1, 2, 3), y=(0, 1, 2, 3), length=0.3)
+    tip = DesignedString(ConstantPitch(0.05 * np.cos(np.pi / 4), 0.05 * np.sin(np.pi / 4)),
+                         mount=Mount.TIP)
+    fixed = tuple(StringSpec(ConstantPitch(0.06 * np.cos(a), 0.06 * np.sin(a)), s)
+                  for a, s in zip(np.deg2rad(np.arange(0, 360, 60)),
+                                  (0.3, 0.25, 0.2, 0.15, 0.1, 0.27)))
+    return DesignSpace(basis=basis, designed=(tip, tip), fixed=fixed, anchor_disks=(1, 2, 3),
+                       n_disks=3, s_objectives=(0.15, 0.3), c_l=0.05, epsilon=0.0)
+
+
+@pytest.mark.parametrize("name", ["tiny", "stiff", "stiff-p7", "served"])
+def test_constant_jlc_path_matches_per_sample_kernel(monkeypatch, name):
+    # A linear-class search builds its rows once, at c = 0, and takes one SVD
+    # and one inverse (of the R factor on the p = 7 space) per design.  The
+    # per-sample kernel on the same rows repeated per sample must agree bit
+    # for bit.
+    if name == "tiny":
+        space = _tiny_space()
+        samples = np.array([[0.5, -0.2, 0.7, 0.1], [-0.3, 0.4, -0.1, 0.6]])
+    elif name == "served":
+        space = _served_linear_space()
+        samples = np.random.default_rng(0).normal(0.0, 0.5, (3, 8))
+    else:
+        space = studies.stiff_design_space() if name == "stiff" else _stiff_with_seventh_channel()
+        samples = studies.stiff_workspace(6, seed=1)
+    calls = _count_row_calls(monkeypatch)
+    new = brute_force_search(space, samples)
+    assert len(calls) == 1 and not np.any(calls[0])
+    kernel = optimizer._evaluate_chunk
+    monkeypatch.setattr(optimizer, "_evaluate_chunk", lambda pl: kernel(_rows_per_sample(pl)))
+    ref = brute_force_search(space, samples)
+    assert (ref.aleph_g[~ref.singular] > 0.0).all()
+    if name == "served":
+        assert (ref.aleph_config[[0, 4, 8]] < 1e-30).all() and not ref.singular.any()
+    for field in ("aleph_config", "aleph_g", "singular"):
+        np.testing.assert_array_equal(getattr(new, field), getattr(ref, field))
+
+
+def test_search_builds_rows_per_sample_where_jlc_moves(monkeypatch):
+    # helical strings with torsion: J_lc depends on c, so every row sample
+    # is built, the straight one and the S workspace samples
+    space = replace(studies.soft_design_space(twist_rates=(1,)), anchor_disks=(3, 6, 9))
+    samples = studies.soft_workspace(3, seed=5)
+    calls = _count_row_calls(monkeypatch)
+    brute_force_search(space, samples)
+    assert len(calls) == 1 + len(samples.configs)
+
+
+def test_search_kernel_overdetermined_spaces(monkeypatch):
+    # Stiff preset plus a seventh channel (p = 7 > m = 6): J_lc is replaced by
+    # its R factor.  The best designs also agree with global_index, which
+    # takes the pseudo-inverse of the 7 x 6 Jacobian.
+    space = _stiff_with_seventh_channel()
     samples = studies.stiff_workspace(6, seed=1)
     new, ref = _search_and_reference(monkeypatch, space, samples)
     _assert_matches_reference(new, ref)
@@ -664,3 +744,51 @@ def test_search_kernel_conditioning_guard(monkeypatch):
     space = replace(studies.soft_design_space(), anchor_disks=(3, 6, 9), c_l=1e-6)
     new, ref = _search_and_reference(monkeypatch, space, studies.soft_workspace(3, seed=5))
     _assert_matches_reference(new, ref)
+
+
+# ---------------------------------------------------------------------------
+# Ranking: designs tied within RANK_TIE_RTOL go by design index.
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def stiff_search():
+    # mirror-symmetric stiff designs tie to round-off
+    return brute_force_search(studies.stiff_design_space(), studies.stiff_workspace(6, seed=1))
+
+
+def test_ranking_puts_each_tie_group_in_design_order(stiff_search):
+    res = stiff_search
+    n = len(res.order)
+    assert sorted(res.order) == list(range(n))
+    rank = np.empty(n, dtype=int)
+    rank[res.order] = np.arange(n)
+    healthy = np.flatnonzero(~res.singular)
+    # singular designs come last, by index
+    assert rank[healthy].max() < rank[res.singular].min()
+    assert np.all(np.diff(rank[res.singular]) > 0)
+    v = res.aleph_g[healthy, -1]
+    hi, lo = np.maximum.outer(v, v), np.minimum.outer(v, v)
+    tied = hi - lo <= optimizer.RANK_TIE_RTOL * hi
+    ahead = rank[healthy][:, None] < rank[healthy][None, :]
+    # tied designs by index, every other pair by value
+    np.testing.assert_array_equal(ahead[tied], np.less.outer(healthy, healthy)[tied])
+    np.testing.assert_array_equal(ahead[~tied], np.greater.outer(v, v)[~tied])
+    # 100 groups of four mirror designs: six tied pairs each
+    assert (np.triu(tied, 1)).sum() == 600
+    # best reads the same rule at every objective
+    assert res.best() == int(res.order[0])
+    for k in range(res.aleph_g.shape[1]):
+        b = res.best(k)
+        top = res.aleph_g[~res.singular, k].max()
+        group = np.flatnonzero(~res.singular
+                               & (res.aleph_g[:, k] >= top * (1 - optimizer.RANK_TIE_RTOL)))
+        assert len(group) > 1 and b == group.min()
+
+
+def test_ranking_does_not_move_when_a_tied_value_moves_by_one_ulp(stiff_search):
+    res = stiff_search
+    for i in np.flatnonzero(~res.singular):
+        for direction in (np.inf, -np.inf):
+            values = res.aleph_g[:, -1].copy()
+            values[i] = np.nextafter(values[i], direction)
+            np.testing.assert_array_equal(optimizer._ranking(values, res.singular), res.order)
