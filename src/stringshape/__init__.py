@@ -7,7 +7,7 @@ from .sensing import (Composite, NotRealizableError, Reference, SensorArray,
                       SingularDesignError, SolverError, body_jacobian,
                       config_jacobian, forward_kinematics, lengths, solve_shape)
 from .sensitivity import (ConstraintSet, DiskGeometry, WorkspaceSamples,
-                          disk_collision_radius, full_map_jacobian, global_index,
+                          disk_collision_radius, global_index,
                           noise_amp, sample_admissible)
 from .optimizer import (DesignSpace, DesignedString, brute_force_search,
                         improvement_beta, planar_peak_search)

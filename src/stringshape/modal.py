@@ -32,14 +32,6 @@ def _cheb_all(x, n_max):
     return out
 
 
-def chebyshev(n, s, length):
-    """Shifted Chebyshev polynomial T_n(s) on [0, length]."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    x = _shift(s, length)
-    return _cheb_all(x, n)[..., n]
-
-
 def _cheb_antideriv(x, n_max):
     """Antiderivatives F_n(x) of T_n up to n_max, shape (..., n_max+1), each
     up to a constant that cancels in differences: int T_0 = T_1, int T_1 =

@@ -14,8 +14,8 @@ import numpy as np
 
 from .modal import ModalBasis
 from .routing import Helical, Mount, StringSpec
-from .sensing import (SIGMA_RATIO_TOL, SensorArray, aleph_gram, aleph_sv, body_jacobian,
-                      body_jacobian_multi, span_integrals)
+from .sensing import (SensorArray, aleph_gram, aleph_sv, body_jacobian, body_jacobian_multi,
+                      full_rank, span_integrals)
 from .sensitivity import map_rank_limited, twist_scaling
 
 PLANAR_REFERENCE_RADIUS = 0.25   # fixed end-anchored tendon, radius in units of L
@@ -60,15 +60,15 @@ def planar_full_index(jac, gram_samples):
 
     gram_samples holds (S J_xc)^T (S J_xc) per workspace sample.  The squared
     singular values of B = S J_xc J_lc^-1 are the eigenvalues of
-    K = J_lc^-T gram J_lc^-1.  J_lc that fail the rank test of the search
-    kernel (SIGMA_RATIO_TOL) score 0; the identity stands in for them so that
-    the batched inverse exists.  Forming K squares cond(J_lc): against the
-    SVD of W = J_lc^-T (S J_xc)^T, about 3 times dearer, the index differs by
-    at most 5.1e-9, near cond(J_lc) 1e9 where the index is below 3.2e-8
-    (landscape maximum about 0.15), and by 5.5e-14 at cond(J_lc) below 6e3.
+    K = J_lc^-T gram J_lc^-1.  J_lc that fail the rank test (full_rank)
+    score 0, the one rank rule of the search kernel; the identity stands in
+    for them so that the batched inverse exists.  Forming K squares
+    cond(J_lc): against the SVD of W = J_lc^-T (S J_xc)^T, about 3 times
+    dearer, the index differs by at most 5.1e-9, near cond(J_lc) 1e9 where
+    the index is below 3.2e-8 (landscape maximum about 0.15), and by 5.5e-14
+    at cond(J_lc) below 6e3.
     """
-    sv = np.linalg.svd(jac, compute_uv=False)
-    full = sv[..., -1] > SIGMA_RATIO_TOL * sv[..., 0]
+    full = full_rank(np.linalg.svd(jac, compute_uv=False))
     inv = np.linalg.inv(np.where(full[..., None, None], jac, np.eye(3)))[..., None, :, :]
     k = np.swapaxes(inv, -1, -2) @ gram_samples @ inv
     return full * aleph_gram(np.linalg.eigvalsh(k)).mean(axis=-1)
@@ -363,9 +363,8 @@ def _evaluate_chunk(payload):
     column rank, B = S J_xc J_lc^+ satisfies B B^T = W^T W with
     W = A^-T (S J_xc)^T, A being J_lc itself (p = m) or its R factor (p > m),
     so aleph(B) comes from one inverse and the singular values of the m x 6
-    W.  A rank-deficient sample scores 0 where m <= 6, since
-    rank(B) <= rank(J_lc) < m <= min(6, p) then makes its index 0 by shape;
-    where m > 6 it keeps the truncated pseudo-inverse.  Where
+    W.  The one rank rule: a (design, sample) whose J_lc fails full_rank
+    cannot be solved for c and scores 0, whatever m.  Where
     map_rank_limited(p, m) holds, every index is 0 by the shape of B alone.
     """
     (space, channels, anc, iws, des_rows, fix_rows, jxc) = payload
@@ -389,7 +388,6 @@ def _evaluate_chunk(payload):
     bad = a0 < space.epsilon
     keep = np.flatnonzero(~bad)
     ag = np.zeros((len(anc), len(space.s_objectives)))
-    n_samples = jxc.shape[1]
     if len(des_rows) == 1:
         # one J_lc per design serves all samples: (n_keep, 1, p, m)
         jlc, sv = straight[keep][:, None], sv[keep][:, None]
@@ -400,25 +398,13 @@ def _evaluate_chunk(payload):
     p = jlc.shape[-2]
     if map_rank_limited(p, m):
         return a0, ag, bad
-    full = sv[..., -1] > SIGMA_RATIO_TOL * sv[..., 0]
+    full = full_rank(sv)
     # the identity stands in for rank-deficient J_lc so that the batched inverse exists
     square = np.linalg.qr(jlc, mode="r") if p > m else jlc
     inv_t = np.swapaxes(np.linalg.inv(np.where(full[..., None, None], square, np.eye(m))), -1, -2)
-    # (design, sample) pairs, over every sample even where one J_lc serves them all
-    deficient = np.nonzero(np.broadcast_to(~full, (len(keep), n_samples)))
-    served = m > 6 and len(deficient[0]) > 0
-    if served:
-        u_m, s_m, vt_m = np.linalg.svd(
-            np.broadcast_to(jlc, (len(keep), n_samples, p, m))[deficient], full_matrices=False)
-        inv_s = np.divide(1.0, s_m, out=np.zeros_like(s_m),
-                          where=s_m > SIGMA_RATIO_TOL * s_m[..., :1])
-        pinv = np.einsum("...ji,...j,...kj->...ik", vt_m, inv_s, u_m)
     for k in range(len(space.s_objectives)):
         val = full * aleph_sv(np.linalg.svd(inv_t @ np.swapaxes(jxc[k], -1, -2),
                                             compute_uv=False))
-        if served:
-            b = jxc[k][deficient[1]] @ pinv
-            val[deficient] = aleph_sv(np.linalg.svd(b, compute_uv=False))
         ag[keep, k] = val.mean(axis=1)
     return a0, ag, bad
 

@@ -112,9 +112,20 @@ class SensorArray:
         return all(has_exact_row(s.path, basis) for s in self.strings)
 
 
-# Singular values below this fraction of the largest count as zero (rank tests
-# of solve_shape and the search kernel, pseudo-inverses of the sensitivity maps).
+# Singular values below this fraction of the largest count as zero.  It is the
+# one rank rule: full_rank is the rank test of every J_lc (solve_shape, the
+# search kernel, planar_full_index and global_index), and the pseudo-inverses
+# of the sensitivity maps truncate at it.
 SIGMA_RATIO_TOL = 1e-12
+
+
+def full_rank(sv):
+    """Whether a matrix passes the rank test sigma_min > SIGMA_RATIO_TOL *
+    sigma_max, from its singular values sorted descending along the last
+    axis; an all-zero matrix fails it, and so do NaN singular values."""
+    sv = np.asarray(sv)
+    return sv[..., -1] > SIGMA_RATIO_TOL * sv[..., 0]
+
 
 # Both index helpers divide by 1 where the largest value is 0: the smallest
 # is 0 there too, so the index is 0 without a warning or a branch.
@@ -240,17 +251,11 @@ def _cusp_grid(strings, basis):
 
 
 def _margins(cusp_grid, c):
-    """Each string's smallest tangential rate on its _cusp_grid at c (m,) or a
-    stack (k, m): (n_strings,) or (k, n_strings)."""
+    """The cusp rule: each string's smallest tangential rate (w')^T e3 on its
+    _cusp_grid at c (m,) or a stack (k, m), (n_strings,) or (k, n_strings);
+    a string is realizable where it is positive."""
     r, phi_t = cusp_grid
     return tangential_margin(r, (c @ phi_t).reshape(c.shape[:-1] + r.shape)).min(axis=-1)
-
-
-def realizability_margins(strings, basis, c):
-    """The cusp rule: each string's smallest tangential rate (w')^T e3 on
-    REALIZABILITY_GRID uniform points of its span, (n_strings,) for c (m,) and
-    (k, n_strings) for a stack (k, m); a string is realizable where it is positive."""
-    return _margins(_cusp_grid(strings, basis), basis.check_stack(c))
 
 
 def _check_realizable(cusp_grid, c):
@@ -447,9 +452,9 @@ class ShapeSolution:
 def _solve_aleph(jac, where):
     """aleph of a solve step's J_lc; SingularDesignError where it is singular."""
     sv = np.linalg.svd(jac, compute_uv=False)
-    if sv[-1] < SIGMA_RATIO_TOL * sv[0]:
+    if not full_rank(sv):
         raise SingularDesignError(f"configuration-space Jacobian is singular{where} "
-                                  f"(sigma ratio {sv[-1] / sv[0]:.2e})")
+                                  f"(singular values {sv[-1]:.2e} to {sv[0]:.2e})")
     return float(aleph_sv(sv))
 
 

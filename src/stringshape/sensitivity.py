@@ -6,7 +6,8 @@ reciprocal bounds error amplification in A x = b.  For pose sensitivity the
 index is evaluated on the map from measured length changes to the scaled body
 twist at an arc length of interest, B = S J_xc J_lc^+ with S = diag(c_l I3, I3);
 the routing-design tables are reproduced by aleph(B), and the length-per-twist
-Jacobian itself is pinv(B).
+Jacobian itself is pinv(B).  A configuration whose J_lc fails the rank test
+(sensing.full_rank) cannot be solved for c, and its index is 0.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sensing import SIGMA_RATIO_TOL, _cusp_grid, _margins, aleph_sv, body_jacobian, config_jacobian
+from .sensing import (SIGMA_RATIO_TOL, _cusp_grid, _margins, aleph_sv, body_jacobian,
+                      config_jacobian, full_rank)
 
 
 def noise_amp(a):
@@ -40,22 +42,10 @@ def length_twist_map(array, basis, c, s, c_l):
     return (twist_scaling(c_l)[:, None] * j_xc) @ np.linalg.pinv(j_lc, rcond=SIGMA_RATIO_TOL)
 
 
-def full_map_jacobian(array, basis, c, s, c_l):
-    """J_lxi (p, 6): length change produced by a unit scaled twist at s."""
-    return np.linalg.pinv(length_twist_map(array, basis, c, s, c_l), rcond=SIGMA_RATIO_TOL)
-
-
 def map_rank_limited(p, m):
     """B = S J_xc J_lc^+ (6 x p) has rank at most m; when m < min(p, 6) its
     smallest singular value, and so its index, is exactly 0."""
     return m < min(p, 6)
-
-
-def full_map_index(array, basis, c, s, c_l):
-    """aleph of the length->twist map at one configuration and arc length."""
-    if map_rank_limited(array.p, basis.m):
-        return 0.0
-    return noise_amp(length_twist_map(array, basis, c, s, c_l))
 
 
 @dataclass(frozen=True)
@@ -234,12 +224,16 @@ def sample_admissible(basis, constraints, n_target, seed, strings=(), box_scale=
 
 
 def global_index(array, basis, samples, s, c_l):
-    """Mean of the full-map index over workspace samples (ordered reduction)."""
+    """Mean of aleph(B) over workspace samples (ordered reduction), the slow
+    reference of the routing search.  It follows the search's one rank rule:
+    a sample whose J_lc fails full_rank scores 0, and where
+    map_rank_limited(p, m) holds every sample does."""
     configs = samples.configs if isinstance(samples, WorkspaceSamples) else np.asarray(samples)
     if len(configs) == 0:
         raise ValueError("need at least one workspace sample")
     if map_rank_limited(array.p, basis.m):
         return 0.0
     b = length_twist_map(array, basis, configs, s, c_l)
-    return float(np.mean(aleph_sv(np.linalg.svd(b, compute_uv=False))))
+    full = full_rank(np.linalg.svd(config_jacobian(array, basis, configs), compute_uv=False))
+    return float(np.mean(full * aleph_sv(np.linalg.svd(b, compute_uv=False))))
 

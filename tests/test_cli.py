@@ -135,6 +135,23 @@ def test_singular_design_exits_4(tmp_path):
     assert "Singular" in json.loads(diag.read_text())["detail"]["kind"]
 
 
+def test_all_zero_jacobian_exits_4(tmp_path):
+    # two strings on the axis: J_lc is 0, which the rank test fails
+    robot = dict(PLANAR_ROBOT, basis={"x": [0], "y": [0]})
+    robot["strings"] = [
+        {"type": "constant_pitch", "r_x": 0.0, "r_y": 0.0, "anchor_s": 0.3},
+        {"type": "constant_pitch", "r_x": 0.0, "r_y": 0.0, "anchor_s": 0.15},
+    ]
+    path = tmp_path / "robot.json"
+    path.write_text(json.dumps(robot))
+    meas = tmp_path / "m.csv"
+    write_csv(str(meas), ["ell_0_m", "ell_1_m"], [[0.01, -0.02]])
+    diag = tmp_path / "d.json"
+    assert main(["solve", str(path), str(meas), "-o", str(tmp_path / "o.csv"),
+                 "--diagnostics", str(diag)]) == 4
+    assert json.loads(diag.read_text())["detail"]["kind"] == "SingularDesignError"
+
+
 def test_underdetermined_exits_4(tmp_path, capsys):
     robot = dict(PLANAR_ROBOT)
     robot["strings"] = PLANAR_ROBOT["strings"][:2]

@@ -3,29 +3,35 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from stringshape.modal import ModalBasis, chebyshev, curvature, identity_basis
+from stringshape.modal import ModalBasis, curvature, identity_basis
+
+
+def t_n(n, s, length):
+    """Shifted T_n(s) on [0, length], read from the single column of a
+    degree-n basis: the path every curvature evaluation takes."""
+    return ModalBasis(y=(n,), length=length).matrix(s)[..., 1, 0]
 
 
 def test_first_polynomials_at_key_points():
     L = 1.0
-    assert chebyshev(2, 0.0, L) == pytest.approx(1.0)
-    assert chebyshev(2, L / 2, L) == pytest.approx(-1.0)
-    assert chebyshev(2, L, L) == pytest.approx(1.0)
-    assert chebyshev(1, L / 2, L) == pytest.approx(0.0)
-    assert chebyshev(4, 0.0, L) == pytest.approx(1.0)   # T_n(-1) = (-1)^n
+    assert t_n(2, 0.0, L) == pytest.approx(1.0)
+    assert t_n(2, L / 2, L) == pytest.approx(-1.0)
+    assert t_n(2, L, L) == pytest.approx(1.0)
+    assert t_n(1, L / 2, L) == pytest.approx(0.0)
+    assert t_n(4, 0.0, L) == pytest.approx(1.0)   # T_n(-1) = (-1)^n
 
 
 def test_explicit_quadratic_form():
     L = 0.3
     s = np.linspace(0, L, 7)
-    np.testing.assert_allclose(chebyshev(2, s, L), 8 * s**2 / L**2 - 8 * s / L + 1,
+    np.testing.assert_allclose(t_n(2, s, L), 8 * s**2 / L**2 - 8 * s / L + 1,
                                atol=1e-14)
 
 
 def test_domain_errors():
     for s in (-0.01, 1.01, np.nan):
         with pytest.raises(ValueError):
-            chebyshev(2, s, 1.0)
+            t_n(2, s, 1.0)
     basis = ModalBasis(y=(0, 1), length=1.0)
     for s_from, s_to in [(0.5, 0.2), (0.0, np.nan), (np.nan, 0.5), (0.0, [0.2, np.nan]),
                          (0.0, [0.2, 1.01]), (0.5, [0.6, 0.4]), (-0.1, [0.2, 0.3])]:
@@ -38,13 +44,13 @@ def test_domain_errors():
 
 @given(st.integers(0, 10), st.floats(0, 1))
 def test_boundedness(n, frac):
-    assert abs(chebyshev(n, frac * 2.0, 2.0)) <= 1 + 1e-12
+    assert abs(t_n(n, frac * 2.0, 2.0)) <= 1 + 1e-12
 
 
 def test_boundedness_grid():
     s = np.linspace(0, 1, 1000)
     for n in range(11):
-        assert np.abs(chebyshev(n, s, 1.0)).max() <= 1 + 1e-12
+        assert np.abs(t_n(n, s, 1.0)).max() <= 1 + 1e-12
 
 
 def test_basis_matrix_layout():
@@ -53,7 +59,7 @@ def test_basis_matrix_layout():
     assert phi.shape == (3, 3)
     np.testing.assert_array_equal(phi[0], 0)
     np.testing.assert_array_equal(phi[2], 0)
-    np.testing.assert_allclose(phi[1], [chebyshev(n, 0.3, 1.0) for n in (0, 1, 2)])
+    np.testing.assert_allclose(phi[1], [t_n(n, 0.3, 1.0) for n in (0, 1, 2)])
 
 
 def test_identity_basis_is_constant_curvature():
@@ -104,7 +110,7 @@ def test_integral_matches_quadrature(a, b):
     col = 0
     for row, degs in ((0, basis.x), (1, basis.y), (2, basis.z)):
         for n in degs:
-            val, _ = quad(lambda s: chebyshev(n, s, L), lo * L, hi * L,
+            val, _ = quad(lambda s: t_n(n, s, L), lo * L, hi * L,
                           limit=200, epsabs=1e-13, epsrel=1e-13)
             assert abs(exact[row, col] - val) < 1e-12
             col += 1

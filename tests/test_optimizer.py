@@ -13,8 +13,9 @@ from stringshape.optimizer import (PLANAR_REFERENCE_RADIUS, DesignSpace, Designe
                                    planar_full_index, planar_landscape, planar_peak_search,
                                    planar_sample_grams)
 from stringshape.routing import ConstantPitch, Helical, Mount, StringSpec
-from stringshape.sensing import (SensorArray, aleph_sv, config_jacobian, exact_row,
-                                 has_exact_row, linear_model, span_integrals)
+from stringshape.sensing import (SIGMA_RATIO_TOL, SensorArray, aleph_sv, config_jacobian,
+                                 exact_row, full_rank, has_exact_row, linear_model,
+                                 span_integrals)
 from stringshape.sensitivity import global_index, noise_amp
 
 
@@ -501,7 +502,8 @@ def test_stiff_space_singular_counting():
 
 # ---------------------------------------------------------------------------
 # Differential tests of the search kernel against the three-SVD kernel it
-# replaced, kept here verbatim as the slow reference.
+# replaced, kept here as the slow reference; it follows the one rank rule, so
+# a sample whose J_lc fails full_rank scores 0.
 # ---------------------------------------------------------------------------
 
 def _three_svd_chunk(payload):
@@ -528,13 +530,14 @@ def _three_svd_chunk(payload):
     jlc = np.moveaxis(channels.reduce(rows), 0, -2)
     u_m, s_m, vt_m = np.linalg.svd(jlc, full_matrices=False)
     bad |= aleph_sv(s_m).mean(axis=1) < space.epsilon
+    full = full_rank(s_m)
     inv_s = np.divide(1.0, s_m, out=np.zeros_like(s_m),
-                      where=s_m > 1e-12 * s_m[..., :1])
+                      where=s_m > SIGMA_RATIO_TOL * s_m[..., :1])
     pinv = np.einsum("...ji,...j,...kj->...ik", vt_m, inv_s, u_m)
     ag = np.zeros((nd, len(space.s_objectives)))
     for k in range(len(space.s_objectives)):
         sv = np.linalg.svd(jxc[k][None] @ pinv, compute_uv=False)
-        ag[:, k] = aleph_sv(sv).mean(axis=1)
+        ag[:, k] = (full * aleph_sv(sv)).mean(axis=1)
     return a0, ag, bad
 
 
@@ -558,7 +561,10 @@ def _search_and_reference(monkeypatch, space, samples):
 
 
 def _rel_err(new, ref):
-    return np.abs(new.aleph_g - ref.aleph_g) / ref.aleph_g
+    """|new - ref| / ref, elementwise: 0 where both read exactly 0, and inf
+    where ref alone does."""
+    diff = np.abs(new - ref)
+    return np.divide(diff, ref, out=np.where(diff == 0.0, 0.0, np.inf), where=ref != 0.0)
 
 
 def _assert_matches_reference(new, ref):
@@ -568,7 +574,7 @@ def _assert_matches_reference(new, ref):
     np.testing.assert_array_equal(new.aleph_config, ref.aleph_config)
     healthy = ~ref.singular
     assert healthy.any()
-    assert _rel_err(new, ref)[healthy].max() <= REFERENCE_RTOL
+    assert _rel_err(new.aleph_g, ref.aleph_g)[healthy].max() <= REFERENCE_RTOL
     for k in range(ref.aleph_g.shape[1]):
         best_ref = int(np.argmax(np.where(ref.singular, -np.inf, ref.aleph_g[:, k])))
         best_new = int(np.argmax(np.where(new.singular, -np.inf, new.aleph_g[:, k])))
@@ -585,8 +591,8 @@ def test_search_kernel_matches_three_svd_reference_on_soft_subspace(monkeypatch)
 
 def test_search_kernel_matches_three_svd_reference_on_stiff_preset(monkeypatch):
     # J_lc is constant on this preset, so all 225 singular designs fail the
-    # straight screen: they are not scored and read exactly 0, where the
-    # reference scores them at round-off (below 1e-32).
+    # straight screen: they are not scored and read exactly 0, and the
+    # reference, where their J_lc fails full_rank, scores them 0 too.
     space = studies.stiff_design_space()
     new, ref = _search_and_reference(monkeypatch, space, studies.stiff_workspace(6, seed=1))
     assert int(new.singular.sum()) == 225
@@ -595,19 +601,18 @@ def test_search_kernel_matches_three_svd_reference_on_stiff_preset(monkeypatch):
     assert np.all(new.aleph_g[new.singular] == 0.0)
 
 
-@pytest.mark.parametrize("preset, served", [("stiff", 48), ("soft", 24)])
+@pytest.mark.parametrize("preset, deficient", [("stiff", 48), ("soft", 24)])
 def test_search_kernel_rank_deficient_sample_matches_three_svd_reference(monkeypatch, preset,
-                                                                         served):
-    # No preset design passes both screens and loses rank at a sample, so the
-    # truncated pseudo-inverse is served by an edited payload: designed string
-    # 1 takes string 0's rows at workspace sample 2 (row sample 3) only.  The
-    # stiff search passes its constant rows once; they are repeated per
-    # sample before the edit, so the kernel's per-sample path is the one run.
-    # Designs with both strings on one disk then have two equal rows there,
-    # while their straight J_lc is untouched.  On the stiff preset (m = 6) B
-    # loses rank with J_lc and the sample scores 0 by shape; on the soft
-    # subspace (m = 8) J_lc keeps rank 7 and the sample takes the
-    # pseudo-inverse, scoring above 0.
+                                                                         deficient):
+    # No preset design passes both screens and loses rank at a sample, so an
+    # edited payload makes some: designed string 1 takes string 0's rows at
+    # workspace sample 2 (row sample 3) only.  The stiff search passes its
+    # constant rows once; they are repeated per sample before the edit, so
+    # the kernel's per-sample path is the one run.  Designs with both strings
+    # on one disk then have two equal rows there, while their straight J_lc
+    # is untouched.  J_lc fails full_rank at that sample, which scores 0 in
+    # both kernels, on the stiff preset (m = 6) and the soft subspace (m = 8)
+    # alike.
     if preset == "stiff":
         space, samples = studies.stiff_design_space(), studies.stiff_workspace(6, seed=1)
     else:
@@ -628,16 +633,15 @@ def test_search_kernel_rank_deficient_sample_matches_three_svd_reference(monkeyp
     np.testing.assert_array_equal(bad, rbad)
     np.testing.assert_array_equal(a0, r0)
     # designs that pass both screens and lose rank at that sample
-    served_at = ~bad & (anc[:, 0] == anc[:, 1])
-    assert int(served_at.sum()) == served
-    assert (np.abs(ag - rg) / rg)[~bad].max() <= REFERENCE_RTOL
-    if preset == "stiff":
-        # scored on that sample alone, with no screen, the served designs
-        # read exactly 0, where the reference reads round-off
-        alone = (replace(space, epsilon=0.0), channels, anc, iws, des_rows[[0, 3]],
-                 fix_rows[[0, 3]], jxc[:, [2]])
-        assert np.all(optimizer._evaluate_chunk(alone)[1][served_at] == 0.0)
-        assert 0.0 < _three_svd_chunk(alone)[1][served_at].max() < 1e-30
+    deficient_at = ~bad & (anc[:, 0] == anc[:, 1])
+    assert int(deficient_at.sum()) == deficient
+    assert _rel_err(ag, rg)[~bad].max() <= REFERENCE_RTOL
+    # scored on that sample alone, with no screen, these designs read
+    # exactly 0 in both kernels
+    alone = (replace(space, epsilon=0.0), channels, anc, iws, des_rows[[0, 3]],
+             fix_rows[[0, 3]], jxc[:, [2]])
+    assert np.all(optimizer._evaluate_chunk(alone)[1][deficient_at] == 0.0)
+    assert np.all(_three_svd_chunk(alone)[1][deficient_at] == 0.0)
 
 
 def _stiff_with_seventh_channel():
@@ -656,11 +660,10 @@ def _count_row_calls(monkeypatch):
     return calls
 
 
-def _served_linear_space():
+def _deficient_linear_space():
     # p = m = 8 on a torsion-free cubic basis, both designed strings on one
     # path: with no screen (epsilon = 0) the designs with both on one disk,
-    # or one on the tip disk (an empty span), keep a rank-deficient J_lc,
-    # which m > 6 serves by the pseudo-inverse
+    # or one on the tip disk (an empty span), keep a rank-deficient J_lc
     basis = ModalBasis(x=(0, 1, 2, 3), y=(0, 1, 2, 3), length=0.3)
     tip = DesignedString(ConstantPitch(0.05 * np.cos(np.pi / 4), 0.05 * np.sin(np.pi / 4)),
                          mount=Mount.TIP)
@@ -671,7 +674,7 @@ def _served_linear_space():
                        n_disks=3, s_objectives=(0.15, 0.3), c_l=0.05, epsilon=0.0)
 
 
-@pytest.mark.parametrize("name", ["tiny", "stiff", "stiff-p7", "served"])
+@pytest.mark.parametrize("name", ["tiny", "stiff", "stiff-p7", "deficient"])
 def test_constant_jlc_path_matches_per_sample_kernel(monkeypatch, name):
     # A linear-class search builds its rows once, at c = 0, and takes one SVD
     # and one inverse (of the R factor on the p = 7 space) per design.  The
@@ -680,8 +683,8 @@ def test_constant_jlc_path_matches_per_sample_kernel(monkeypatch, name):
     if name == "tiny":
         space = _tiny_space()
         samples = np.array([[0.5, -0.2, 0.7, 0.1], [-0.3, 0.4, -0.1, 0.6]])
-    elif name == "served":
-        space = _served_linear_space()
+    elif name == "deficient":
+        space = _deficient_linear_space()
         samples = np.random.default_rng(0).normal(0.0, 0.5, (3, 8))
     else:
         space = studies.stiff_design_space() if name == "stiff" else _stiff_with_seventh_channel()
@@ -692,11 +695,36 @@ def test_constant_jlc_path_matches_per_sample_kernel(monkeypatch, name):
     kernel = optimizer._evaluate_chunk
     monkeypatch.setattr(optimizer, "_evaluate_chunk", lambda pl: kernel(_rows_per_sample(pl)))
     ref = brute_force_search(space, samples)
-    assert (ref.aleph_g[~ref.singular] > 0.0).all()
-    if name == "served":
+    if name == "deficient":
+        # seven designs keep a rank-deficient J_lc and read 0, though no
+        # screen marks them
         assert (ref.aleph_config[[0, 4, 8]] < 1e-30).all() and not ref.singular.any()
+        assert np.flatnonzero(ref.aleph_g[:, -1]).tolist() == [1, 3]
+    else:
+        assert (ref.aleph_g[~ref.singular] > 0.0).all()
     for field in ("aleph_config", "aleph_g", "singular"):
         np.testing.assert_array_equal(getattr(new, field), getattr(ref, field))
+
+
+def test_rank_deficient_designs_score_zero_and_rank_last():
+    # Two of the nine designs have a full-rank J_lc.  Each of the other seven
+    # fails full_rank at every sample and scores exactly 0 there, in the
+    # search and in global_index, and ranks behind both full-rank designs at
+    # every objective.
+    space = _deficient_linear_space()
+    samples = np.random.default_rng(0).normal(0.0, 0.5, (3, 8))
+    res = brute_force_search(space, samples)
+    assert not res.singular.any()
+    full = np.array([full_rank(np.linalg.svd(config_jacobian(
+        space.array_for(a, n), space.basis, np.zeros(8)), compute_uv=False))
+        for a, n in zip(res.anchors, res.n_omega)])
+    assert np.flatnonzero(full).tolist() == [1, 3]
+    for k, s_obj in enumerate(space.s_objectives):
+        assert set(optimizer._ranking(res.aleph_g[:, k], res.singular)[:2]) == {1, 3}
+        gi = np.array([global_index(space.array_for(a, n), space.basis, samples, s_obj,
+                                    space.c_l) for a, n in zip(res.anchors, res.n_omega)])
+        assert np.all(res.aleph_g[~full, k] == 0.0) and np.all(gi[~full] == 0.0)
+        np.testing.assert_allclose(res.aleph_g[full, k], gi[full], rtol=REFERENCE_RTOL, atol=0)
 
 
 def test_search_builds_rows_per_sample_where_jlc_moves(monkeypatch):

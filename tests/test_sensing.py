@@ -8,8 +8,8 @@ from stringshape.rodsim import synthetic_spatial_truth
 from stringshape.sensing import (STAGNATION_TOL, Composite, NotRealizableError, Reference,
                                  SensorArray, SingularDesignError, aleph_gram, aleph_sv,
                                  body_jacobian, body_jacobian_multi, config_jacobian,
-                                 forward_kinematics, lengths, linear_model, solve_shape,
-                                 span_integrals)
+                                 forward_kinematics, full_rank, lengths, linear_model,
+                                 solve_shape, span_integrals)
 from stringshape.sensitivity import noise_amp
 from stringshape import liegroup as lg
 from stringshape import studies
@@ -598,6 +598,22 @@ def test_three_strings_one_disk_singular():
         for t, a in zip(angles, anchors)))
     with pytest.raises(SingularDesignError):
         solve_shape(array, basis, np.zeros(6))
+
+
+def test_full_rank_fails_zero_and_nan_singular_values():
+    np.testing.assert_array_equal(full_rank([[2.0, 1.0], [2.0, 1e-13], [0.0, 0.0],
+                                             [np.nan, np.nan]]), [True, False, False, False])
+
+
+def test_all_zero_jacobian_is_singular():
+    # strings on the axis (r = 0) do not change length: J_lc is 0, which
+    # fails the rank test, so no c = 0 is reported as a solution
+    basis = ModalBasis(x=(0,), y=(0,), length=0.3)
+    array = SensorArray(strings=(StringSpec(ConstantPitch(0.0, 0.0), 0.3),
+                                 StringSpec(ConstantPitch(0.0, 0.0), 0.15)))
+    assert not config_jacobian(array, basis, np.zeros(2)).any()
+    with pytest.raises(SingularDesignError, match="singular"):
+        solve_shape(array, basis, np.array([0.01, -0.02]))
 
 
 def test_underdetermined_rejected():
