@@ -230,8 +230,9 @@ def cmd_routing_opt(args):
     # screens by rule: the straight configuration first, then the workspace mean
     n_singular = int(result.singular.sum())
     n_straight = int((result.aleph_config < space.epsilon).sum())
-    print(f"{space.size} designs evaluated ({n_singular} singular: {n_straight} at the "
-          f"straight configuration, {n_singular - n_straight} by the workspace mean)")
+    print(f"{space.size} designs, {result.n_scored} scored, one per mirror orbit "
+          f"({n_singular} singular: {n_straight} at the straight configuration, "
+          f"{n_singular - n_straight} by the workspace mean)")
     header = (["design", *(f"anchor_disk_{i+1}" for i in range(result.anchors.shape[1])),
                "n_omega", "aleph_config_straight"]
               + [f"aleph_g_at_{s:.4f}_m" for s in result.s_objectives] + ["singular"])
@@ -252,6 +253,7 @@ def cmd_routing_opt(args):
         "characteristic_length": space.c_l,
         "singular": bool(result.singular[best]),
         "n_designs": int(space.size),
+        "n_scored": int(result.n_scored),
         "n_singular": n_singular,
         "n_singular_straight": n_straight,
         "n_singular_workspace": n_singular - n_straight,

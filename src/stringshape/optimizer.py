@@ -308,11 +308,14 @@ class SearchResult:
     singular: np.ndarray       # (n_designs,) bool
     s_objectives: tuple
     order: np.ndarray          # ranking by the last objective
+    n_scored: int              # designs the kernel evaluated, one per mirror orbit
 
     def best(self, objective_index=-1):
         """Index of the non-singular design ranked first at the given
-        objective (by default the last one, by which the search ranks)."""
-        return int(_ranking(self.aleph_g[:, objective_index], self.singular)[0])
+        objective (by default the last one, by which the search ranks): the
+        first argmax, as in order."""
+        return int(np.argmax(np.where(self.singular, -np.inf,
+                                      self.aleph_g[:, objective_index])))
 
 
 def _cumulative_rows(space, c):
@@ -414,28 +417,60 @@ def _evaluate_chunk(payload):
 DESIGN_CHUNK = 400
 MAX_DESIGNS = 1_000_000
 
-# Ranked values within this relative distance tie.  The groups of four
-# mirror-symmetric stiff designs spread to at most 1.5e-13 relative at any
-# objective (24 samples at seeds 3 and 424242, 200 at seed 777), while other
-# designs lie at least 6.4e-6 apart there and 2.6e-8 apart on the soft
-# preset (3 samples, seed 7); 1e-10 sits a factor of 660 above that
-# round-off and 260 below the closest distinct pair.
-RANK_TIE_RTOL = 1e-10
+# Designed strings whose cumulative row tables agree up to one sign within
+# this fraction of the larger table's maximum are twins.  The mirrored strings
+# of the stiff preset (45/225 and 135/315 degrees) differ by 3.5e-18 m, 2.8e-16
+# of that maximum: one ulp of cos/sin, not zero, so exact equality finds no
+# twin.  1e-14 leaves a factor of 36; the closest pair of soft strings lies
+# 0.71 apart.
+TWIN_RTOL = 1e-14
+
+
+def _twin_groups(channels, des_rows):
+    """Groups of two or more twin designed strings, as lists of indices.
+
+    Two designed strings are twins when neither is a composite member and
+    their cumulative row tables des_rows[..., i, :, :] agree up to one sign,
+    within TWIN_RTOL, at every row sample, twist rate and disk.  Swapping
+    the anchors of twins maps J_lc to P D J_lc, a row permutation times a
+    diagonal of signs, which no index sees.
+    """
+    direct = set(channels.direct_indices)
+    groups = []
+    for i in range(des_rows.shape[2]):
+        if i not in direct:
+            continue
+        table = des_rows[:, :, i]
+        for group in groups:
+            lead = des_rows[:, :, group[0]]
+            tol = TWIN_RTOL * max(np.abs(table).max(), np.abs(lead).max())
+            if min(np.abs(table - lead).max(), np.abs(table + lead).max()) <= tol:
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    return [g for g in groups if len(g) > 1]
+
+
+def _orbit_representatives(shape, groups):
+    """Index of each design's representative, in enumeration order.
+
+    shape is the enumeration's (n_anchor_disks,) * n_designed + (n_twist,),
+    in C order.  The representative of a design sorts the anchor positions
+    (indices into anchor_disks, not disk values) within each twin group, so
+    they do not decrease there.
+    """
+    pos = np.array(np.unravel_index(np.arange(np.prod(shape)), shape))
+    for group in groups:
+        pos[group] = np.sort(pos[group], axis=0)
+    return np.ravel_multi_index(pos, shape)
 
 
 def _ranking(values, singular):
-    """Design indices by descending value, singular designs last.
-
-    Each value within RANK_TIE_RTOL of the one ranked above it joins that
-    one's tie group, singular designs form one group, and every group is
-    ranked by design index, so round-off in tied values moves no design.
-    """
-    key = np.where(singular, -np.inf, values)
-    order = np.argsort(-key, kind="stable")
-    ranked = key[order]
-    tied = ranked[1:] >= ranked[:-1] - RANK_TIE_RTOL * np.abs(ranked[:-1])
-    group = np.concatenate([[0], np.cumsum(~tied)])
-    return order[np.argsort(group * len(order) + order, kind="stable")]
+    """Design indices by descending value, singular designs last.  The sort
+    is stable, so equal values, as the members of a mirror orbit share, go
+    by design index."""
+    return np.argsort(-np.where(singular, -np.inf, values), kind="stable")
 
 
 @functools.lru_cache(maxsize=1)
@@ -465,13 +500,21 @@ def brute_force_search(space, samples, jobs=1):
     samples (the straight configuration, then the S workspace samples), or
     at the straight one alone where every channel's J_lc is constant
     (SensorArray.is_linear_class), as on torsion-free constant-pitch spaces.
-    order ranks designs by the last objective, designs tied within
-    RANK_TIE_RTOL by index (see _ranking), and best() reads the same rule.
-    anchors and n_omega are shared, read-only arrays (see _enumeration).
-    Evaluation order is the lexicographic enumeration of candidate tuples;
-    blocks of DESIGN_CHUNK designs may be evaluated by up to jobs worker
-    processes, with a deterministic ordered merge, so results do not depend
-    on the worker count.
+
+    Designs that differ by swapping the anchors of twin strings (see
+    _twin_groups) form a mirror orbit and share every index.  The kernel
+    scores one representative per orbit, the design whose anchor positions
+    do not decrease within each twin group, and every other member takes
+    its aleph_config, aleph_g and singular; n_scored counts the
+    representatives.  A space without twins scores every design and copies
+    nothing.  Tied values are therefore exactly equal: order ranks designs
+    by the last objective with a stable sort, ties by design index, and
+    best() takes the first argmax.  anchors and n_omega are shared,
+    read-only arrays (see _enumeration).  Evaluation order is the
+    lexicographic enumeration of candidate tuples; blocks of DESIGN_CHUNK
+    representatives may be evaluated by up to jobs worker processes, with
+    a deterministic ordered merge, so results do not depend on the worker
+    count.
     """
     if space.size > MAX_DESIGNS:
         raise ValueError(f"design space size {space.size} exceeds {MAX_DESIGNS}")
@@ -484,7 +527,6 @@ def brute_force_search(space, samples, jobs=1):
     m = basis.m
     anchors, iw, n_omega = _enumeration(tuple(space.anchor_disks), len(space.designed),
                                         tuple(space.twist_rates))
-    n_designs = len(anchors)
     channels = space.array_for(anchors[0], space.twist_rates[0])
     if channels.p < m:
         raise ValueError("fewer measurement channels than basis columns")
@@ -504,10 +546,18 @@ def brute_force_search(space, samples, jobs=1):
     des_rows = np.array([d for d, _ in rows])   # (1 or 1 + S, n_omega, n_designed, n_disks+1, m)
     fix_rows = np.array([f for _, f in rows])   # (1 or 1 + S, n_fixed, m)
 
+    groups = _twin_groups(channels, des_rows)
+    if groups:
+        shape = (len(space.anchor_disks),) * len(space.designed) + (len(space.twist_rates),)
+        rep = _orbit_representatives(shape, groups)
+        scored = np.flatnonzero(rep == np.arange(len(rep)))
+        anc_s, iw_s = anchors[scored], iw[scored]
+    else:
+        anc_s, iw_s = anchors, iw
     payloads = [
-        (space, channels, anchors[c0:c0 + DESIGN_CHUNK], iw[c0:c0 + DESIGN_CHUNK],
+        (space, channels, anc_s[c0:c0 + DESIGN_CHUNK], iw_s[c0:c0 + DESIGN_CHUNK],
          des_rows, fix_rows, jxc)
-        for c0 in range(0, n_designs, DESIGN_CHUNK)
+        for c0 in range(0, len(anc_s), DESIGN_CHUNK)
     ]
     workers = min(jobs, len(payloads))
     if workers > 1:
@@ -519,8 +569,13 @@ def brute_force_search(space, samples, jobs=1):
     aleph_cfg = np.concatenate([r[0] for r in results])
     aleph_g = np.concatenate([r[1] for r in results])
     singular = np.concatenate([r[2] for r in results])
+    if groups:
+        # every design reads its representative's slot
+        slot = np.searchsorted(scored, rep)
+        aleph_cfg, aleph_g, singular = aleph_cfg[slot], aleph_g[slot], singular[slot]
 
     order = _ranking(aleph_g[:, -1], singular)
     return SearchResult(anchors=anchors, n_omega=n_omega,
                         aleph_config=aleph_cfg, aleph_g=aleph_g, singular=singular,
-                        s_objectives=tuple(space.s_objectives), order=order)
+                        s_objectives=tuple(space.s_objectives), order=order,
+                        n_scored=len(anc_s))

@@ -327,6 +327,20 @@ def test_routing_opt_stiff_smoke(tmp_path):
     assert info["n_singular_workspace"] == 0
 
 
+@pytest.mark.parametrize("preset, n_designs, n_scored",
+                         [("stiff", 625, 225), ("soft", 20000, 20000)])
+def test_routing_opt_reports_scored_designs(tmp_path, capsys, preset, n_designs, n_scored):
+    # the stiff preset's twin strings leave 225 mirror orbits to score; the
+    # soft preset has no twins and scores every design
+    top = tmp_path / "top.json"
+    rc = main(["routing-opt", "--preset", preset, "--samples", "1", "--seed", "3",
+               "-o", str(tmp_path / "designs.csv"), "--output-top", str(top)])
+    assert rc == 0
+    info = json.loads(top.read_text())
+    assert (info["n_designs"], info["n_scored"]) == (n_designs, n_scored)
+    assert f"{n_designs} designs, {n_scored} scored" in capsys.readouterr().out
+
+
 def test_spatial_study_smoke(tmp_path):
     out = tmp_path / "cases.csv"
     summ = tmp_path / "summary.json"

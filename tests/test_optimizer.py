@@ -13,9 +13,9 @@ from stringshape.optimizer import (PLANAR_REFERENCE_RADIUS, DesignSpace, Designe
                                    planar_full_index, planar_landscape, planar_peak_search,
                                    planar_sample_grams)
 from stringshape.routing import ConstantPitch, Helical, Mount, StringSpec
-from stringshape.sensing import (SIGMA_RATIO_TOL, SensorArray, aleph_sv, config_jacobian,
-                                 exact_row, full_rank, has_exact_row, linear_model,
-                                 span_integrals)
+from stringshape.sensing import (SIGMA_RATIO_TOL, Composite, SensorArray, aleph_sv,
+                                 config_jacobian, exact_row, full_rank, has_exact_row,
+                                 linear_model, span_integrals)
 from stringshape.sensitivity import global_index, noise_amp
 
 
@@ -551,6 +551,22 @@ def _rows_per_sample(payload):
             np.broadcast_to(fix_rows, (n_rows, *fix_rows.shape[1:])), jxc)
 
 
+def _full_payload(monkeypatch, space, samples):
+    """The search result and a kernel payload over every design of the
+    space: the search's own payload, with the whole enumeration in place of
+    its block of orbit representatives."""
+    payloads = []
+    kernel = optimizer._evaluate_chunk
+    with monkeypatch.context() as patched:
+        patched.setattr(optimizer, "_evaluate_chunk",
+                        lambda pl: payloads.append(pl) or kernel(pl))
+        res = brute_force_search(space, samples)
+    anc, iws, _ = optimizer._enumeration(tuple(space.anchor_disks), len(space.designed),
+                                         tuple(space.twist_rates))
+    (_, channels, _, _, des_rows, fix_rows, jxc) = payloads[0]
+    return res, (space, channels, anc, iws, des_rows, fix_rows, jxc)
+
+
 def _search_and_reference(monkeypatch, space, samples):
     new = brute_force_search(space, samples)
     with monkeypatch.context() as patched:
@@ -612,19 +628,17 @@ def test_search_kernel_rank_deficient_sample_matches_three_svd_reference(monkeyp
     # on one disk then have two equal rows there, while their straight J_lc
     # is untouched.  J_lc fails full_rank at that sample, which scores 0 in
     # both kernels, on the stiff preset (m = 6) and the soft subspace (m = 8)
-    # alike.
+    # alike.  The payload holds the first 400 designs of the enumeration,
+    # orbit copies included (all 162 on the soft subspace; the whole stiff
+    # enumeration holds 80 such designs).
     if preset == "stiff":
         space, samples = studies.stiff_design_space(), studies.stiff_workspace(6, seed=1)
     else:
         space = replace(studies.soft_design_space(), anchor_disks=(3, 6, 9))
         samples = studies.soft_workspace(4, seed=5)
-    payloads = []
-    with monkeypatch.context() as patched:
-        patched.setattr(optimizer, "_evaluate_chunk",
-                        lambda pl: payloads.append(_rows_per_sample(pl))
-                        or _three_svd_chunk(payloads[-1]))
-        brute_force_search(space, samples)
-    space, channels, anc, iws, des_rows, fix_rows, jxc = payloads[0]
+    _, channels, anc, iws, des_rows, fix_rows, jxc = _rows_per_sample(
+        _full_payload(monkeypatch, space, samples)[1])
+    anc, iws = anc[:400], iws[:400]
     des_rows = des_rows.copy()
     des_rows[3, :, 1] = des_rows[3, :, 0]
     payload = (space, channels, anc, iws, des_rows, fix_rows, jxc)
@@ -775,12 +789,119 @@ def test_search_kernel_conditioning_guard(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Ranking: designs tied within RANK_TIE_RTOL go by design index.
+# Mirror orbits: one score per orbit, against scoring every design.
+# ---------------------------------------------------------------------------
+
+def _orbit_cases(name):
+    """(space, samples, twin groups) of the differential orbit tests."""
+    if name == "stiff":
+        return studies.stiff_design_space(), studies.stiff_workspace(24, seed=3), [[0, 2], [1, 3]]
+    if name == "stiff-p7":
+        return _stiff_with_seventh_channel(), studies.stiff_workspace(6, seed=1), [[0, 2], [1, 3]]
+    if name == "tiny":
+        return _tiny_space(), np.array([[0.5, -0.2, 0.7, 0.1], [-0.3, 0.4, -0.1, 0.6]]), []
+    space = replace(studies.soft_design_space(), anchor_disks=(3, 6, 9))
+    return space, studies.soft_workspace(3, seed=5), []
+
+
+@pytest.mark.parametrize("name", ["stiff", "stiff-p7", "tiny", "soft"])
+def test_orbit_scoring_matches_scoring_every_design(monkeypatch, name):
+    # The kernel is a pure function of its payload, so the search's payload
+    # over the whole enumeration scores every design.  Representatives read
+    # those values bit for bit; every copy equals its representative exactly
+    # and lies within REFERENCE_RTOL of its own evaluation.
+    space, samples, twins = _orbit_cases(name)
+    res, payload = _full_payload(monkeypatch, space, samples)
+    assert optimizer._twin_groups(payload[1], payload[4]) == twins
+    a0, ag, bad = optimizer._evaluate_chunk(payload)
+    shape = (len(space.anchor_disks),) * len(space.designed) + (len(space.twist_rates),)
+    rep = optimizer._orbit_representatives(shape, twins)
+    scored = rep == np.arange(space.size)
+    assert res.n_scored == scored.sum() == (225 if twins else space.size)
+    for field, own in (("aleph_config", a0), ("aleph_g", ag), ("singular", bad)):
+        value = getattr(res, field)
+        np.testing.assert_array_equal(value[scored], own[scored], err_msg=field)
+        np.testing.assert_array_equal(value, value[rep], err_msg=field)
+    np.testing.assert_array_equal(res.singular, bad)
+    assert _rel_err(res.aleph_config, a0)[~bad].max() <= REFERENCE_RTOL
+    assert _rel_err(res.aleph_g, ag)[~bad].max() <= REFERENCE_RTOL
+    if not twins:
+        for field, own in (("aleph_config", a0), ("aleph_g", ag)):
+            np.testing.assert_array_equal(getattr(res, field), own, err_msg=field)
+
+
+@pytest.mark.parametrize("turn_deg, twins", [(0.0, [[0, 1]]), (1e-7, [])])
+def test_twins_agree_to_round_off_and_no_further(turn_deg, twins):
+    # Tip strings at 45 and 225 degrees have tables that are negatives to
+    # one ulp of cos/sin, so they are twins; turning the second by 1e-7
+    # degrees moves its table by 1.7e-9 of its size, and they are not.
+    samples = np.array([[0.5, -0.2, 0.7, 0.1], [-0.3, 0.4, -0.1, 0.6]])
+    designed = tuple(DesignedString(ConstantPitch(0.05 * np.cos(t), 0.05 * np.sin(t)),
+                                    mount=Mount.TIP)
+                     for t in np.deg2rad([45.0, 225.0 + turn_deg]))
+    space = replace(_tiny_space(), designed=designed)
+    des_rows = optimizer._cumulative_rows(space, np.zeros(4))[0][None]
+    assert optimizer._twin_groups(space.array_for((1, 1), 0), des_rows) == twins
+    assert brute_force_search(space, samples).n_scored == (6 if twins else 9)
+
+
+def test_composite_member_is_never_a_twin(monkeypatch):
+    # Stiff preset with designed string 2 folded into a capstan channel with
+    # tendon 4: its table is still the negative of string 0's, but swapping
+    # their anchors no longer permutes rows of J_lc, so only 1 and 3 are twins.
+    base = studies.stiff_design_space()
+    space = replace(base, composites=(Composite((2, 4), (1, 1)), base.composites[1]))
+    samples = studies.stiff_workspace(6, seed=1)
+    res, payload = _full_payload(monkeypatch, space, samples)
+    des_rows = payload[4]
+    np.testing.assert_allclose(des_rows[:, :, 2], -des_rows[:, :, 0], rtol=0, atol=1e-17)
+    assert optimizer._twin_groups(payload[1], des_rows) == [[1, 3]]
+    assert res.n_scored == 375
+    # the swap of strings 0 and 2 moves the index
+    a0, ag, bad = optimizer._evaluate_chunk(payload)
+    index = {tuple(a): i for i, a in enumerate(res.anchors)}
+    swapped = [index[(a[2], a[1], a[0], a[3])] for a in res.anchors]
+    assert _rel_err(ag[swapped], ag)[~bad].max() > 1e-3
+    np.testing.assert_array_equal(res.singular, bad)
+    assert _rel_err(res.aleph_g, ag)[~bad].max() <= REFERENCE_RTOL
+
+
+def test_reversed_anchor_disks_keep_the_values_per_anchor_tuple(monkeypatch):
+    # Representatives sort anchor positions (indices into anchor_disks), not
+    # disk values: reversing anchor_disks turns the scored designs from
+    # increasing to decreasing disks within each twin pair, and each anchor
+    # tuple keeps its values.
+    space = studies.stiff_design_space()
+    samples = studies.stiff_workspace(6, seed=1)
+    results = []
+    for disks in (space.anchor_disks, space.anchor_disks[::-1]):
+        scored = []
+        kernel = optimizer._evaluate_chunk
+        with monkeypatch.context() as patched:
+            patched.setattr(optimizer, "_evaluate_chunk",
+                            lambda pl: scored.append(pl[2]) or kernel(pl))
+            results.append(brute_force_search(replace(space, anchor_disks=disks), samples))
+        scored = np.concatenate(scored)
+        step = np.sign(np.diff(disks)[0])
+        assert len(scored) == 225
+        assert np.all(step * (scored[:, 2] - scored[:, 0]) >= 0)
+        assert np.all(step * (scored[:, 3] - scored[:, 1]) >= 0)
+    fwd, rev = results
+    index = {tuple(a): i for i, a in enumerate(fwd.anchors)}
+    same = [index[tuple(a)] for a in rev.anchors]
+    np.testing.assert_array_equal(rev.singular, fwd.singular[same])
+    healthy = ~rev.singular
+    assert _rel_err(rev.aleph_config, fwd.aleph_config[same])[healthy].max() <= REFERENCE_RTOL
+    assert _rel_err(rev.aleph_g, fwd.aleph_g[same])[healthy].max() <= REFERENCE_RTOL
+
+
+# ---------------------------------------------------------------------------
+# Ranking: tied values are exactly equal and go by design index.
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def stiff_search():
-    # mirror-symmetric stiff designs tie to round-off
+    # mirror-symmetric stiff designs share one score
     return brute_force_search(studies.stiff_design_space(), studies.stiff_workspace(6, seed=1))
 
 
@@ -795,8 +916,7 @@ def test_ranking_puts_each_tie_group_in_design_order(stiff_search):
     assert rank[healthy].max() < rank[res.singular].min()
     assert np.all(np.diff(rank[res.singular]) > 0)
     v = res.aleph_g[healthy, -1]
-    hi, lo = np.maximum.outer(v, v), np.minimum.outer(v, v)
-    tied = hi - lo <= optimizer.RANK_TIE_RTOL * hi
+    tied = np.equal.outer(v, v)
     ahead = rank[healthy][:, None] < rank[healthy][None, :]
     # tied designs by index, every other pair by value
     np.testing.assert_array_equal(ahead[tied], np.less.outer(healthy, healthy)[tied])
@@ -806,17 +926,20 @@ def test_ranking_puts_each_tie_group_in_design_order(stiff_search):
     # best reads the same rule at every objective
     assert res.best() == int(res.order[0])
     for k in range(res.aleph_g.shape[1]):
-        b = res.best(k)
         top = res.aleph_g[~res.singular, k].max()
-        group = np.flatnonzero(~res.singular
-                               & (res.aleph_g[:, k] >= top * (1 - optimizer.RANK_TIE_RTOL)))
-        assert len(group) > 1 and b == group.min()
+        group = np.flatnonzero(~res.singular & (res.aleph_g[:, k] == top))
+        assert len(group) == 4 and res.best(k) == group.min()
 
 
-def test_ranking_does_not_move_when_a_tied_value_moves_by_one_ulp(stiff_search):
+def test_mirror_orbits_share_their_values_exactly(stiff_search):
+    # Swapping the anchors of the strings at 45/225 degrees, of those at
+    # 135/315 degrees, or of both leaves every value exactly as it is, at
+    # every objective, so round-off has nothing to reorder.
     res = stiff_search
-    for i in np.flatnonzero(~res.singular):
-        for direction in (np.inf, -np.inf):
-            values = res.aleph_g[:, -1].copy()
-            values[i] = np.nextafter(values[i], direction)
-            np.testing.assert_array_equal(optimizer._ranking(values, res.singular), res.order)
+    index = {tuple(a): i for i, a in enumerate(res.anchors)}
+    for perm in ((2, 1, 0, 3), (0, 3, 2, 1), (2, 3, 0, 1)):
+        mirror = [index[tuple(a[list(perm)])] for a in res.anchors]
+        for field in ("aleph_config", "aleph_g", "singular"):
+            np.testing.assert_array_equal(getattr(res, field)[mirror], getattr(res, field),
+                                          err_msg=field)
+    assert len(np.unique(res.aleph_g[~res.singular, -1])) == 100
