@@ -259,6 +259,8 @@ def cmd_routing_opt(args):
         "n_singular_workspace": n_singular - n_straight,
         "seed": args.seed,
         "workspace_samples": args.samples,
+        "sampler_attempts": samples.attempts,
+        "sampler_acceptance": len(samples) / samples.attempts,
     }
     with open(args.output_top, "w") as fh:
         json.dump(top, fh, indent=2)

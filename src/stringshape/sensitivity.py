@@ -101,6 +101,13 @@ def disk_collision_radius(height, radius, subsegment_length):
 ADMISSIBLE_GRID = 200
 COLLISION_TOL = 1e-12
 SAMPLE_BLOCK = 256
+# Slack of admissible's end-point pre-check, relative to sum_i |c_i| |Phi_i|
+# at the end point.  The pre-check and the full-grid check form the same
+# curvature by different matrix products; each is within gamma_m = m eps / (1
+# - m eps) of that sum of the exact value, so the two differ by at most 2
+# gamma_m of it (2.4e-15 at the soft truth basis's m = 11).  1e-9 leaves five
+# decades, so the pre-check never rejects what the full grid would accept.
+END_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -166,23 +173,51 @@ class ConstraintSet:
     def admissible(self, basis, c, strings=(), grids=None):
         """Whether c (m,), or each row of a stack c (k, m), keeps within the bounds
         on ADMISSIBLE_GRID arc lengths and passes the cusp rule for each string.
-        grids is grids(basis, strings), for a caller that checks many stacks."""
+        grids is grids(basis, strings), for a caller that checks many stacks.
+
+        The check runs in stages, each only on the candidates the one before
+        passed: the bounds at the grid's end points s = 0 and s = L, where every
+        Chebyshev column reaches |T_n| = 1, each widened by END_SLACK times
+        sum_i |c_i| |Phi_i| there; the bounds on the whole grid; the cusp rule.
+        The slack is far above the round-off by which the end-point product can
+        differ from the full grid's, so the first stage rejects only what the
+        full grid rejects: the result is the one-stage check's, and no sample
+        drawn by sample_admissible depends on the stages."""
         bounds, phi_t, cusp_grid = grids or self.grids(basis, strings)
         c = basis.check_stack(c)
-        stack, u = np.atleast_2d(c), (c @ phi_t).reshape(-1, ADMISSIBLE_GRID, 3)
-        ok = np.all(np.abs(u).max(axis=1) <= bounds + 1e-12, axis=1)
-        if self.disk is not None or self.bend_limit is not None:
-            # bending magnitude cap applies to the combined x/y curvature
-            ok &= np.hypot(u[..., 0], u[..., 1]).max(axis=1) <= min(bounds[:2]) + 1e-12
+        stack = np.atleast_2d(c)
+        ends = phi_t.reshape(basis.m, ADMISSIBLE_GRID, 3)[:, [0, -1]].reshape(basis.m, 6)
+        ok = self._within(stack @ ends, bounds, END_SLACK * (np.abs(stack) @ np.abs(ends)))
+        if ok.any():
+            ok[ok] = self._within(stack[ok] @ phi_t, bounds)
         if cusp_grid is not None and ok.any():
             # the cusp rule only for the candidates within the bounds
             ok[ok] = np.all(_margins(cusp_grid, stack[ok]) > 0.0, axis=1)
         return ok if c.ndim == 2 else bool(ok[0])
 
+    def _within(self, u, bounds, slack=None):
+        """Per row of curvatures u (k, 3 n) at n arc lengths: whether each axis
+        keeps within its bound and, with a disk or a bend limit, the x/y
+        magnitude within the smaller x/y bound.  slack (k, 3 n), where given,
+        widens each axis bound by its entry and the magnitude bound by the sum
+        of its x and y entries."""
+        u = u.reshape(len(u), -1, 3)
+        axis_limit, bend_limit = bounds + 1e-12, min(bounds[:2]) + 1e-12
+        if slack is not None:
+            slack = slack.reshape(u.shape)
+            axis_limit = axis_limit + slack
+            bend_limit = bend_limit + slack[..., 0] + slack[..., 1]
+        ok = np.all(np.abs(u) <= axis_limit, axis=(1, 2))
+        if self.disk is not None or self.bend_limit is not None:
+            # bending magnitude cap applies to the combined x/y curvature
+            ok &= np.all(np.hypot(u[..., 0], u[..., 1]) <= bend_limit, axis=1)
+        return ok
+
 
 @dataclass
 class WorkspaceSamples:
     configs: np.ndarray
+    attempts: int   # candidates drawn up to and including the last one accepted
 
     def __len__(self):
         return len(self.configs)
@@ -197,7 +232,8 @@ def sample_admissible(basis, constraints, n_target, seed, strings=(), box_scale=
     are commensurate), optionally shrunk by box_scale, then filtered through
     the full constraint check with the given strings, SAMPLE_BLOCK candidates
     at a time; a block draws the same stream as single candidates, so the
-    first n_target admissible draws do not depend on the block size.
+    first n_target admissible draws, and the attempts they took, do not
+    depend on the block size.
     """
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
@@ -217,10 +253,12 @@ def sample_admissible(basis, constraints, n_target, seed, strings=(), box_scale=
                 f"workspace acceptance rate below {min_acceptance:g}; "
                 "rescale the sampling box")
         c = rng.uniform(-half, half, size=(min(SAMPLE_BLOCK, max_attempts - attempts), basis.m))
-        attempts += len(c)
-        kept.append(c[constraints.admissible(basis, c, strings, grids)])
-        accepted += len(kept[-1])
-    return WorkspaceSamples(np.concatenate(kept)[:n_target])
+        hits = np.flatnonzero(constraints.admissible(basis, c, strings, grids))
+        kept.append(c[hits])
+        need = n_target - accepted
+        attempts += len(c) if len(hits) < need else int(hits[need - 1]) + 1
+        accepted += len(hits)
+    return WorkspaceSamples(np.concatenate(kept)[:n_target], attempts)
 
 
 def global_index(array, basis, samples, s, c_l):

@@ -331,13 +331,17 @@ def test_routing_opt_stiff_smoke(tmp_path):
                          [("stiff", 625, 225), ("soft", 20000, 20000)])
 def test_routing_opt_reports_scored_designs(tmp_path, capsys, preset, n_designs, n_scored):
     # the stiff preset's twin strings leave 225 mirror orbits to score; the
-    # soft preset has no twins and scores every design
+    # soft preset has no twins and scores every design.  The stiff box lies
+    # inside its bounds, so its sampler accepts its first candidate; the soft
+    # sampler takes 13 for one sample at seed 3
     top = tmp_path / "top.json"
     rc = main(["routing-opt", "--preset", preset, "--samples", "1", "--seed", "3",
                "-o", str(tmp_path / "designs.csv"), "--output-top", str(top)])
     assert rc == 0
     info = json.loads(top.read_text())
     assert (info["n_designs"], info["n_scored"]) == (n_designs, n_scored)
+    attempts = {"stiff": 1, "soft": 13}[preset]
+    assert (info["sampler_attempts"], info["sampler_acceptance"]) == (attempts, 1 / attempts)
     assert f"{n_designs} designs, {n_scored} scored" in capsys.readouterr().out
 
 

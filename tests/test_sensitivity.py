@@ -255,6 +255,83 @@ def test_admissible_stack_matches_rows(basis, cs, strings, half):
     assert (cs.admissible(basis, configs) & ~cs.admissible(basis, configs, strings)).any()
 
 
+def _one_stage_admissible(cs, basis, c, strings=(), grids=None):
+    """The reference check: the bounds on the whole grid for every candidate,
+    then the cusp rule for those within them."""
+    bounds, phi_t, cusp_grid = grids or cs.grids(basis, strings)
+    c = basis.check_stack(c)
+    stack, u = np.atleast_2d(c), (c @ phi_t).reshape(-1, sensitivity.ADMISSIBLE_GRID, 3)
+    ok = np.all(np.abs(u).max(axis=1) <= bounds + 1e-12, axis=1)
+    if cs.disk is not None or cs.bend_limit is not None:
+        ok &= np.hypot(u[..., 0], u[..., 1]).max(axis=1) <= min(bounds[:2]) + 1e-12
+    if cusp_grid is not None and ok.any():
+        ok[ok] = np.all(sensitivity._margins(cusp_grid, stack[ok]) > 0.0, axis=1)
+    return ok if c.ndim == 2 else bool(ok[0])
+
+
+def _reference_cases():
+    """_stack_cases plus a per-axis cap on the planar basis and the stiff
+    workspace's strain set, each with strings and a box half-width."""
+    cs, array, box = _stiff_strain_set()
+    return _stack_cases() + [
+        (planar_basis(), ConstraintSet(axis_cap=(4.0, 4.0, 4.0)), planar_array().strings, 6.0),
+        (studies.stiff_basis(), cs, array.strings, 2.0 * box * cs.axis_bounds()[0])]
+
+
+@pytest.mark.parametrize("basis, cs, strings, half", _reference_cases(),
+                         ids=["disk", "bend-twist", "axis-cap", "strain"])
+def test_staged_admissible_matches_one_stage_reference(basis, cs, strings, half):
+    configs = np.random.default_rng(6).uniform(-half, half, size=(2000, basis.m))
+    for given in (strings, ()):
+        expect = _one_stage_admissible(cs, basis, configs, given)
+        np.testing.assert_array_equal(cs.admissible(basis, configs, given), expect)
+        assert 0 < expect.sum() < len(expect)
+
+
+def _crafted_candidates(b):
+    """(y coefficients on T_0..T_2 of the planar basis, accepted) for a per-axis
+    bound b: on the bound at both ends, within 1e-12 of it (the check's
+    absolute tolerance) and beyond; over it by less than the end-point slack;
+    within it at both ends and over it at one interior grid point only."""
+    x_peak = 2.0 * 60 / (sensitivity.ADMISSIBLE_GRID - 1) - 1.0   # grid point 60
+    # u(x) = b (1 + 1e-6) - b (x - x_peak)^2 on T_0, T_1, T_2
+    peak = [b * (1.0 + 1e-6) - 0.5 * b - b * x_peak ** 2, 2.0 * b * x_peak, -0.5 * b]
+    return [([0.0, b, 0.0], True), ([0.0, 0.0, -b], True), ([0.0, b + 0.9e-12, 0.0], True),
+            ([0.0, 0.0, b + 1.1e-12], False), ([0.0, b * (1.0 + 1e-10), 0.0], False),
+            (peak, False)]
+
+
+def test_admissible_crafted_candidates_on_the_axis_bounds():
+    basis, b = planar_basis(), 4.0
+    cs = ConstraintSet(axis_cap=(b, b, b))
+    phi_y = basis.matrix(np.linspace(0.0, basis.length, sensitivity.ADMISSIBLE_GRID))[:, 1]
+    cases = _crafted_candidates(b)
+    peak = np.abs(phi_y @ cases[-1][0])
+    # the last candidate is within the bound at both ends, over it at one point
+    assert peak[[0, -1]].max() < b and np.flatnonzero(peak > b + 1e-12).tolist() == [60]
+    configs = np.array([c for c, _ in cases])
+    expect = np.array([ok for _, ok in cases])
+    for c, ok in cases:
+        assert cs.admissible(basis, c) is ok is _one_stage_admissible(cs, basis, c)
+    np.testing.assert_array_equal(cs.admissible(basis, configs), expect)
+    np.testing.assert_array_equal(_one_stage_admissible(cs, basis, configs), expect)
+
+
+def test_admissible_crafted_candidates_on_the_bending_cap():
+    # x/y curvature 0.6 and 0.8 of the bend cap on T_2, so the magnitude sits
+    # on the cap at both ends and below it inside; beyond it by 6e-13, within
+    # the check's absolute tolerance, it is accepted, and beyond it by 6e-9,
+    # within the end-point slack, the full grid rejects it
+    basis, cs = studies.soft_basis(), studies.soft_constraints()
+    b = cs.axis_bounds()[0]
+    for scale, ok in ((1.0, True), (1.0 - 1e-9, True), (1.0 + 1e-13, True), (1.0 + 1e-9, False)):
+        c = np.zeros(basis.m)
+        c[[2, 5]] = scale * b * np.array([0.6, 0.8])
+        u = basis.matrix(np.array([0.0, basis.length])) @ c
+        assert np.hypot(u[:, 0], u[:, 1]) == pytest.approx(scale * b, rel=1e-15)
+        assert cs.admissible(basis, c) is ok is _one_stage_admissible(cs, basis, c)
+
+
 def test_admissible_rejects_malformed_stacks():
     cs = ConstraintSet(axis_cap=(1.0, 1.0, 1.0))
     basis = planar_basis()
@@ -265,16 +342,46 @@ def test_admissible_rejects_malformed_stacks():
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_sampling_does_not_depend_on_block_size(monkeypatch, block):
+    # the samples and the attempts they took are those of 256-candidate blocks
     cs, array, box = _stiff_strain_set()
     basis = studies.stiff_basis()
     draws = [lambda: studies.planar_workspace(20),
              lambda: studies.soft_workspace(3, 7),
              lambda: sample_admissible(basis, cs, 20, 12, strings=array.strings,
                                        box_scale=box)]
-    expect = [draw().configs for draw in draws]
+    monkeypatch.setattr(sensitivity, "SAMPLE_BLOCK", 256)
+    expect = [draw() for draw in draws]
     monkeypatch.setattr(sensitivity, "SAMPLE_BLOCK", block)
-    for draw, configs in zip(draws, expect):
-        np.testing.assert_array_equal(draw().configs, configs)
+    for draw, samples in zip(draws, expect):
+        got = draw()
+        np.testing.assert_array_equal(got.configs, samples.configs)
+        assert got.attempts == samples.attempts
+    assert [samples.attempts for samples in expect] == [94, 64, 29]
+
+
+def _truth_pool_draw(seed):
+    """The draw synthetic_spatial_truth makes for one round of the
+    sensing-stream benchmark's truth pool: 20 frames on the degree-3 truth
+    basis, cusp-free for the soft design (4, 3, 9, 4) at one twist rate."""
+    basis = studies.soft_basis()
+    truth = ModalBasis(x=(0, 1, 2, 3), y=(0, 1, 2, 3), z=(0, 1, 2), length=basis.length)
+    array = studies.soft_design_space().array_for((4, 3, 9, 4), 1)
+    return sample_admissible(truth, studies.soft_constraints(), 20, seed, strings=array.strings)
+
+
+def test_staged_sampler_matches_one_stage_sampler(monkeypatch):
+    draws = [lambda seed=seed: _truth_pool_draw(seed) for seed in (0, 1, 2)] + [
+        lambda: studies.soft_workspace(200, 777),
+        lambda: studies.stiff_workspace(200, 424242),
+        lambda: studies.planar_workspace(200)]
+    got = [draw() for draw in draws]
+    monkeypatch.setattr(ConstraintSet, "admissible", _one_stage_admissible)
+    for draw, samples in zip(draws, got):
+        expect = draw()
+        assert samples.configs.tobytes() == expect.configs.tobytes()
+        assert samples.attempts == expect.attempts
+    # the truth pool takes 27,271 + 30,243 + 30,155 candidates for 60 frames
+    assert [samples.attempts for samples in got[:3]] == [27_271, 30_243, 30_155]
 
 
 def test_sampler_builds_its_grids_once(monkeypatch):
