@@ -376,8 +376,9 @@ def build_parser():
     p.add_argument("--preset", choices=("stiff", "soft"), default="soft")
     p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=777)
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes; output is independent of the count")
+    p.add_argument("--jobs", type=_positive_int, default=None,
+                   help="threads scoring the design blocks (default: the CPUs this "
+                        "process may run on); output is independent of the count")
     p.add_argument("-o", "--output", default="routing_designs.csv")
     p.add_argument("--output-top", default="routing_top.json")
     p.set_defaults(fn=cmd_routing_opt)

@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -307,8 +308,13 @@ class SearchResult:
     aleph_g: np.ndarray        # (n_designs, n_objectives); 0 where aleph_config < epsilon
     singular: np.ndarray       # (n_designs,) bool
     s_objectives: tuple
-    order: np.ndarray          # ranking by the last objective
     n_scored: int              # designs the kernel evaluated, one per mirror orbit
+
+    @property
+    def order(self):
+        """Design indices ranked by the last objective, singular designs
+        last (see _ranking); derived on read, as best() is."""
+        return _ranking(self.aleph_g[:, -1], self.singular)
 
     def best(self, objective_index=-1):
         """Index of the non-singular design ranked first at the given
@@ -412,10 +418,24 @@ def _evaluate_chunk(payload):
     return a0, ag, bad
 
 
-# Designs per evaluated block (and per worker task), and the largest space
-# brute_force_search accepts.
-DESIGN_CHUNK = 400
+# Design-samples per evaluated block (and per worker task): a block of n
+# designs on S workspace samples holds a few (n, S, p, m) and (n, S, m, 6)
+# temporaries, so max(1, BLOCK_DESIGN_SAMPLES // S) designs per block bound
+# each worker's working set at any S (about 0.6 MB per 8 x 8 array): 400
+# designs at 3 samples, 50 at 24, 6 at 200.
+BLOCK_DESIGN_SAMPLES = 1200
+
+# The largest space brute_force_search accepts.
 MAX_DESIGNS = 1_000_000
+
+
+def default_jobs():
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
 
 # Designed strings whose cumulative row tables agree up to one sign within
 # this fraction of the larger table's maximum are twins.  The mirrored strings
@@ -488,7 +508,7 @@ def _enumeration(anchor_disks, n_designed, twist_rates):
     return anchors, iw, n_omega
 
 
-def brute_force_search(space, samples, jobs=1):
+def brute_force_search(space, samples, jobs=None):
     """Evaluate every design in the space and rank by the last objective.
 
     A design is marked singular when aleph(J_lc) falls below space.epsilon at
@@ -510,11 +530,16 @@ def brute_force_search(space, samples, jobs=1):
     nothing.  Tied values are therefore exactly equal: order ranks designs
     by the last objective with a stable sort, ties by design index, and
     best() takes the first argmax.  anchors and n_omega are shared,
-    read-only arrays (see _enumeration).  Evaluation order is the
-    lexicographic enumeration of candidate tuples; blocks of DESIGN_CHUNK
-    representatives may be evaluated by up to jobs worker processes, with
-    a deterministic ordered merge, so results do not depend on the worker
-    count.
+    read-only arrays (see _enumeration).
+
+    Evaluation order is the lexicographic enumeration of candidate tuples,
+    in blocks of max(1, BLOCK_DESIGN_SAMPLES // S) representatives.  Up to
+    jobs threads (by default default_jobs(), never more than there are
+    blocks) evaluate the blocks; the kernel is a pure function of its block,
+    and nearly all of its time is batched LAPACK calls, which release the
+    GIL.  The merge is ordered, so results do not depend on the thread
+    count; jobs=1 runs every block in the calling thread.  An exception in
+    any block propagates.
     """
     if space.size > MAX_DESIGNS:
         raise ValueError(f"design space size {space.size} exceeds {MAX_DESIGNS}")
@@ -554,14 +579,14 @@ def brute_force_search(space, samples, jobs=1):
         anc_s, iw_s = anchors[scored], iw[scored]
     else:
         anc_s, iw_s = anchors, iw
+    block = max(1, BLOCK_DESIGN_SAMPLES // len(configs))
     payloads = [
-        (space, channels, anc_s[c0:c0 + DESIGN_CHUNK], iw_s[c0:c0 + DESIGN_CHUNK],
-         des_rows, fix_rows, jxc)
-        for c0 in range(0, len(anc_s), DESIGN_CHUNK)
+        (space, channels, anc_s[c0:c0 + block], iw_s[c0:c0 + block], des_rows, fix_rows, jxc)
+        for c0 in range(0, len(anc_s), block)
     ]
-    workers = min(jobs, len(payloads))
+    workers = min(default_jobs() if jobs is None else jobs, len(payloads))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_evaluate_chunk, payloads))
     else:
         results = [_evaluate_chunk(pl) for pl in payloads]
@@ -574,8 +599,6 @@ def brute_force_search(space, samples, jobs=1):
         slot = np.searchsorted(scored, rep)
         aleph_cfg, aleph_g, singular = aleph_cfg[slot], aleph_g[slot], singular[slot]
 
-    order = _ranking(aleph_g[:, -1], singular)
     return SearchResult(anchors=anchors, n_omega=n_omega,
                         aleph_config=aleph_cfg, aleph_g=aleph_g, singular=singular,
-                        s_objectives=tuple(space.s_objectives), order=order,
-                        n_scored=len(anc_s))
+                        s_objectives=tuple(space.s_objectives), n_scored=len(anc_s))

@@ -1,4 +1,5 @@
 import functools
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -387,13 +388,19 @@ def test_brute_force_repeated_objective_arc_length():
 
 
 def test_brute_force_output_independent_of_jobs(monkeypatch):
-    monkeypatch.setattr(optimizer, "DESIGN_CHUNK", 2)
-    space = _tiny_space()
-    samples = np.array([[0.5, -0.2, 0.7, 0.1], [-0.3, 0.4, -0.1, 0.6]])
-    a = brute_force_search(space, samples, jobs=1)
-    b = brute_force_search(space, samples, jobs=2)
-    for field in ("anchors", "n_omega", "aleph_config", "aleph_g", "singular", "order"):
-        np.testing.assert_array_equal(getattr(a, field), getattr(b, field), err_msg=field)
+    # soft subspace (helical strings, torsion, both twist rates): 162 designs
+    # in seven blocks of 25, scored by one to three threads and by the
+    # default count
+    monkeypatch.setattr(optimizer, "BLOCK_DESIGN_SAMPLES", 100)
+    space = replace(studies.soft_design_space(), anchor_disks=(3, 6, 9))
+    samples = studies.soft_workspace(4, seed=5)
+    ref = brute_force_search(space, samples, jobs=1)
+    for jobs in (2, 3, None):
+        res = brute_force_search(space, samples, jobs=jobs)
+        for field in ("anchors", "n_omega", "aleph_config", "aleph_g", "singular", "order",
+                      "s_objectives", "n_scored"):
+            np.testing.assert_array_equal(getattr(res, field), getattr(ref, field),
+                                          err_msg=f"{field} at jobs={jobs}")
 
 
 def test_searches_of_one_space_share_a_read_only_enumeration():
@@ -413,8 +420,8 @@ def test_searches_of_one_space_share_a_read_only_enumeration():
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, starts no
-    process and maps in the calling one."""
+    """Stands in for ThreadPoolExecutor: records max_workers, starts no
+    thread and maps in the calling one."""
 
     started = []
 
@@ -431,21 +438,98 @@ class _RecordingPool:
         return map(fn, items)
 
 
+_TINY_SAMPLES = np.array([[0.5, -0.2, 0.7, 0.1], [-0.3, 0.4, -0.1, 0.6]])
+
+
 def test_brute_force_starts_no_more_workers_than_chunks(monkeypatch):
-    monkeypatch.setattr(optimizer, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(optimizer, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "started", [])
     space = _tiny_space()
-    samples = np.array([[0.5, -0.2, 0.7, 0.1], [-0.3, 0.4, -0.1, 0.6]])
-    ref = brute_force_search(space, samples)
-    # 9 designs are one chunk: any job count runs serially
-    one = brute_force_search(space, samples, jobs=500)
+    ref = brute_force_search(space, _TINY_SAMPLES, jobs=1)
+    # 9 designs on 2 samples are one block: any job count runs serially
+    one = brute_force_search(space, _TINY_SAMPLES, jobs=500)
     assert _RecordingPool.started == []
-    monkeypatch.setattr(optimizer, "DESIGN_CHUNK", 4)    # three chunks
-    three = brute_force_search(space, samples, jobs=500)
+    monkeypatch.setattr(optimizer, "BLOCK_DESIGN_SAMPLES", 8)    # three blocks of 4, 4, 1
+    three = brute_force_search(space, _TINY_SAMPLES, jobs=500)
     assert _RecordingPool.started == [3]
     for res in (one, three):
         np.testing.assert_array_equal(res.aleph_g, ref.aleph_g)
         np.testing.assert_array_equal(res.order, ref.order)
+
+
+def test_default_jobs_is_the_affinity_count_capped_at_the_blocks(monkeypatch):
+    monkeypatch.setattr(optimizer, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    monkeypatch.setattr(optimizer, "BLOCK_DESIGN_SAMPLES", 8)    # three blocks
+    space = _tiny_space()
+    own = min(optimizer.default_jobs(), 3)
+    brute_force_search(space, _TINY_SAMPLES)
+    assert _RecordingPool.started == ([own] if own > 1 else [])
+    for cpus, started in ((5, 3), (2, 2), (1, None)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                            raising=False)
+        assert optimizer.default_jobs() == cpus
+        _RecordingPool.started = []
+        brute_force_search(space, _TINY_SAMPLES)
+        assert _RecordingPool.started == ([started] if started else [])
+    # without an affinity call, the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    assert optimizer.default_jobs() == 7
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_exception_in_one_block_propagates(monkeypatch, jobs):
+    monkeypatch.setattr(optimizer, "BLOCK_DESIGN_SAMPLES", 8)    # three blocks
+    kernel = optimizer._evaluate_chunk
+
+    def failing(payload):
+        if len(payload[2]) == 1:
+            raise FloatingPointError("block of the last design")
+        return kernel(payload)
+
+    monkeypatch.setattr(optimizer, "_evaluate_chunk", failing)
+    with pytest.raises(FloatingPointError, match="block of the last design"):
+        brute_force_search(_tiny_space(), _TINY_SAMPLES, jobs=jobs)
+
+
+@pytest.mark.parametrize("name, n_samples, sizes", [
+    ("tiny", 2, [9]),
+    ("soft", 3, [162]),
+    ("stiff", 24, [50, 50, 50, 50, 25]),
+    ("soft", 200, [6] * 27),
+])
+def test_no_block_exceeds_the_design_sample_budget(monkeypatch, name, n_samples, sizes):
+    # blocks of max(1, BLOCK_DESIGN_SAMPLES // S) representatives: 400 designs
+    # at 3 samples, 50 at 24 and 6 at 200
+    if name == "tiny":
+        space, samples = _tiny_space(), _TINY_SAMPLES
+    elif name == "stiff":
+        space, samples = studies.stiff_design_space(), studies.stiff_workspace(n_samples, seed=3)
+    else:
+        space = replace(studies.soft_design_space(), anchor_disks=(3, 6, 9))
+        samples = np.zeros((n_samples, space.basis.m))
+    blocks = []
+    kernel = optimizer._evaluate_chunk
+    monkeypatch.setattr(optimizer, "_evaluate_chunk",
+                        lambda pl: blocks.append((len(pl[2]), pl[6].shape[1])) or kernel(pl))
+    res = brute_force_search(space, samples)
+    assert [s for _, s in blocks] == [n_samples] * len(blocks)
+    assert sorted(n for n, _ in blocks) == sorted(sizes)
+    assert sum(sizes) == res.n_scored
+    assert all(n * n_samples <= optimizer.BLOCK_DESIGN_SAMPLES for n, _ in blocks)
+
+
+def test_samples_beyond_the_budget_make_one_design_blocks(monkeypatch):
+    monkeypatch.setattr(optimizer, "BLOCK_DESIGN_SAMPLES", 1)
+    blocks = []
+    kernel = optimizer._evaluate_chunk
+    monkeypatch.setattr(optimizer, "_evaluate_chunk",
+                        lambda pl: blocks.append(len(pl[2])) or kernel(pl))
+    ref = brute_force_search(_tiny_space(), _TINY_SAMPLES, jobs=1)
+    assert blocks == [1] * 9
+    np.testing.assert_array_equal(
+        brute_force_search(_tiny_space(), _TINY_SAMPLES, jobs=3).aleph_g, ref.aleph_g)
 
 
 def test_brute_force_rejects_empty_objectives():
