@@ -325,31 +325,45 @@ class SearchResult:
 
 
 def _cumulative_rows(space, c):
-    """J_lc rows of every string variant at configuration c.
+    """J_lc rows of every string variant at configuration c (m,), or at
+    every row of a stack (n, m), with one span_integrals call per variant.
 
     Designed strings get the span_integrals rows from the origin to every
-    disk edge k*L/n_disks in one call; tip-mounted strings read
-    row[end] - row[anchor].
+    disk edge k*L/n_disks; tip-mounted strings read row[end] - row[anchor].
     Fixed strings take config_jacobian's row over their own span, wherever
-    they are anchored.  Returns (designed_rows[n_omega][string][disk] -> (m,),
-    fixed_rows (k, m)).
+    they are anchored.  Returns (designed_rows (..., n_omega, n_designed,
+    n_disks + 1, m), fixed_rows (..., n_fixed, m)); each row of a stack
+    equals its own (m,) call bit for bit.
     """
     basis = space.basis
+    lead = c.shape[:-1]
     disk_edges = np.arange(space.n_disks + 1) * basis.length / space.n_disks
-    designed = np.zeros((len(space.twist_rates), len(space.designed),
-                         len(disk_edges), basis.m))
+    designed = np.zeros(lead + (len(space.twist_rates), len(space.designed),
+                                len(disk_edges), basis.m))
     for iw, n_om in enumerate(space.twist_rates):
         omega = space.omega_of(n_om)
         for i, dstr in enumerate(space.designed):
             at_disks = span_integrals(dstr.path_at(omega), basis, c, 0.0, disk_edges)[1]
             if dstr.mount is Mount.TIP:
-                at_disks = at_disks[-1] - at_disks
-            designed[iw, i] = at_disks
-    fixed = np.zeros((len(space.fixed), basis.m))
+                at_disks = at_disks[..., -1:, :] - at_disks
+            designed[..., iw, i, :, :] = at_disks
+    fixed = np.zeros(lead + (len(space.fixed), basis.m))
     for k, spec in enumerate(space.fixed):
         lo, hi = spec.span(basis.length)
-        fixed[k] = span_integrals(spec.path, basis, c, lo, [hi])[1][0]
+        fixed[..., k, :] = span_integrals(spec.path, basis, c, lo, [hi])[1][..., 0, :]
     return designed, fixed
+
+
+# The kernel takes the graded Gram where kappa(A) kappa(S J_xc) is at most
+# this.  Per (design, sample), against the singular values of W, the Gram's
+# relative error on the soft preset stays within C eps kappa(A) kappa(S J_xc)
+# with C = 9.2 (3@7; 4.5 at 3@5, 6.2 at 200@777), so within 6e-10 here, below
+# the 1e-9 to which the search is held; 86-91% of the samples take the Gram.
+# At 1e6 (92-98%) single samples reach 2.1e-9.  The stiff preset's S J_xc is
+# graded over about 700 only, so its Gram loses what a plain Gram loses,
+# about eps kappa(B)^2: up to 1.1e-9 per sample at 24@3, which the guard does
+# not bound, and 8.3e-11 in the workspace means.
+GRAM_COND_MAX = 3e5
 
 
 def _evaluate_chunk(payload):
@@ -357,10 +371,12 @@ def _evaluate_chunk(payload):
 
     channels is a SensorArray of the space: every design shares its string
     count and composites, so its reduce folds the per-string rows of any of
-    them.  jxc holds the scaled body Jacobians as (objective, S, 6, m).  The
-    cumulative rows come in 1 + S row samples, sample 0 the straight
-    configuration and samples 1..S the workspace, or in one row sample, the
-    straight one, where J_lc does not depend on c (a linear-class space).
+    them.  jxc holds the scaled body Jacobians X = S J_xc as (objective, S,
+    6, m), graded and kappa their graded rows and condition numbers (see
+    _graded_rows).  The cumulative rows come in 1 + S row samples, sample 0
+    the straight configuration and samples 1..S the workspace, or in one row
+    sample, the straight one, where J_lc does not depend on c (a
+    linear-class space).
 
     Screen first, score second: the singular values of J_lc at sample 0
     screen every design, and only the designs that pass are evaluated on the
@@ -368,15 +384,20 @@ def _evaluate_chunk(payload):
     scored and carry aleph_g = 0.  Per (survivor, sample) the singular values
     of J_lc drive the workspace-mean screen; a constant J_lc has the straight
     index at every sample, so it passes that screen and serves every sample
-    with its straight singular values and one inverse.  Where J_lc has full
-    column rank, B = S J_xc J_lc^+ satisfies B B^T = W^T W with
-    W = A^-T (S J_xc)^T, A being J_lc itself (p = m) or its R factor (p > m),
-    so aleph(B) comes from one inverse and the singular values of the m x 6
-    W.  The one rank rule: a (design, sample) whose J_lc fails full_rank
-    cannot be solved for c and scores 0, whatever m.  Where
-    map_rank_limited(p, m) holds, every index is 0 by the shape of B alone.
+    with its straight singular values and one inverse.  The one rank rule: a
+    (design, sample) whose J_lc fails full_rank cannot be solved for c and
+    scores 0, whatever m.  Where map_rank_limited(p, m) holds, every index
+    is 0 by the shape of B alone.
+
+    Where J_lc has full column rank, B = S J_xc J_lc^+ has the singular
+    values of X A^-1, A being J_lc itself (p = m) or its R factor (p > m),
+    and so of b = graded A^-1, graded = U^T X with U the left singular
+    vectors of X.  aleph(B) comes from the eigenvalues of b b^T (at most
+    6 x 6), whose rows stay graded by the singular values of X.  Where
+    kappa(A) kappa(X) exceeds GRAM_COND_MAX, or is infinite, it comes from
+    the singular values of W = A^-T X^T instead.
     """
-    (space, channels, anc, iws, des_rows, fix_rows, jxc) = payload
+    (space, channels, anc, iws, des_rows, fix_rows, jxc, graded, kappa) = payload
     m = space.basis.m
     n_designed = len(space.designed)
 
@@ -410,12 +431,34 @@ def _evaluate_chunk(payload):
     full = full_rank(sv)
     # the identity stands in for rank-deficient J_lc so that the batched inverse exists
     square = np.linalg.qr(jlc, mode="r") if p > m else jlc
-    inv_t = np.swapaxes(np.linalg.inv(np.where(full[..., None, None], square, np.eye(m))), -1, -2)
+    inv = np.linalg.inv(np.where(full[..., None, None], square, np.eye(m)))
+    kappa_a = np.divide(sv[..., 0], sv[..., -1], out=np.full(sv.shape[:-1], np.inf), where=full)
+    shape = (len(keep), jxc.shape[1])
+    inv_at = np.broadcast_to(inv, shape + (m, m))
     for k in range(len(space.s_objectives)):
-        val = full * aleph_sv(np.linalg.svd(inv_t @ np.swapaxes(jxc[k], -1, -2),
-                                            compute_uv=False))
-        ag[keep, k] = val.mean(axis=1)
+        # kappa is infinite at straight samples, where X has a zero singular value
+        gram = np.broadcast_to(kappa_a * kappa[k] <= GRAM_COND_MAX, shape)
+        svd = ~gram
+        val = np.empty(shape)
+        b = graded[k] @ inv
+        val[gram] = aleph_gram(np.linalg.eigvalsh((b @ np.swapaxes(b, -1, -2))[gram]))
+        x_at = np.broadcast_to(jxc[k], shape + jxc.shape[-2:])[svd]
+        w = np.swapaxes(inv_at[svd], -1, -2) @ np.swapaxes(x_at, -1, -2)
+        val[svd] = aleph_sv(np.linalg.svd(w, compute_uv=False))
+        ag[keep, k] = (full * val).mean(axis=1)
     return a0, ag, bad
+
+
+def _graded_rows(jxc):
+    """Graded rows U^T X, X = S J_xc (..., 6, m) with left singular vectors
+    U, cut to its first min(6, m) rows, and kappa(X) = sigma_max / sigma_min
+    (...,), infinite where sigma_min is 0.  The rows of U^T X are graded by
+    the singular values of X, whose smallest lies near 6e-5 of the largest
+    on the soft preset (the tip hardly moves along z at small bends)."""
+    u, sx, _ = np.linalg.svd(jxc, full_matrices=False)
+    kappa = np.divide(sx[..., 0], sx[..., -1], out=np.full(sx.shape[:-1], np.inf),
+                      where=sx[..., -1] > 0.0)
+    return np.swapaxes(u, -1, -2) @ jxc, kappa
 
 
 # Design-samples per evaluated block (and per worker task): a block of n
@@ -519,7 +562,11 @@ def brute_force_search(space, samples, jobs=None):
     The kernel takes each string variant's cumulative rows at 1 + S row
     samples (the straight configuration, then the S workspace samples), or
     at the straight one alone where every channel's J_lc is constant
-    (SensorArray.is_linear_class), as on torsion-free constant-pitch spaces.
+    (SensorArray.is_linear_class), as on torsion-free constant-pitch spaces;
+    one span_integrals call per string variant serves all of them.  The
+    body Jacobians X = S J_xc at the objective arc lengths do not depend on
+    the design either: their SVD is taken once, and the kernel gets X, its
+    graded rows U^T X and kappa(X) (see _graded_rows and _evaluate_chunk).
 
     Designs that differ by swapping the anchors of twin strings (see
     _twin_groups) form a mirror orbit and share every index.  The kernel
@@ -562,14 +609,16 @@ def brute_force_search(space, samples, jobs=None):
     # by position so that a repeated arc length is one more column.
     jxc = body_jacobian_multi(basis, configs, space.s_objectives)   # (S, n_objectives, 6, m)
     jxc = scale[:, None] * np.moveaxis(jxc, 1, 0)
+    graded, kappa = _graded_rows(jxc)
 
     # Cumulative rows for every string variant; row sample 0 is the straight
     # configuration of the singular screen, then the workspace samples.  A
     # linear-class space has one J_lc for every c: its straight rows serve all.
-    row_configs = [np.zeros(m)] if channels.is_linear_class(basis) else [np.zeros(m), *configs]
-    rows = [_cumulative_rows(space, c) for c in row_configs]
-    des_rows = np.array([d for d, _ in rows])   # (1 or 1 + S, n_omega, n_designed, n_disks+1, m)
-    fix_rows = np.array([f for _, f in rows])   # (1 or 1 + S, n_fixed, m)
+    row_configs = np.zeros((1, m))
+    if not channels.is_linear_class(basis):
+        row_configs = np.concatenate([row_configs, configs])
+    # (1 or 1 + S, n_omega, n_designed, n_disks+1, m) and (1 or 1 + S, n_fixed, m)
+    des_rows, fix_rows = _cumulative_rows(space, row_configs)
 
     groups = _twin_groups(channels, des_rows)
     if groups:
@@ -581,7 +630,8 @@ def brute_force_search(space, samples, jobs=None):
         anc_s, iw_s = anchors, iw
     block = max(1, BLOCK_DESIGN_SAMPLES // len(configs))
     payloads = [
-        (space, channels, anc_s[c0:c0 + block], iw_s[c0:c0 + block], des_rows, fix_rows, jxc)
+        (space, channels, anc_s[c0:c0 + block], iw_s[c0:c0 + block], des_rows, fix_rows,
+         jxc, graded, kappa)
         for c0 in range(0, len(anc_s), block)
     ]
     workers = min(default_jobs() if jobs is None else jobs, len(payloads))

@@ -226,20 +226,24 @@ def _path_nodes(path, lo, bounds, length):
 
 
 def span_integrals(path, basis, c, lo, bounds):
-    """Lengths (k,) and J_lc rows (k, m), d(length)/dc, of one string path
-    over [lo, b] for each of k increasing bounds b >= lo.
+    """Lengths (..., k) and J_lc rows (..., k, m), d(length)/dc, of one string
+    path over [lo, b] for each of k increasing bounds b >= lo, at c (m,) or
+    at every row of a stack (n, m).
 
     Constant-pitch paths on a torsion-free basis take exact_row and the
     length b - lo + row @ c; every other path takes running sums of
     _panel_sums on _span_edges, so a bound's values equal the ones it gives
-    alone wherever the bounds below it lie on the panel grid.
+    alone wherever the bounds below it lie on the panel grid.  Each row of a
+    stack equals its own (m,) call bit for bit.
     """
     if has_exact_row(path, basis):
         rows = exact_row(path, basis, lo, bounds)
-        return np.asarray(bounds, dtype=float) - lo + rows @ c, rows
+        ells = np.asarray(bounds, dtype=float) - lo + (rows @ c[..., None])[..., 0]
+        return ells, np.broadcast_to(rows, ells.shape + rows.shape[-1:])
     s, weights, r, dr, last = _path_nodes(path, lo, bounds, basis.length)
     speeds, rows = _panel_sums(basis.matrix(s), r, dr, weights, c)
-    return np.add.accumulate(speeds)[last], np.add.accumulate(rows)[last]
+    return (np.add.accumulate(speeds, axis=-1)[..., last],
+            np.add.accumulate(rows, axis=-2)[..., last, :])
 
 
 def _cusp_grid(strings, basis):

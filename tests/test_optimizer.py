@@ -21,8 +21,12 @@ from stringshape.sensitivity import global_index, noise_amp
 
 
 # Relative tolerance of the search against global_index and the three-SVD
-# kernel: both take singular values of matrices with the same singular values
-# (W and B), so they differ by round-off; 4.7e-10 at worst, at c_l = 1e-6.
+# kernel.  The search takes the eigenvalues of a graded Gram where
+# kappa(A) kappa(S J_xc) allows (optimizer.GRAM_COND_MAX), and the singular
+# values of W elsewhere; its workspace means lie within 8.3e-11 of the SVD
+# of W at every sample on both presets.  At c_l = 1e-6 every sample takes
+# the SVD of W, which differs from the three-SVD kernel by round-off, 4.7e-10
+# at worst.
 REFERENCE_RTOL = 1e-9
 
 
@@ -590,8 +594,10 @@ def test_stiff_space_singular_counting():
 # a sample whose J_lc fails full_rank scores 0.
 # ---------------------------------------------------------------------------
 
-def _three_svd_chunk(payload):
-    (space, channels, anc, iws, all_des, all_fix, jxc) = payload
+def _reference_jlc(payload):
+    """J_lc of every design of a payload with rows at all 1 + S row samples:
+    straight (n_designs, p, m) and per workspace sample (n_designs, S, p, m)."""
+    (space, channels, anc, iws, all_des, all_fix, *_) = payload
     # row sample 0 is the straight configuration
     des_rows, fix_rows, des0, fix0 = all_des[1:], all_fix[1:], all_des[0], all_fix[0]
     m = space.basis.m
@@ -599,19 +605,26 @@ def _three_svd_chunk(payload):
     n_strings = n_designed + len(space.fixed)
     n_samp = des_rows.shape[0]
     nd = len(anc)
-    # straight-configuration screen; rows are string-major for the folding
+    # rows are string-major for the folding
     rows0 = np.zeros((n_strings, nd, m))
     for i in range(n_designed):
         rows0[i] = des0[iws, i, anc[:, i], :]
     rows0[n_designed:] = fix0[:, None]
-    a0 = aleph_sv(np.linalg.svd(np.moveaxis(channels.reduce(rows0), 0, -2), compute_uv=False))
-    bad = a0 < space.epsilon
-    # per-sample Jacobians
     rows = np.zeros((n_strings, nd, n_samp, m))
     for i in range(n_designed):
         rows[i] = des_rows[:, iws, i, anc[:, i], :].transpose(1, 0, 2)
     rows[n_designed:] = fix_rows.transpose(1, 0, 2)[:, None]
-    jlc = np.moveaxis(channels.reduce(rows), 0, -2)
+    return (np.moveaxis(channels.reduce(rows0), 0, -2),
+            np.moveaxis(channels.reduce(rows), 0, -2))
+
+
+def _three_svd_chunk(payload):
+    space, jxc = payload[0], payload[6]
+    straight, jlc = _reference_jlc(payload)
+    # straight-configuration screen
+    a0 = aleph_sv(np.linalg.svd(straight, compute_uv=False))
+    bad = a0 < space.epsilon
+    nd = len(straight)
     u_m, s_m, vt_m = np.linalg.svd(jlc, full_matrices=False)
     bad |= aleph_sv(s_m).mean(axis=1) < space.epsilon
     full = full_rank(s_m)
@@ -629,10 +642,10 @@ def _rows_per_sample(payload):
     """The payload with its cumulative rows at all 1 + S row samples: a
     linear-class search passes the straight rows alone, which serve every
     sample, and they are repeated here; other payloads are returned as is."""
-    (space, channels, anc, iws, des_rows, fix_rows, jxc) = payload
-    n_rows = 1 + jxc.shape[1]
+    (space, channels, anc, iws, des_rows, fix_rows, *spectra) = payload
+    n_rows = 1 + spectra[0].shape[1]
     return (space, channels, anc, iws, np.broadcast_to(des_rows, (n_rows, *des_rows.shape[1:])),
-            np.broadcast_to(fix_rows, (n_rows, *fix_rows.shape[1:])), jxc)
+            np.broadcast_to(fix_rows, (n_rows, *fix_rows.shape[1:])), *spectra)
 
 
 def _full_payload(monkeypatch, space, samples):
@@ -647,8 +660,8 @@ def _full_payload(monkeypatch, space, samples):
         res = brute_force_search(space, samples)
     anc, iws, _ = optimizer._enumeration(tuple(space.anchor_disks), len(space.designed),
                                          tuple(space.twist_rates))
-    (_, channels, _, _, des_rows, fix_rows, jxc) = payloads[0]
-    return res, (space, channels, anc, iws, des_rows, fix_rows, jxc)
+    (_, channels, _, _, *rows_and_spectra) = payloads[0]
+    return res, (space, channels, anc, iws, *rows_and_spectra)
 
 
 def _search_and_reference(monkeypatch, space, samples):
@@ -720,12 +733,12 @@ def test_search_kernel_rank_deficient_sample_matches_three_svd_reference(monkeyp
     else:
         space = replace(studies.soft_design_space(), anchor_disks=(3, 6, 9))
         samples = studies.soft_workspace(4, seed=5)
-    _, channels, anc, iws, des_rows, fix_rows, jxc = _rows_per_sample(
+    _, channels, anc, iws, des_rows, fix_rows, jxc, graded, kappa = _rows_per_sample(
         _full_payload(monkeypatch, space, samples)[1])
     anc, iws = anc[:400], iws[:400]
     des_rows = des_rows.copy()
     des_rows[3, :, 1] = des_rows[3, :, 0]
-    payload = (space, channels, anc, iws, des_rows, fix_rows, jxc)
+    payload = (space, channels, anc, iws, des_rows, fix_rows, jxc, graded, kappa)
     a0, ag, bad = optimizer._evaluate_chunk(payload)
     r0, rg, rbad = _three_svd_chunk(payload)
     np.testing.assert_array_equal(bad, rbad)
@@ -737,7 +750,7 @@ def test_search_kernel_rank_deficient_sample_matches_three_svd_reference(monkeyp
     # scored on that sample alone, with no screen, these designs read
     # exactly 0 in both kernels
     alone = (replace(space, epsilon=0.0), channels, anc, iws, des_rows[[0, 3]],
-             fix_rows[[0, 3]], jxc[:, [2]])
+             fix_rows[[0, 3]], jxc[:, [2]], graded[:, [2]], kappa[:, [2]])
     assert np.all(optimizer._evaluate_chunk(alone)[1][deficient_at] == 0.0)
     assert np.all(_three_svd_chunk(alone)[1][deficient_at] == 0.0)
 
@@ -789,7 +802,7 @@ def test_constant_jlc_path_matches_per_sample_kernel(monkeypatch, name):
         samples = studies.stiff_workspace(6, seed=1)
     calls = _count_row_calls(monkeypatch)
     new = brute_force_search(space, samples)
-    assert len(calls) == 1 and not np.any(calls[0])
+    assert len(calls) == 1 and calls[0].shape == (1, space.basis.m) and not np.any(calls[0])
     kernel = optimizer._evaluate_chunk
     monkeypatch.setattr(optimizer, "_evaluate_chunk", lambda pl: kernel(_rows_per_sample(pl)))
     ref = brute_force_search(space, samples)
@@ -827,12 +840,44 @@ def test_rank_deficient_designs_score_zero_and_rank_last():
 
 def test_search_builds_rows_per_sample_where_jlc_moves(monkeypatch):
     # helical strings with torsion: J_lc depends on c, so every row sample
-    # is built, the straight one and the S workspace samples
+    # is built, the straight one and the S workspace samples, in one call
     space = replace(studies.soft_design_space(twist_rates=(1,)), anchor_disks=(3, 6, 9))
     samples = studies.soft_workspace(3, seed=5)
     calls = _count_row_calls(monkeypatch)
     brute_force_search(space, samples)
-    assert len(calls) == 1 + len(samples.configs)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], np.vstack([np.zeros(space.basis.m), samples.configs]))
+
+
+@pytest.mark.parametrize("name", ["soft", "tiny", "off-grid"])
+def test_stacked_rows_match_one_call_per_configuration(monkeypatch, name):
+    # One span_integrals call per string variant over the whole stack of row
+    # samples gives every configuration's rows bit for bit: on the soft
+    # preset (base-mounted helical strings at both twist rates, constant-pitch
+    # tendons on a basis with torsion), the torsion-free tiny space (exact
+    # rows of tip-mounted strings) and a helical fixed string anchored off
+    # the panel grid.
+    if name == "soft":
+        space = studies.soft_design_space()
+        configs = studies.soft_workspace(3, seed=7).configs
+    else:
+        space, configs = _tiny_space(), _TINY_SAMPLES
+        if name == "off-grid":
+            spec = StringSpec(Helical(r_s=0.04, omega=9.0, alpha=0.3), 0.1715)
+            space = replace(space, fixed=(space.fixed[0], spec))
+    stack = np.vstack([np.zeros(space.basis.m), configs])
+    calls = []
+    integrals = optimizer.span_integrals
+    monkeypatch.setattr(optimizer, "span_integrals",
+                        lambda *args: calls.append(args) or integrals(*args))
+    des_rows, fix_rows = optimizer._cumulative_rows(space, stack)
+    assert len(calls) == len(space.twist_rates) * len(space.designed) + len(space.fixed)
+    assert des_rows.shape == (len(stack), len(space.twist_rates), len(space.designed),
+                              space.n_disks + 1, space.basis.m)
+    assert fix_rows.shape == (len(stack), len(space.fixed), space.basis.m)
+    for c, des, fix in zip(stack, des_rows, fix_rows):
+        one_des, one_fix = optimizer._cumulative_rows(space, c)
+        assert np.array_equal(des, one_des) and np.array_equal(fix, one_fix)
 
 
 def test_search_kernel_overdetermined_spaces(monkeypatch):
@@ -864,12 +909,131 @@ def test_search_kernel_overdetermined_spaces(monkeypatch):
 
 
 def test_search_kernel_conditioning_guard(monkeypatch):
-    # c_l = 1e-6 shrinks the angular rows of S J_xc a millionfold, so W is
-    # ill conditioned: the eigenvalues of its Gram put the index off by more
-    # than 1e-7 relative, its singular values keep it at the reference.
+    # c_l = 1e-6 shrinks the angular rows of S J_xc a millionfold, so
+    # kappa(S J_xc) exceeds GRAM_COND_MAX at every sample and the kernel
+    # takes the singular values of W throughout; a plain Gram of W puts the
+    # index off by more than 1e-7 relative (see also
+    # test_graded_gram_needs_the_guard).
     space = replace(studies.soft_design_space(), anchor_disks=(3, 6, 9), c_l=1e-6)
     new, ref = _search_and_reference(monkeypatch, space, studies.soft_workspace(3, seed=5))
     _assert_matches_reference(new, ref)
+
+
+# ---------------------------------------------------------------------------
+# The graded-Gram route against the singular values of W.
+# ---------------------------------------------------------------------------
+
+def _svd_route(monkeypatch, fn, *args):
+    """fn(*args) with every (design, sample) on the SVD of W."""
+    with monkeypatch.context() as patched:
+        patched.setattr(optimizer, "GRAM_COND_MAX", 0.0)
+        return fn(*args)
+
+
+def _at_sample(payload, j):
+    """The kernel's aleph (n_designs, n_objectives) at workspace sample j
+    alone, with no screen; 0 where J_lc fails full_rank."""
+    space, channels, anc, iws, des_rows, fix_rows, jxc, graded, kappa = payload
+    return optimizer._evaluate_chunk((replace(space, epsilon=0.0), channels, anc, iws,
+                                      des_rows[[0, 1 + j]], fix_rows[[0, 1 + j]],
+                                      jxc[:, [j]], graded[:, [j]], kappa[:, [j]]))[1]
+
+
+# Per (design, sample) the graded Gram lies within
+# C * eps * kappa(A) * kappa(S J_xc) of the SVD of W, with C measured over
+# every full-rank sample that the guard lets through.  On the soft preset
+# the grading carries the small singular value of B: C = 9.2 at 3@7 (4.5 at
+# 3@5, 6.2 on every hundredth block at 200@777), bounded here by 16.  On the
+# stiff preset S J_xc is graded over about 700 only, and the Gram loses what
+# a plain Gram loses, up to 1.2 eps kappa(B)^2: C = 307 at 24@3 (270 at
+# 24@424242), bounded by 400, and up to 1.13e-9 per sample.
+GRAM_ERROR_C = {"soft": 16.0, "stiff": 400.0, "soft-c_l": 0.0}   # no c_l = 1e-6 sample takes the Gram
+
+
+@pytest.mark.parametrize("name", ["soft", "stiff", "soft-c_l"])
+def test_graded_gram_per_sample_error_model(monkeypatch, name):
+    # soft 3@7 and stiff 24@3 over every design the search scores; the
+    # c_l = 1e-6 soft subspace, where every sample takes the SVD of W
+    if name == "soft":
+        space, samples = studies.soft_design_space(), studies.soft_workspace(3, seed=7)
+    elif name == "stiff":
+        space, samples = studies.stiff_design_space(), studies.stiff_workspace(24, seed=3)
+    else:
+        space = replace(studies.soft_design_space(), anchor_disks=(3, 6, 9), c_l=1e-6)
+        samples = studies.soft_workspace(3, seed=5)
+    res, payload = _full_payload(monkeypatch, space, samples)
+    # the designs the search scores
+    space, channels, anc, iws, *rows_and_spectra = _rows_per_sample(payload)
+    scored = ~res.singular
+    payload = (space, channels, anc[scored], iws[scored], *rows_and_spectra)
+    sv = np.linalg.svd(_reference_jlc(payload)[1], compute_uv=False)
+    kappa_a = np.where(full_rank(sv), sv[..., 0] / sv[..., -1], np.inf)    # (n_designs, S)
+    kappa_x = payload[8]                                                   # (n_objectives, S)
+    n_gram = 0
+    for j in range(len(samples.configs)):
+        new = _at_sample(payload, j)
+        ref = _svd_route(monkeypatch, _at_sample, payload, j)
+        product = kappa_a[:, j, None] * kappa_x[None, :, j]
+        gram = product <= optimizer.GRAM_COND_MAX
+        n_gram += gram.sum()
+        np.testing.assert_array_equal(new[~gram], ref[~gram])
+        bound = GRAM_ERROR_C[name] * np.finfo(float).eps * product[gram]
+        assert np.all(_rel_err(new[gram], ref[gram]) <= bound)
+    if name == "soft-c_l":
+        assert n_gram == 0
+    else:
+        # 91% of the soft entries, 92% of the stiff ones
+        assert n_gram > 0.9 * np.isfinite(kappa_a).sum() * len(space.s_objectives)
+
+
+def _search_error(monkeypatch, space, samples, **patches):
+    """Largest relative aleph_g error of the search with the given module
+    names patched, against the SVD route, over the designs that are not
+    singular."""
+    ref = _svd_route(monkeypatch, brute_force_search, space, samples)
+    with monkeypatch.context() as patched:
+        for name, value in patches.items():
+            patched.setattr(optimizer, name, value)
+        new = brute_force_search(space, samples)
+    np.testing.assert_array_equal(new.singular, ref.singular)
+    np.testing.assert_array_equal(new.aleph_config, ref.aleph_config)
+    return _rel_err(new.aleph_g, ref.aleph_g)[~ref.singular].max()
+
+
+def test_graded_gram_needs_the_rotation(monkeypatch):
+    # The Gram of S J_xc A^-1 unrotated, the guard kept, puts soft 3@7 out
+    # of REFERENCE_RTOL; rotated, it stays within it.
+    space, samples = studies.soft_design_space(), studies.soft_workspace(3, seed=7)
+    assert _search_error(monkeypatch, space, samples) <= REFERENCE_RTOL
+    graded = optimizer._graded_rows
+
+    def unrotated(jxc):
+        return jxc, graded(jxc)[1]
+
+    assert _search_error(monkeypatch, space, samples, _graded_rows=unrotated) > REFERENCE_RTOL
+
+
+def test_graded_gram_needs_the_guard(monkeypatch):
+    # At c_l = 1e-6 every sample of the full soft preset at 3@5 takes the
+    # SVD of W and reads what the SVD route reads, bit for bit; without the
+    # guard the graded Gram misses REFERENCE_RTOL.
+    space = replace(studies.soft_design_space(), c_l=1e-6)
+    samples = studies.soft_workspace(3, seed=5)
+    assert _search_error(monkeypatch, space, samples) == 0.0
+    assert _search_error(monkeypatch, space, samples, GRAM_COND_MAX=np.inf) > REFERENCE_RTOL
+
+
+def test_straight_samples_take_the_svd_route(monkeypatch):
+    # At c = 0 S J_xc has an exactly zero singular value: kappa is infinite,
+    # which routes every such sample to the SVD of W with no warning, and
+    # the search reads what the SVD route reads, bit for bit.
+    space = replace(studies.soft_design_space(), anchor_disks=(3, 6, 9))
+    samples = np.zeros((2, space.basis.m))
+    res, payload = _full_payload(monkeypatch, space, samples)
+    assert np.isinf(payload[8]).all()
+    ref = _svd_route(monkeypatch, brute_force_search, space, samples)
+    for field in ("aleph_config", "aleph_g", "singular"):
+        np.testing.assert_array_equal(getattr(res, field), getattr(ref, field))
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,22 @@ def test_span_rows_at_off_grid_bounds_match_one_bound_rows():
     np.testing.assert_allclose(ells, one_ell, rtol=1e-10, atol=0)
 
 
+@pytest.mark.parametrize("basis", [spatial_basis(), ModalBasis(x=(0, 1, 2), y=(0, 1, 2), length=0.293)],
+                         ids=["torsion", "torsion-free"])
+@pytest.mark.parametrize("path", [Helical(r_s=0.035, omega=6.7, alpha=0.8), ConstantPitch(0.03, 0.01)])
+def test_span_integrals_of_a_stack_match_one_call_per_configuration(basis, path):
+    # panel sums (either path on the torsion basis, the helix on both) and
+    # exact rows (constant pitch on the torsion-free basis): every row of a
+    # (k, m) stack reads its own (m,) call bit for bit
+    configs = np.random.default_rng(3).uniform(-2.0, 2.0, (4, basis.m))
+    bounds = [0.037, 0.1234, 0.2, 0.2871]
+    ells, rows = span_integrals(path, basis, configs, 0.02, bounds)
+    assert ells.shape == (4, 4) and rows.shape == (4, 4, basis.m)
+    for c, ell, row in zip(configs, ells, rows):
+        one_ell, one_row = span_integrals(path, basis, c, 0.02, bounds)
+        assert np.array_equal(ell, one_ell) and np.array_equal(row, one_row)
+
+
 @pytest.mark.parametrize("path", [Helical(r_s=0.035, omega=6.7), ConstantPitch(0.03, 0.01)])
 @pytest.mark.parametrize("lo, bounds", [(0.1, [0.05]), (0.0, [np.nan])])
 def test_span_rows_rejects_bounds_below_lo(path, lo, bounds):
