@@ -354,16 +354,55 @@ def _cumulative_rows(space, c):
     return designed, fixed
 
 
-# The kernel takes the graded Gram where kappa(A) kappa(S J_xc) is at most
-# this.  Per (design, sample), against the singular values of W, the Gram's
-# relative error on the soft preset stays within C eps kappa(A) kappa(S J_xc)
-# with C = 9.2 (3@7; 4.5 at 3@5, 6.2 at 200@777), so within 6e-10 here, below
-# the 1e-9 to which the search is held; 86-91% of the samples take the Gram.
-# At 1e6 (92-98%) single samples reach 2.1e-9.  The stiff preset's S J_xc is
-# graded over about 700 only, so its Gram loses what a plain Gram loses,
-# about eps kappa(B)^2: up to 1.1e-9 per sample at 24@3, which the guard does
-# not bound, and 8.3e-11 in the workspace means.
+# The kernel takes the graded Gram where kappa_8(A) kappa(S J_xc) is at most
+# this.  kappa_8 = |A|_8 |A^-1|_8 >= kappa(A) is an upper bound from the
+# Schatten 8-norm |A|_8 = (sum sigma_i^8)^(1/8) = |(A^T A)^2|_F^(1/4), which
+# lies in [sigma_max, m^(1/8) sigma_max] (see _norm_8).  Per (design,
+# sample), against the singular values of W, the Gram's relative error on
+# the soft preset stays within C eps kappa(A) kappa(S J_xc) with C = 9.1
+# (3@7; 4.5 at 3@5, 6.2 at 200@777), so within 6e-10 wherever the guard
+# lets it through, under the 1e-9 to which the search is held; 85-91% of the
+# soft samples take the Gram, and at 1e6 single samples reached 2.1e-9.  The
+# stiff preset's S J_xc is graded over about 700 only, so its Gram loses what
+# a plain Gram loses, about eps kappa(B)^2: up to 1.1e-9 per sample at 24@3,
+# which the guard does not bound, and 8.3e-11 in the workspace means.
 GRAM_COND_MAX = 3e5
+
+# The workspace screen decides from Frobenius norms where it can.  With
+# fa = |A|_F and fi = |A^-1|_F, sigma_max(A) lies in [fa / sqrt(m), fa] and
+# sigma_min(A) in [1 / fi, sqrt(m) / fi] (Golub & Van Loan, Matrix
+# Computations, 2.3), so aleph(A) lies in [a, m sqrt(m) a] with
+# a = 1 / (fi^2 fa), and sigma_min / sigma_max in [1 / kappa_F, m / kappa_F]
+# with kappa_F = fa fi.  Those bounds hold for exact norms.  The a of the
+# computed inverse lies within C eps kappa_F of the a of A's computed
+# singular values, with C at most 0.83 on the soft preset (3@5, 3@7, 7@777);
+# BOUND_SLACK is that error with C = 100 at the cap, 2.2e-6.  Above
+# KAPPA_F_MAX, or where a norm is not finite, the inverse is not trusted and
+# the SVD decides.  Below it sigma_min / sigma_max >= 1e-8, far above
+# SIGMA_RATIO_TOL, so every sample that the bounds decide passes full_rank,
+# and a sample whose ratio interval reaches SIGMA_RATIO_TOL lies above the cap.
+KAPPA_F_MAX = 1e8
+BOUND_SLACK = 100.0 * np.finfo(float).eps * KAPPA_F_MAX
+
+
+def _frobenius(x):
+    """Frobenius norm over the last two axes.  np.linalg.norm(x, axis=(-2,
+    -1)) gives the same but squares x into a temporary of its size, and
+    reads 0.081 against 0.022 ms on 1,200 8 x 8 matrices (one BLAS thread)."""
+    return np.sqrt(np.einsum("...ij,...ij->...", x, x))
+
+
+def _norm_8(x):
+    """Schatten 8-norm |X|_8 = (sum sigma_i^8)^(1/8) = |(X^T X)^2|_F^(1/4)
+    over the last two axes; it lies in [sigma_max, m^(1/8) sigma_max].
+    kappa_8 = |A|_8 |A^-1|_8 >= kappa(A) exceeds kappa(A) by at most
+    m^(1/4), and on the soft preset by a median 1.05 and at most 1.13 (3@5,
+    3@7, 7@777).  kappa_F = |A|_F |A^-1|_F, which the screen computes,
+    exceeds kappa(A) by a median 1.46 and up to 2.2 there, and as the Gram
+    guard it would send up to 5 points more of the soft samples to the SVD
+    of W.  Infinite or NaN where the Gram of x overflows."""
+    g = np.swapaxes(x, -1, -2) @ x
+    return _frobenius(g @ g) ** 0.25
 
 
 def _evaluate_chunk(payload):
@@ -381,21 +420,28 @@ def _evaluate_chunk(payload):
     Screen first, score second: the singular values of J_lc at sample 0
     screen every design, and only the designs that pass are evaluated on the
     workspace.  Designs singular at the straight configuration are not
-    scored and carry aleph_g = 0.  Per (survivor, sample) the singular values
-    of J_lc drive the workspace-mean screen; a constant J_lc has the straight
-    index at every sample, so it passes that screen and serves every sample
-    with its straight singular values and one inverse.  The one rank rule: a
-    (design, sample) whose J_lc fails full_rank cannot be solved for c and
-    scores 0, whatever m.  Where map_rank_limited(p, m) holds, every index
-    is 0 by the shape of B alone.
+    scored and carry aleph_g = 0.  A is J_lc itself (p = m) or its R factor
+    (p > m), and the kernel takes its batched inverse first.  The
+    workspace-mean screen and the rank test then come from norm bounds (see
+    KAPPA_F_MAX): per sample aleph(J_lc) lies in [a, m sqrt(m) a], and a
+    design is decided where the interval of its means, widened by
+    BOUND_SLACK, lies on one side of epsilon and kappa_F is finite and at
+    most KAPPA_F_MAX at every sample; such samples all pass full_rank.  The
+    other designs, or the whole block where inv finds an exactly singular A,
+    take both from the singular values of their J_lc at every sample.  A
+    constant J_lc has the straight index at every sample, so it passes the
+    mean screen and serves every sample with its straight singular values
+    and one inverse.  The one rank rule: a (design, sample) whose J_lc fails
+    full_rank cannot be solved for c and scores 0, whatever m; the identity
+    stands in for its inverse.  Where map_rank_limited(p, m) holds, every
+    index is 0 by the shape of B alone.
 
     Where J_lc has full column rank, B = S J_xc J_lc^+ has the singular
-    values of X A^-1, A being J_lc itself (p = m) or its R factor (p > m),
-    and so of b = graded A^-1, graded = U^T X with U the left singular
-    vectors of X.  aleph(B) comes from the eigenvalues of b b^T (at most
-    6 x 6), whose rows stay graded by the singular values of X.  Where
-    kappa(A) kappa(X) exceeds GRAM_COND_MAX, or is infinite, it comes from
-    the singular values of W = A^-T X^T instead.
+    values of X A^-1, and so of b = graded A^-1, graded = U^T X with U the
+    left singular vectors of X.  aleph(B) comes from the eigenvalues of
+    b b^T (at most 6 x 6), whose rows stay graded by the singular values of
+    X.  Where kappa_8(A) kappa(X) exceeds GRAM_COND_MAX, or is infinite, it
+    comes from the singular values of W = A^-T X^T instead (see _norm_8).
     """
     (space, channels, anc, iws, des_rows, fix_rows, jxc, graded, kappa) = payload
     m = space.basis.m
@@ -418,30 +464,63 @@ def _evaluate_chunk(payload):
     bad = a0 < space.epsilon
     keep = np.flatnonzero(~bad)
     ag = np.zeros((len(anc), len(space.s_objectives)))
+    p = straight.shape[-2]
     if len(des_rows) == 1:
+        if map_rank_limited(p, m):
+            return a0, ag, bad
         # one J_lc per design serves all samples: (n_keep, 1, p, m)
-        jlc, sv = straight[keep][:, None], sv[keep][:, None]
+        jlc, full = straight[keep][:, None], full_rank(sv[keep])[:, None]
     else:
         jlc = jlc_at(des_rows[1:], fix_rows[1:], keep)      # (n_keep, S, p, m)
-        sv = np.linalg.svd(jlc, compute_uv=False)
-        bad[keep] = aleph_sv(sv).mean(axis=1) < space.epsilon
-    p = jlc.shape[-2]
-    if map_rank_limited(p, m):
-        return a0, ag, bad
-    full = full_rank(sv)
-    # the identity stands in for rank-deficient J_lc so that the batched inverse exists
     square = np.linalg.qr(jlc, mode="r") if p > m else jlc
-    inv = np.linalg.inv(np.where(full[..., None, None], square, np.eye(m)))
-    kappa_a = np.divide(sv[..., 0], sv[..., -1], out=np.full(sv.shape[:-1], np.inf), where=full)
+    # the two Schatten norms are taken apart, so that at most one of A and
+    # its inverse is held beside their temporaries
+    with np.errstate(over="ignore"):
+        norm_a = _norm_8(square)
+    try:
+        inv = np.linalg.inv(square)
+    except np.linalg.LinAlgError:
+        inv = None
+    if len(des_rows) > 1:
+        fa = _frobenius(square)
+        # the inverse of a near-singular A may overflow, and an all-zero A
+        # has no inverse: kappa_F is then infinite or NaN, and untrusted
+        with np.errstate(over="ignore", invalid="ignore"):
+            fi = np.inf if inv is None else _frobenius(inv)
+            kappa_f = fa * fi
+            mean_lo = (1.0 / (fi * kappa_f)).mean(axis=1)   # a = 1 / (fi^2 fa)
+        # NaN fails every comparison, so it leaves its design open
+        above = (1.0 - BOUND_SLACK) * mean_lo >= space.epsilon
+        below = (1.0 + BOUND_SLACK) * m * np.sqrt(m) * mean_lo < space.epsilon
+        open_ = ~((kappa_f <= KAPPA_F_MAX).all(axis=1) & (above | below))
+        sv = np.linalg.svd(jlc[open_], compute_uv=False)
+        full = np.ones(jlc.shape[:2], dtype=bool)
+        full[open_] = full_rank(sv)
+        bad[keep] = below
+        bad[keep[open_]] = aleph_sv(sv).mean(axis=1) < space.epsilon
+        if map_rank_limited(p, m):
+            return a0, ag, bad
+    if inv is None:
+        # an exactly singular A in the block: invert with the identity in place
+        inv = np.linalg.inv(np.where(full[..., None, None], square, np.eye(m)))
+    else:
+        inv[~full] = np.eye(m)
+    # J_lc and A are not read past here; free them before the temporaries
+    del jlc, square
+    # an overflowed norm makes kappa_8 infinite or NaN, and its sample takes the SVD of W
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa_8 = np.where(full, norm_a * _norm_8(inv), np.inf)
     shape = (len(keep), jxc.shape[1])
     inv_at = np.broadcast_to(inv, shape + (m, m))
     for k in range(len(space.s_objectives)):
         # kappa is infinite at straight samples, where X has a zero singular value
-        gram = np.broadcast_to(kappa_a * kappa[k] <= GRAM_COND_MAX, shape)
+        gram = np.broadcast_to(kappa_8 * kappa[k] <= GRAM_COND_MAX, shape)
         svd = ~gram
         val = np.empty(shape)
-        b = graded[k] @ inv
-        val[gram] = aleph_gram(np.linalg.eigvalsh((b @ np.swapaxes(b, -1, -2))[gram]))
+        # only the Gram entries of b are kept, and none past their use
+        b = (graded[k] @ inv)[gram]
+        val[gram] = aleph_gram(np.linalg.eigvalsh(b @ np.swapaxes(b, -1, -2)))
+        del b
         x_at = np.broadcast_to(jxc[k], shape + jxc.shape[-2:])[svd]
         w = np.swapaxes(inv_at[svd], -1, -2) @ np.swapaxes(x_at, -1, -2)
         val[svd] = aleph_sv(np.linalg.svd(w, compute_uv=False))

@@ -22,7 +22,7 @@ from stringshape.sensitivity import global_index, noise_amp
 
 # Relative tolerance of the search against global_index and the three-SVD
 # kernel.  The search takes the eigenvalues of a graded Gram where
-# kappa(A) kappa(S J_xc) allows (optimizer.GRAM_COND_MAX), and the singular
+# kappa_8(A) kappa(S J_xc) allows (optimizer.GRAM_COND_MAX), and the singular
 # values of W elsewhere; its workspace means lie within 8.3e-11 of the SVD
 # of W at every sample on both presets.  At c_l = 1e-6 every sample takes
 # the SVD of W, which differs from the three-SVD kernel by round-off, 4.7e-10
@@ -714,45 +714,171 @@ def test_search_kernel_matches_three_svd_reference_on_stiff_preset(monkeypatch):
     assert np.all(new.aleph_g[new.singular] == 0.0)
 
 
-@pytest.mark.parametrize("preset, deficient", [("stiff", 48), ("soft", 24)])
-def test_search_kernel_rank_deficient_sample_matches_three_svd_reference(monkeypatch, preset,
-                                                                         deficient):
-    # No preset design passes both screens and loses rank at a sample, so an
-    # edited payload makes some: designed string 1 takes string 0's rows at
-    # workspace sample 2 (row sample 3) only.  The stiff search passes its
-    # constant rows once; they are repeated per sample before the edit, so
-    # the kernel's per-sample path is the one run.  Designs with both strings
-    # on one disk then have two equal rows there, while their straight J_lc
-    # is untouched.  J_lc fails full_rank at that sample, which scores 0 in
-    # both kernels, on the stiff preset (m = 6) and the soft subspace (m = 8)
-    # alike.  The payload holds the first 400 designs of the enumeration,
-    # orbit copies included (all 162 on the soft subspace; the whole stiff
-    # enumeration holds 80 such designs).
+def _edited_payload(monkeypatch, preset, edit):
+    """A kernel payload over the first 400 designs of the enumeration, orbit
+    copies included (all 162 on the soft subspace), with designed string 1's
+    rows at workspace sample 2 (row sample 3) replaced by edit(rows of string
+    0, rows of string 1).  The stiff search passes its constant rows once;
+    they are repeated per sample before the edit, so the kernel's per-sample
+    path is the one run."""
     if preset == "stiff":
         space, samples = studies.stiff_design_space(), studies.stiff_workspace(6, seed=1)
     else:
         space = replace(studies.soft_design_space(), anchor_disks=(3, 6, 9))
         samples = studies.soft_workspace(4, seed=5)
-    _, channels, anc, iws, des_rows, fix_rows, jxc, graded, kappa = _rows_per_sample(
+    _, channels, anc, iws, des_rows, fix_rows, *spectra = _rows_per_sample(
         _full_payload(monkeypatch, space, samples)[1])
-    anc, iws = anc[:400], iws[:400]
     des_rows = des_rows.copy()
-    des_rows[3, :, 1] = des_rows[3, :, 0]
-    payload = (space, channels, anc, iws, des_rows, fix_rows, jxc, graded, kappa)
-    a0, ag, bad = optimizer._evaluate_chunk(payload)
+    des_rows[3, :, 1] = edit(des_rows[3, :, 0], des_rows[3, :, 1])
+    return (space, channels, anc[:400], iws[:400], des_rows, fix_rows, *spectra)
+
+
+def _kernel_and_screen_svds(monkeypatch, payload):
+    """The kernel's output on payload, and how many designs took the
+    singular values of their workspace J_lc (the SVD screen) in place of the
+    norm bounds."""
+    designs = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        if a.ndim == 4:     # (n_designs, S, p, m): the workspace J_lc
+            designs.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np.linalg, "svd", counted)
+        out = optimizer._evaluate_chunk(payload)
+    return out, sum(designs)
+
+
+def _at_edited_sample(payload):
+    """The payload at the edited sample alone, with no screen."""
+    space, channels, anc, iws, des_rows, fix_rows, jxc, graded, kappa = payload
+    return (replace(space, epsilon=0.0), channels, anc, iws, des_rows[[0, 3]], fix_rows[[0, 3]],
+            jxc[:, [2]], graded[:, [2]], kappa[:, [2]])
+
+
+@pytest.mark.parametrize("preset, deficient", [("stiff", 48), ("soft", 24)])
+def test_search_kernel_rank_deficient_sample_matches_three_svd_reference(monkeypatch, preset,
+                                                                         deficient):
+    # No preset design passes both screens and loses rank at a sample, so an
+    # edited payload makes some: designed string 1 takes string 0's rows at
+    # one sample.  Designs with both strings on one disk then have two equal
+    # rows there, while their straight J_lc is untouched.  J_lc is exactly
+    # singular there, so the batched inverse raises and every design of the
+    # block takes the SVD screen.  J_lc fails full_rank at that sample,
+    # which scores 0 in both kernels, on the stiff preset (m = 6) and the
+    # soft subspace (m = 8) alike.  The whole stiff enumeration holds 80 such
+    # designs.
+    payload = _edited_payload(monkeypatch, preset, lambda rows0, rows1: rows0)
+    anc = payload[2]
+    (a0, ag, bad), n_svd = _kernel_and_screen_svds(monkeypatch, payload)
     r0, rg, rbad = _three_svd_chunk(payload)
     np.testing.assert_array_equal(bad, rbad)
     np.testing.assert_array_equal(a0, r0)
+    assert n_svd == int((a0 >= payload[0].epsilon).sum())
     # designs that pass both screens and lose rank at that sample
     deficient_at = ~bad & (anc[:, 0] == anc[:, 1])
     assert int(deficient_at.sum()) == deficient
     assert _rel_err(ag, rg)[~bad].max() <= REFERENCE_RTOL
     # scored on that sample alone, with no screen, these designs read
     # exactly 0 in both kernels
-    alone = (replace(space, epsilon=0.0), channels, anc, iws, des_rows[[0, 3]],
-             fix_rows[[0, 3]], jxc[:, [2]], graded[:, [2]], kappa[:, [2]])
+    alone = _at_edited_sample(payload)
     assert np.all(optimizer._evaluate_chunk(alone)[1][deficient_at] == 0.0)
     assert np.all(_three_svd_chunk(alone)[1][deficient_at] == 0.0)
+
+
+def _norm_bounds(payload):
+    """Per workspace sample of every design, kappa_F of J_lc and the lower
+    bound a = 1 / (|A^-1|_F^2 |A|_F) on aleph(J_lc), A = J_lc (p = m)."""
+    jlc = _reference_jlc(payload)[1]
+    fa, fi = optimizer._frobenius(jlc), optimizer._frobenius(np.linalg.inv(jlc))
+    return fa * fi, 1.0 / (fi ** 2 * fa)
+
+
+def test_norm_bound_screen_defers_means_that_straddle_epsilon(monkeypatch):
+    # On the soft subspace, epsilon is set just above the workspace mean of a
+    # design whose straight index exceeds it: the design passes the straight
+    # screen and fails the mean screen.  The bounds decide a design only
+    # where its interval of means, [mean a, m sqrt(m) mean a], lies on one
+    # side of epsilon; every design whose interval holds epsilon takes the
+    # SVD screen, and the screens agree with the three-SVD kernel's.
+    space = replace(studies.soft_design_space(), anchor_disks=(3, 6, 9))
+    payload = _full_payload(monkeypatch, space, studies.soft_workspace(4, seed=5))[1]
+    m = space.basis.m
+    straight, jlc = _reference_jlc(payload)
+    a0 = aleph_sv(np.linalg.svd(straight, compute_uv=False))
+    means = aleph_sv(np.linalg.svd(jlc, compute_uv=False)).mean(axis=1)
+    kappa_f, a = _norm_bounds(payload)
+    assert kappa_f.max() < optimizer.KAPPA_F_MAX
+    # the median of the designs whose straight index exceeds their mean
+    dropped = np.flatnonzero(a0 > (1.0 + 1e-6) * means)
+    d = dropped[np.argsort(means[dropped])[len(dropped) // 2]]
+    epsilon = (1.0 + 1e-9) * means[d]
+    payload = (replace(space, epsilon=epsilon), *payload[1:])
+    (a0, ag, bad), n_svd = _kernel_and_screen_svds(monkeypatch, payload)
+    r0, rg, rbad = _three_svd_chunk(payload)
+    np.testing.assert_array_equal(bad, rbad)
+    np.testing.assert_array_equal(a0, r0)
+    assert _rel_err(ag, rg)[~bad].max() <= REFERENCE_RTOL
+    passed = a0 >= epsilon
+    straddle = passed & (a.mean(axis=1) < epsilon) & (m * np.sqrt(m) * a.mean(axis=1) >= epsilon)
+    assert straddle[d] and bad[d] and not bad[straddle].all()
+    assert int(straddle.sum()) <= n_svd < int(passed.sum())
+
+
+def test_norm_bound_screen_defers_ratios_that_straddle_the_rank_test(monkeypatch):
+    # String 1's rows at one sample become string 0's plus 3e-11 of its own,
+    # so designs with both strings on one disk have sigma_min / sigma_max
+    # near SIGMA_RATIO_TOL there.  Where [1 / kappa_F, m / kappa_F] holds
+    # SIGMA_RATIO_TOL the bounds cannot tell the rank, and those designs take
+    # the SVD screen; samples on both sides of the rank test are among them.
+    payload = _edited_payload(monkeypatch, "soft", lambda rows0, rows1: rows0 + 3e-11 * rows1)
+    m = payload[0].basis.m
+    kappa_f = _norm_bounds(payload)[0][:, 2]
+    straddle = (1.0 / kappa_f < SIGMA_RATIO_TOL) & (m / kappa_f >= SIGMA_RATIO_TOL)
+    full = full_rank(np.linalg.svd(_reference_jlc(payload)[1][:, 2], compute_uv=False))
+    assert (straddle & full).any() and (straddle & ~full).any()
+    (a0, ag, bad), n_svd = _kernel_and_screen_svds(monkeypatch, payload)
+    r0, rg, rbad = _three_svd_chunk(payload)
+    np.testing.assert_array_equal(bad, rbad)
+    np.testing.assert_array_equal(a0, r0)
+    assert _rel_err(ag, rg)[~bad].max() <= REFERENCE_RTOL
+    assert int((straddle & (a0 >= payload[0].epsilon)).sum()) <= n_svd
+    # the rank test at that sample alone: a sample that fails it reads 0
+    alone = _at_edited_sample(payload)
+    new, ref = optimizer._evaluate_chunk(alone)[1], _three_svd_chunk(alone)[1]
+    np.testing.assert_array_equal(new == 0.0, ref == 0.0)
+    np.testing.assert_array_equal(new[:, 0] > 0.0, full)
+    # below the cap 1 / kappa_F, less the slack, clears SIGMA_RATIO_TOL: the
+    # bounds never pass a sample that fails the rank test
+    assert optimizer.KAPPA_F_MAX * SIGMA_RATIO_TOL < 1.0 - optimizer.BOUND_SLACK
+
+
+@pytest.mark.parametrize("edit", ["tiny", "zero"])
+def test_norm_bound_screen_on_a_near_singular_block_warns_nothing(monkeypatch, edit):
+    # At one sample, string 1's rows shrink by 1e-170 (tiny): every J_lc
+    # there is near-singular, and the squared Frobenius norm of its inverse
+    # overflows.  Or every row there is 0 (zero): inv raises, and |A|_F is 0.
+    # Warnings are errors in this suite.  kappa_F is infinite or NaN, every
+    # design takes the SVD screen, and the sample fails the rank test.
+    space, channels, anc, iws, des_rows, fix_rows, *spectra = _edited_payload(
+        monkeypatch, "soft", lambda rows0, rows1: 1e-170 * rows1)
+    if edit == "zero":
+        des_rows[3] = 0.0
+        fix_rows = fix_rows.copy()
+        fix_rows[3] = 0.0
+    else:
+        jlc = _reference_jlc((space, channels, anc, iws, des_rows, fix_rows))[1][:, 2]
+        assert np.isinf(optimizer._frobenius(np.linalg.inv(jlc))).all()
+    payload = (space, channels, anc, iws, des_rows, fix_rows, *spectra)
+    (a0, ag, bad), n_svd = _kernel_and_screen_svds(monkeypatch, payload)
+    r0, rg, rbad = _three_svd_chunk(payload)
+    np.testing.assert_array_equal(bad, rbad)
+    np.testing.assert_array_equal(a0, r0)
+    assert n_svd == int((a0 >= space.epsilon).sum()) > 0
+    assert _rel_err(ag, rg)[~bad].max() <= REFERENCE_RTOL
+    assert np.all(optimizer._evaluate_chunk(_at_edited_sample(payload))[1] == 0.0)
 
 
 def _stiff_with_seventh_channel():
@@ -788,9 +914,10 @@ def _deficient_linear_space():
 @pytest.mark.parametrize("name", ["tiny", "stiff", "stiff-p7", "deficient"])
 def test_constant_jlc_path_matches_per_sample_kernel(monkeypatch, name):
     # A linear-class search builds its rows once, at c = 0, and takes one SVD
-    # and one inverse (of the R factor on the p = 7 space) per design.  The
-    # per-sample kernel on the same rows repeated per sample must agree bit
-    # for bit.
+    # and one inverse (of the R factor on the p = 7 space) per design, and
+    # kappa_8 for the Gram guard from that inverse.  The per-sample kernel on
+    # the same rows repeated per sample, which screens by the norm bounds,
+    # must agree bit for bit.
     if name == "tiny":
         space = _tiny_space()
         samples = np.array([[0.5, -0.2, 0.7, 0.1], [-0.3, 0.4, -0.1, 0.6]])
@@ -942,10 +1069,10 @@ def _at_sample(payload, j):
 # Per (design, sample) the graded Gram lies within
 # C * eps * kappa(A) * kappa(S J_xc) of the SVD of W, with C measured over
 # every full-rank sample that the guard lets through.  On the soft preset
-# the grading carries the small singular value of B: C = 9.2 at 3@7 (4.5 at
+# the grading carries the small singular value of B: C = 9.1 at 3@7 (4.5 at
 # 3@5, 6.2 on every hundredth block at 200@777), bounded here by 16.  On the
 # stiff preset S J_xc is graded over about 700 only, and the Gram loses what
-# a plain Gram loses, up to 1.2 eps kappa(B)^2: C = 307 at 24@3 (270 at
+# a plain Gram loses, up to 1.2 eps kappa(B)^2: C = 307 at 24@3 (285 at
 # 24@424242), bounded by 400, and up to 1.13e-9 per sample.
 GRAM_ERROR_C = {"soft": 16.0, "stiff": 400.0, "soft-c_l": 0.0}   # no c_l = 1e-6 sample takes the Gram
 
@@ -966,15 +1093,27 @@ def test_graded_gram_per_sample_error_model(monkeypatch, name):
     space, channels, anc, iws, *rows_and_spectra = _rows_per_sample(payload)
     scored = ~res.singular
     payload = (space, channels, anc[scored], iws[scored], *rows_and_spectra)
-    sv = np.linalg.svd(_reference_jlc(payload)[1], compute_uv=False)
-    kappa_a = np.where(full_rank(sv), sv[..., 0] / sv[..., -1], np.inf)    # (n_designs, S)
+    jlc = _reference_jlc(payload)[1]                                       # p = m here
+    sv = np.linalg.svd(jlc, compute_uv=False)
+    full = full_rank(sv)
+    kappa_a = np.where(full, sv[..., 0] / sv[..., -1], np.inf)             # (n_designs, S)
+    # the guard reads the Schatten-norm bound kappa_8 >= kappa(A)
+    inv = np.linalg.inv(np.where(full[..., None, None], jlc, np.eye(space.basis.m)))
+    kappa_8 = np.where(full, optimizer._norm_8(jlc) * optimizer._norm_8(inv), np.inf)
+    assert np.all(kappa_8 >= kappa_a)
     kappa_x = payload[8]                                                   # (n_objectives, S)
+    eigvalsh = np.linalg.eigvalsh
     n_gram = 0
     for j in range(len(samples.configs)):
-        new = _at_sample(payload, j)
+        routed = []
+        with monkeypatch.context() as patched:
+            patched.setattr(np.linalg, "eigvalsh", lambda a: routed.append(len(a)) or eigvalsh(a))
+            new = _at_sample(payload, j)
         ref = _svd_route(monkeypatch, _at_sample, payload, j)
+        gram = kappa_8[:, j, None] * kappa_x[None, :, j] <= optimizer.GRAM_COND_MAX
         product = kappa_a[:, j, None] * kappa_x[None, :, j]
-        gram = product <= optimizer.GRAM_COND_MAX
+        # the kernel takes the Gram on exactly these entries
+        assert sum(routed) == gram.sum()
         n_gram += gram.sum()
         np.testing.assert_array_equal(new[~gram], ref[~gram])
         bound = GRAM_ERROR_C[name] * np.finfo(float).eps * product[gram]
@@ -982,7 +1121,7 @@ def test_graded_gram_per_sample_error_model(monkeypatch, name):
     if name == "soft-c_l":
         assert n_gram == 0
     else:
-        # 91% of the soft entries, 92% of the stiff ones
+        # 90.5% of the soft entries, 92.2% of the stiff ones (91.2% and 92.4% under kappa(A))
         assert n_gram > 0.9 * np.isfinite(kappa_a).sum() * len(space.s_objectives)
 
 
