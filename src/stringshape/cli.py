@@ -40,15 +40,18 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _positive_int(text):
-    """argparse type for counts: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _at_least(low):
+    """argparse type for integers >= low: 1 for counts, 0 for seeds."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            kind = "positive" if low > 0 else "non-negative"
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return value
+    return parse
 
 
 def _number_list(kind):
@@ -327,7 +330,7 @@ def build_parser():
     p.add_argument("-o", "--output", default="poses.csv")
     p.add_argument("--s-values", type=_number_list(float), default=None,
                    help="comma-separated arc lengths (m); default uniform grid")
-    p.add_argument("--n-points", type=_positive_int, default=21)
+    p.add_argument("--n-points", type=_at_least(1), default=21)
     p.set_defaults(fn=cmd_shape, error=p.error)
 
     p = sub.add_parser("lengths", help="measurement synthesis: coefficients -> lengths CSV")
@@ -353,8 +356,8 @@ def build_parser():
                    help="workspace-averaged tip-index peaks over the preset radius pairs")
     p.add_argument("--convergence", action="store_true",
                    help="reconstruction error vs string count on the rod oracle")
-    p.add_argument("--samples", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=studies.PLANAR_WORKSPACE_SEED)
+    p.add_argument("--samples", type=_at_least(1), default=200)
+    p.add_argument("--seed", type=_at_least(0), default=studies.PLANAR_WORKSPACE_SEED)
     p.add_argument("--modulus", type=float, default=60e9, help="rod modulus (Pa)")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--output-full", default=None)
@@ -365,8 +368,8 @@ def build_parser():
                        help="CSV landscapes of both indices over the anchor grid")
     p.add_argument("--r1", type=float, default=0.10)
     p.add_argument("--r2", type=float, default=-0.10)
-    p.add_argument("--samples", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=studies.PLANAR_WORKSPACE_SEED)
+    p.add_argument("--samples", type=_at_least(1), default=200)
+    p.add_argument("--seed", type=_at_least(0), default=studies.PLANAR_WORKSPACE_SEED)
     p.add_argument("--output-config", default="aleph_config_grid.csv")
     p.add_argument("--output-full", default="aleph_full_grid.csv")
     p.set_defaults(fn=cmd_sensitivity_map)
@@ -374,9 +377,9 @@ def build_parser():
     p = sub.add_parser("routing-opt",
                        help="brute-force routing search over a preset design space")
     p.add_argument("--preset", choices=("stiff", "soft"), default="soft")
-    p.add_argument("--samples", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=777)
-    p.add_argument("--jobs", type=_positive_int, default=None,
+    p.add_argument("--samples", type=_at_least(1), default=200)
+    p.add_argument("--seed", type=_at_least(0), default=777)
+    p.add_argument("--jobs", type=_at_least(1), default=None,
                    help="threads scoring the design blocks (default: the CPUs this "
                         "process may run on); output is independent of the count")
     p.add_argument("-o", "--output", default="routing_designs.csv")
@@ -385,8 +388,8 @@ def build_parser():
 
     p = sub.add_parser("spatial-study",
                        help="synthetic spatial truth -> reconstruction error metrics")
-    p.add_argument("--cases", type=_positive_int, default=50)
-    p.add_argument("--seed", type=int, default=20)
+    p.add_argument("--cases", type=_at_least(1), default=50)
+    p.add_argument("--seed", type=_at_least(0), default=20)
     p.add_argument("--anchors", type=_number_list(int), default=None,
                    help="comma-separated anchor disks for the four strings")
     p.add_argument("--n-omega", type=int, default=1)

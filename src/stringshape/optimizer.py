@@ -15,8 +15,8 @@ import numpy as np
 
 from .modal import ModalBasis
 from .routing import Helical, Mount, StringSpec
-from .sensing import (SensorArray, aleph_gram, aleph_sv, body_jacobian, body_jacobian_multi,
-                      full_rank, span_integrals)
+from .sensing import (SensorArray, aleph_gram, aleph_sv, body_jacobian_multi, full_rank,
+                      span_integrals)
 from .sensitivity import map_rank_limited, twist_scaling
 
 PLANAR_REFERENCE_RADIUS = 0.25   # fixed end-anchored tendon, radius in units of L
@@ -56,31 +56,28 @@ def planar_config_index(jac):
     return aleph_gram(np.linalg.eigvalsh(np.swapaxes(jac, -1, -2) @ jac))
 
 
-def planar_full_index(jac, gram_samples):
+def planar_full_index(jac, sample_rows):
     """Mean aleph of the length->twist map over samples for planar J_lc (..., 3, 3).
 
-    gram_samples holds (S J_xc)^T (S J_xc) per workspace sample.  The squared
-    singular values of B = S J_xc J_lc^-1 are the eigenvalues of
-    K = J_lc^-T gram J_lc^-1.  J_lc that fail the rank test (full_rank)
-    score 0, the one rank rule of the search kernel; the identity stands in
-    for them so that the batched inverse exists.  Forming K squares
-    cond(J_lc): against the SVD of W = J_lc^-T (S J_xc)^T, about 3 times
-    dearer, the index differs by at most 5.1e-9, near cond(J_lc) 1e9 where
-    the index is below 3.2e-8 (landscape maximum about 0.15), and by 5.5e-14
-    at cond(J_lc) below 6e3.
+    sample_rows is the (X, U^T X, kappa(X)) of planar_sample_grams, X =
+    S J_xc(L) per workspace sample.  The scores are the search kernel's
+    (_workspace_aleph): J_lc that fail the rank test (full_rank) score 0,
+    and the singular values taken for that test give the exact kappa(J_lc)
+    of the Gram guard.
     """
-    full = full_rank(np.linalg.svd(jac, compute_uv=False))
-    inv = np.linalg.inv(np.where(full[..., None, None], jac, np.eye(3)))[..., None, :, :]
-    k = np.swapaxes(inv, -1, -2) @ gram_samples @ inv
-    return full * aleph_gram(np.linalg.eigvalsh(k)).mean(axis=-1)
+    sv = np.linalg.svd(jac, compute_uv=False)
+    full = full_rank(sv)
+    inv = np.linalg.inv(np.where(full[..., None, None], jac, np.eye(3)))
+    kappa_a = np.divide(sv[..., 0], sv[..., -1], out=np.full(full.shape, np.inf), where=full)
+    return _workspace_aleph(inv[..., None, :, :], full[..., None], kappa_a[..., None],
+                            *sample_rows)
 
 
 def planar_sample_grams(samples, c_l):
-    """(S J_xc(L))^T (S J_xc(L)) per workspace configuration."""
-    basis = planar_basis()
+    """(X, U^T X, kappa(X)) of X = S J_xc at the tip s = L = 1 per workspace
+    configuration, the sample rows that planar_full_index scores."""
     configs = getattr(samples, "configs", samples)
-    jxc = twist_scaling(c_l)[:, None] * body_jacobian(basis, configs, basis.length)
-    return np.swapaxes(jxc, -1, -2) @ jxc
+    return tuple(a[0] for a in _sample_rows(planar_basis(), configs, [1.0], c_l))
 
 
 @dataclass(frozen=True)
@@ -169,45 +166,29 @@ def planar_landscape(radii, index, grid_step):
     index must not change under J_lc -> P D J_lc, P a row permutation and D
     a diagonal of signs (true of any function of the singular values).  Two
     free strings of equal |r| that swap anchors do just that to J_lc, so
-    index is called only on the representatives, the placements whose
-    anchors do not decrease within each group of free strings of equal |r|,
-    and every other placement takes the value of its sorted representative.
-    The representatives go to index in C order, LANDSCAPE_BLOCK full grid
-    rows' worth of points per call.
+    index is called only on the representatives (_orbit_representatives), the
+    placements whose anchors do not decrease within each group of free
+    strings of equal |r|, in C order and LANDSCAPE_BLOCK full grid rows'
+    worth of points per call; every other placement takes their value.
     """
     radii = np.asarray(radii, dtype=float)
     axis = np.arange(grid_step, 1.0, grid_step)
-    n, d = len(axis), len(radii) - 1
-    anchors = np.ix_(*[axis] * d)
-    ids = np.ix_(*[np.arange(n)] * d)
-    # the comparators (a, b) of a bubble sort of the anchor indices within
-    # each group of free strings of equal |r|
+    shape = (len(axis),) * (len(radii) - 1)
     free = np.abs(radii[:-1])
-    swaps = []
-    for r in dict.fromkeys(free.tolist()):
-        group = np.flatnonzero(free == r)
-        swaps += [(group[j], group[j + 1])
-                  for top in range(len(group) - 1, 0, -1) for j in range(top)]
-    rep = np.ones((n,) * d, dtype=bool)
-    for a, b in swaps:
-        rep &= ids[a] <= ids[b]
-    points = [np.broadcast_to(g, rep.shape)[rep] for g in anchors]
-    points = np.column_stack([*points, np.ones(len(points[0]))])
-    block = LANDSCAPE_BLOCK * n ** (d - 1)
-    values = np.zeros(rep.shape)
-    values[rep] = np.concatenate([index(planar_config_jacobian(radii, points[i:i + block]))
-                                  for i in range(0, len(points), block)])
-    # the comparators in reverse order carry each representative's value to
-    # every placement that the sort takes to it
-    for a, b in reversed(swaps):
-        values = np.where(ids[a] > ids[b], values.swapaxes(a, b), values)
-    return axis, values
+    groups = [np.flatnonzero(free == r) for r in np.unique(free)]
+    scored, slot = _orbit_representatives(shape, groups)
+    points = np.column_stack([*axis[np.array(np.unravel_index(scored, shape))],
+                              np.ones(len(scored))])
+    block = LANDSCAPE_BLOCK * len(axis) ** (len(shape) - 1)
+    values = np.concatenate([index(planar_config_jacobian(radii, points[i:i + block]))
+                             for i in range(0, len(points), block)])
+    return axis, values[slot].reshape(shape)
 
 
 def planar_peak_search(radii, index, grid_step=PLANAR_GRID_STEP):
     """All local maxima of the landscape of three planar strings, refined in
     one lockstep run, highest first.  index is planar_config_index or
-    planar_full_index bound to the sample Grams of planar_sample_grams."""
+    planar_full_index bound to the sample rows of planar_sample_grams."""
     axis, values = planar_landscape(radii, index, grid_step)
     x, v = _golden_refine(radii, index, axis[_local_maxima(values)], grid_step)
     peaks = [Peak(anchors=(float(a_1), float(a_2)), value=float(val))
@@ -354,18 +335,22 @@ def _cumulative_rows(space, c):
     return designed, fixed
 
 
-# The kernel takes the graded Gram where kappa_8(A) kappa(S J_xc) is at most
-# this.  kappa_8 = |A|_8 |A^-1|_8 >= kappa(A) is an upper bound from the
-# Schatten 8-norm |A|_8 = (sum sigma_i^8)^(1/8) = |(A^T A)^2|_F^(1/4), which
-# lies in [sigma_max, m^(1/8) sigma_max] (see _norm_8).  Per (design,
-# sample), against the singular values of W, the Gram's relative error on
-# the soft preset stays within C eps kappa(A) kappa(S J_xc) with C = 9.1
-# (3@7; 4.5 at 3@5, 6.2 at 200@777), so within 6e-10 wherever the guard
-# lets it through, under the 1e-9 to which the search is held; 85-91% of the
-# soft samples take the Gram, and at 1e6 single samples reached 2.1e-9.  The
-# stiff preset's S J_xc is graded over about 700 only, so its Gram loses what
-# a plain Gram loses, about eps kappa(B)^2: up to 1.1e-9 per sample at 24@3,
-# which the guard does not bound, and 8.3e-11 in the workspace means.
+# _workspace_aleph takes the graded Gram where a bound on kappa(A) times
+# kappa(S J_xc) is at most this: kappa_8 in the search kernel, the exact
+# kappa(J_lc) in planar_full_index.  kappa_8 = |A|_8 |A^-1|_8 >= kappa(A) is
+# an upper bound from the Schatten 8-norm |A|_8 = (sum sigma_i^8)^(1/8) =
+# |(A^T A)^2|_F^(1/4), which lies in [sigma_max, m^(1/8) sigma_max] (see
+# _norm_8).  Per (design, sample), against the singular values of W, the
+# Gram's relative error on the soft preset stays within
+# C eps kappa(A) kappa(S J_xc) with C = 9.1 (3@7; 4.5 at 3@5, 6.2 at
+# 200@777), so within 6e-10 wherever the guard lets it through, under the
+# 1e-9 to which the search is held; 85-91% of the soft samples take the
+# Gram, and at 1e6 single samples reached 2.1e-9.  The stiff preset's
+# S J_xc is graded over about 700 only, so its Gram loses what a plain Gram
+# loses, about eps kappa(B)^2: up to 1.1e-9 per sample at 24@3, which the
+# guard does not bound, and 8.3e-11 in the workspace means.  So does the
+# planar X (graded over at most 1,200): up to 1.0e-8 per sample (C = 172)
+# and 4.7e-10 in the means on the 0.01 grids at 200 samples.
 GRAM_COND_MAX = 3e5
 
 # The workspace screen decides from Frobenius norms where it can.  With
@@ -410,12 +395,11 @@ def _evaluate_chunk(payload):
 
     channels is a SensorArray of the space: every design shares its string
     count and composites, so its reduce folds the per-string rows of any of
-    them.  jxc holds the scaled body Jacobians X = S J_xc as (objective, S,
-    6, m), graded and kappa their graded rows and condition numbers (see
-    _graded_rows).  The cumulative rows come in 1 + S row samples, sample 0
-    the straight configuration and samples 1..S the workspace, or in one row
-    sample, the straight one, where J_lc does not depend on c (a
-    linear-class space).
+    them.  jxc, graded and kappa are X = S J_xc (objective, S, 6, m) and
+    _graded_rows(X) (see _sample_rows).  The cumulative rows come in 1 + S
+    row samples, sample 0 the straight configuration and samples 1..S the
+    workspace, or in one row sample, the straight one, where J_lc does not
+    depend on c (a linear-class space).
 
     Screen first, score second: the singular values of J_lc at sample 0
     screen every design, and only the designs that pass are evaluated on the
@@ -434,14 +418,9 @@ def _evaluate_chunk(payload):
     and one inverse.  The one rank rule: a (design, sample) whose J_lc fails
     full_rank cannot be solved for c and scores 0, whatever m; the identity
     stands in for its inverse.  Where map_rank_limited(p, m) holds, every
-    index is 0 by the shape of B alone.
-
-    Where J_lc has full column rank, B = S J_xc J_lc^+ has the singular
-    values of X A^-1, and so of b = graded A^-1, graded = U^T X with U the
-    left singular vectors of X.  aleph(B) comes from the eigenvalues of
-    b b^T (at most 6 x 6), whose rows stay graded by the singular values of
-    X.  Where kappa_8(A) kappa(X) exceeds GRAM_COND_MAX, or is infinite, it
-    comes from the singular values of W = A^-T X^T instead (see _norm_8).
+    index is 0 by the shape of B alone.  Each objective's workspace means
+    come from _workspace_aleph, with kappa_8(A) (see _norm_8) as its bound
+    on kappa(A).
     """
     (space, channels, anc, iws, des_rows, fix_rows, jxc, graded, kappa) = payload
     m = space.basis.m
@@ -510,22 +489,35 @@ def _evaluate_chunk(payload):
     # an overflowed norm makes kappa_8 infinite or NaN, and its sample takes the SVD of W
     with np.errstate(over="ignore", invalid="ignore"):
         kappa_8 = np.where(full, norm_a * _norm_8(inv), np.inf)
-    shape = (len(keep), jxc.shape[1])
-    inv_at = np.broadcast_to(inv, shape + (m, m))
     for k in range(len(space.s_objectives)):
-        # kappa is infinite at straight samples, where X has a zero singular value
-        gram = np.broadcast_to(kappa_8 * kappa[k] <= GRAM_COND_MAX, shape)
-        svd = ~gram
-        val = np.empty(shape)
-        # only the Gram entries of b are kept, and none past their use
-        b = (graded[k] @ inv)[gram]
-        val[gram] = aleph_gram(np.linalg.eigvalsh(b @ np.swapaxes(b, -1, -2)))
-        del b
-        x_at = np.broadcast_to(jxc[k], shape + jxc.shape[-2:])[svd]
-        w = np.swapaxes(inv_at[svd], -1, -2) @ np.swapaxes(x_at, -1, -2)
-        val[svd] = aleph_sv(np.linalg.svd(w, compute_uv=False))
-        ag[keep, k] = (full * val).mean(axis=1)
+        ag[keep, k] = _workspace_aleph(inv, full, kappa_8, jxc[k], graded[k], kappa[k])
     return a0, ag, bad
+
+
+def _workspace_aleph(inv, full, kappa_a, x, graded, kappa):
+    """Workspace means (...,) of aleph(B), B = X J_lc^+, for stacked J_lc.
+
+    inv (..., S or 1, m, m) holds A^-1 (A = J_lc, or its R factor where
+    p > m), the identity where J_lc fails the rank test full (..., S or 1);
+    kappa_a bounds kappa(A) from above, infinite where full is False.  x
+    (S, 6, m) is X = S J_xc, graded and kappa as _graded_rows gives them.
+    B has the singular values of b = graded A^-1, whose rows stay graded by
+    those of X; aleph(B) comes from the eigenvalues of b b^T (at most
+    6 x 6), or where kappa_a kappa(X) exceeds GRAM_COND_MAX from the
+    singular values of W = A^-T X^T.  Samples that fail full score 0.
+    """
+    # kappa is infinite at straight samples, where X has a zero singular value
+    gram = kappa_a * kappa <= GRAM_COND_MAX
+    val = np.empty(gram.shape)
+    # only the Gram entries of b are kept, and none past their use
+    b = (graded @ inv)[gram]
+    val[gram] = aleph_gram(np.linalg.eigvalsh(b @ np.swapaxes(b, -1, -2)))
+    del b
+    # integer gathers read only the entries that take the SVD of W
+    at = np.nonzero(~gram)
+    inv_t = np.swapaxes(np.broadcast_to(inv, gram.shape + inv.shape[-2:])[at], -1, -2)
+    val[at] = aleph_sv(np.linalg.svd(inv_t @ np.swapaxes(x[at[-1]], -1, -2), compute_uv=False))
+    return (full * val).mean(axis=-1)
 
 
 def _graded_rows(jxc):
@@ -538,6 +530,14 @@ def _graded_rows(jxc):
     kappa = np.divide(sx[..., 0], sx[..., -1], out=np.full(sx.shape[:-1], np.inf),
                       where=sx[..., -1] > 0.0)
     return np.swapaxes(u, -1, -2) @ jxc, kappa
+
+
+def _sample_rows(basis, configs, s_list, c_l):
+    """X = S J_xc (n_objectives, S, 6, m) at the arc lengths s_list (a
+    repeated one is one more objective) with _graded_rows(X)."""
+    jxc = body_jacobian_multi(basis, configs, s_list)   # (S, n_objectives, 6, m)
+    jxc = twist_scaling(c_l)[:, None] * np.moveaxis(jxc, 1, 0)
+    return (jxc, *_graded_rows(jxc))
 
 
 # Design-samples per evaluated block (and per worker task): a block of n
@@ -595,17 +595,21 @@ def _twin_groups(channels, des_rows):
 
 
 def _orbit_representatives(shape, groups):
-    """Index of each design's representative, in enumeration order.
+    """The mirror orbits of an enumeration in C order over shape, such as
+    the search's (n_anchor_disks,) * n_designed + (n_twist,).
 
-    shape is the enumeration's (n_anchor_disks,) * n_designed + (n_twist,),
-    in C order.  The representative of a design sorts the anchor positions
-    (indices into anchor_disks, not disk values) within each twin group, so
-    they do not decrease there.
+    The representative of a design sorts the anchor positions (indices into
+    anchor_disks, not disk values) within each twin group, so they do not
+    decrease there.  Returns the flat indices of the representatives in
+    order (scored), and for every design the position of its representative
+    in scored (slot): values[slot] gives each design its orbit's value.
     """
     pos = np.array(np.unravel_index(np.arange(np.prod(shape)), shape))
     for group in groups:
         pos[group] = np.sort(pos[group], axis=0)
-    return np.ravel_multi_index(pos, shape)
+    rep = np.ravel_multi_index(pos, shape)
+    scored = np.flatnonzero(rep == np.arange(len(rep)))
+    return scored, np.searchsorted(scored, rep)
 
 
 def _ranking(values, singular):
@@ -682,13 +686,7 @@ def brute_force_search(space, samples, jobs=None):
     if channels.p < m:
         raise ValueError("fewer measurement channels than basis columns")
 
-    scale = twist_scaling(space.c_l)
-
-    # Design-independent: body Jacobians at the objective arc lengths, kept
-    # by position so that a repeated arc length is one more column.
-    jxc = body_jacobian_multi(basis, configs, space.s_objectives)   # (S, n_objectives, 6, m)
-    jxc = scale[:, None] * np.moveaxis(jxc, 1, 0)
-    graded, kappa = _graded_rows(jxc)
+    jxc, graded, kappa = _sample_rows(basis, configs, space.s_objectives, space.c_l)
 
     # Cumulative rows for every string variant; row sample 0 is the straight
     # configuration of the singular screen, then the workspace samples.  A
@@ -702,8 +700,7 @@ def brute_force_search(space, samples, jobs=None):
     groups = _twin_groups(channels, des_rows)
     if groups:
         shape = (len(space.anchor_disks),) * len(space.designed) + (len(space.twist_rates),)
-        rep = _orbit_representatives(shape, groups)
-        scored = np.flatnonzero(rep == np.arange(len(rep)))
+        scored, slot = _orbit_representatives(shape, groups)
         anc_s, iw_s = anchors[scored], iw[scored]
     else:
         anc_s, iw_s = anchors, iw
@@ -725,7 +722,6 @@ def brute_force_search(space, samples, jobs=None):
     singular = np.concatenate([r[2] for r in results])
     if groups:
         # every design reads its representative's slot
-        slot = np.searchsorted(scored, rep)
         aleph_cfg, aleph_g, singular = aleph_cfg[slot], aleph_g[slot], singular[slot]
 
     return SearchResult(anchors=anchors, n_omega=n_omega,

@@ -113,9 +113,9 @@ class SensorArray:
 
 
 # Singular values below this fraction of the largest count as zero.  It is the
-# one rank rule: full_rank is the rank test of every J_lc (solve_shape, the
-# search kernel, planar_full_index and global_index), and the pseudo-inverses
-# of the sensitivity maps truncate at it.
+# one rank rule: full_rank is the rank test of every J_lc (solve_shape,
+# global_index, and the one aleph(B) routine of the search kernel and
+# planar_full_index), and the sensitivity maps' pseudo-inverses truncate at it.
 SIGMA_RATIO_TOL = 1e-12
 
 

@@ -94,9 +94,8 @@ def _peak_rows(grid_step, index):
 
 def _tip_index(n_samples, seed):
     """The workspace tip index on the seeded planar workspace."""
-    grams = planar_sample_grams(planar_workspace(n_samples, seed),
-                                PLANAR_CHARACTERISTIC_LENGTH)
-    return functools.partial(planar_full_index, gram_samples=grams)
+    rows = planar_sample_grams(planar_workspace(n_samples, seed), PLANAR_CHARACTERISTIC_LENGTH)
+    return functools.partial(planar_full_index, sample_rows=rows)
 
 
 def planar_config_study(grid_step=PLANAR_CONFIG_STEP):

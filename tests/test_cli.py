@@ -248,6 +248,20 @@ def test_non_positive_counts_exit_64(argv, capsys):
     assert "expected a positive integer" in capsys.readouterr().err
 
 
+# numpy's generators reject negative seeds; the parser must do so first
+@pytest.mark.parametrize("argv", [
+    ["routing-opt", "--preset", "stiff", "--samples", "2", "--seed", "-1"],
+    ["planar-study", "--table2", "--samples", "2", "--seed", "-1"],
+    ["spatial-study", "--cases", "1", "--seed", "-3"],
+    ["sensitivity-map", "--samples", "2", "--seed", "-1"],
+])
+def test_negative_seed_exits_64(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 64
+    assert "expected a non-negative integer" in capsys.readouterr().err
+
+
 def test_unknown_preset_exits_64(capsys):
     with pytest.raises(SystemExit) as info:
         main(["routing-opt", "--preset", "bogus"])
