@@ -20,8 +20,6 @@ from .sensing import (SensorArray, aleph_gram, aleph_sv, body_jacobian_multi, fu
 from .sensitivity import map_rank_limited, twist_scaling
 
 PLANAR_REFERENCE_RADIUS = 0.25   # fixed end-anchored tendon, radius in units of L
-PLANAR_GRID_STEP = 0.004
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def improvement_beta(candidate, baseline):
@@ -99,55 +97,38 @@ def _local_maxima(values):
     return np.argwhere(mask) + 1
 
 
-# Coordinate sweeps of the golden-section refinement, and the bracket width
-# (units of L) at which each line search stops.
-GOLDEN_ROUNDS = 3
-GOLDEN_TOL = 1e-5
+# Stencil step (units of L) below which a start of the peak refinement closes.
+REFINE_TOL = 1e-5
 
 
-def _golden_refine(radii, index, x0, grid_step):
-    """Coordinate-wise golden-section ascent of the landscape from each grid
-    point of x0 (n, d), over brackets of two grid steps kept inside the grid.
+def _refine_peaks(radii, index, x0, grid_step):
+    """Pattern search of the landscape from each grid point of x0 (n, d).
 
-    The starts move in lockstep: each step makes one index call on the rows
-    whose bracket is still open, and each row takes the bracket updates of a
-    run from its start alone (a bracket clipped at the grid edge closes in
-    fewer steps).  Returns the anchors (n, d) of the strings off the end disk
-    and the index there (n,).
+    Each round makes one index call on the 3^d - 1 neighbours at step h of
+    every open start, clipped to [grid_step, 1 - grid_step].  A start moves
+    to its best neighbour where that is strictly higher, and otherwise
+    halves h; it starts at h = grid_step and closes once h < REFINE_TOL.
+    The stencil is symmetric, so a landscape and its transpose reach
+    transposed points.  Returns the anchors (n, d) of the strings off the
+    end disk and the index there (n,).
     """
     def fn(x):
-        return index(planar_config_jacobian(radii, np.column_stack([x, np.ones(len(x))])))
+        anchors = np.concatenate([x, np.ones_like(x[..., :1])], axis=-1)
+        return index(planar_config_jacobian(radii, anchors))
 
-    lo, hi, span = grid_step, 1.0 - grid_step, 2 * grid_step
     x = np.array(x0, dtype=float)
-    for _ in range(GOLDEN_ROUNDS):
-        for k in range(x.shape[1]):
-            def g(rows, t):
-                y = x[rows]
-                y[:, k] = t
-                return fn(y)
-
-            a = np.maximum(lo, x[:, k] - span)
-            b = np.minimum(hi, x[:, k] + span)
-            c1 = b - GOLDEN * (b - a)
-            c2 = a + GOLDEN * (b - a)
-            f1, f2 = np.split(g(np.tile(np.arange(len(x)), 2), np.concatenate([c1, c2])), 2)
-            rows = np.flatnonzero(b - a > GOLDEN_TOL)
-            while len(rows):
-                # up: the maximum lies right of c1, so a moves to c1 and c2
-                # is the new point; otherwise b moves to c2 and c1 is new
-                up = f1[rows] < f2[rows]
-                a_r = np.where(up, c1[rows], a[rows])
-                b_r = np.where(up, b[rows], c2[rows])
-                t = np.where(up, a_r + GOLDEN * (b_r - a_r), b_r - GOLDEN * (b_r - a_r))
-                f_t = g(rows, t)
-                c1[rows], c2[rows] = np.where(up, c2[rows], t), np.where(up, t, c1[rows])
-                f1[rows], f2[rows] = np.where(up, f2[rows], f_t), np.where(up, f_t, f1[rows])
-                a[rows], b[rows] = a_r, b_r
-                rows = rows[b_r - a_r > GOLDEN_TOL]
-            x[:, k] = 0.5 * (a + b)
-        span *= 0.25
-    return x, fn(x)
+    v, h = fn(x), np.full(len(x), grid_step)
+    stencil = np.array([s for s in itertools.product((-1, 0, 1), repeat=x.shape[1]) if any(s)])
+    rows = np.arange(len(x))
+    while len(rows):
+        trial = np.clip(x[rows, None] + h[rows, None, None] * stencil, grid_step, 1 - grid_step)
+        f = fn(trial)
+        best, f_best = np.argmax(f, axis=1), np.max(f, axis=1)
+        up = f_best > v[rows]
+        x[rows[up]], v[rows[up]] = trial[up, best[up]], f_best[up]
+        h[rows[~up]] *= 0.5
+        rows = rows[h[rows] >= REFINE_TOL]
+    return x, v
 
 
 # Grid rows' worth of anchor placements per index call.  A workspace index
@@ -185,12 +166,13 @@ def planar_landscape(radii, index, grid_step):
     return axis, values[slot].reshape(shape)
 
 
-def planar_peak_search(radii, index, grid_step=PLANAR_GRID_STEP):
-    """All local maxima of the landscape of three planar strings, refined in
-    one lockstep run, highest first.  index is planar_config_index or
-    planar_full_index bound to the sample rows of planar_sample_grams."""
+def planar_peak_search(radii, index, grid_step):
+    """All local maxima of the landscape of three planar strings, refined by
+    one lockstep pattern search (_refine_peaks), highest first.  index is
+    planar_config_index or planar_full_index bound to the sample rows of
+    planar_sample_grams."""
     axis, values = planar_landscape(radii, index, grid_step)
-    x, v = _golden_refine(radii, index, axis[_local_maxima(values)], grid_step)
+    x, v = _refine_peaks(radii, index, axis[_local_maxima(values)], grid_step)
     peaks = [Peak(anchors=(float(a_1), float(a_2)), value=float(val))
              for (a_1, a_2), val in zip(x, v)]
     peaks.sort(key=lambda p: -p.value)
@@ -199,7 +181,8 @@ def planar_peak_search(radii, index, grid_step=PLANAR_GRID_STEP):
 
 def optimal_planar_anchors(p):
     """Anchor set maximizing aleph(J_lc) for p <= 4 strings, the last pinned
-    at (0.25, L).
+    at (0.25, L): the argmax of the config landscape, refined by the pattern
+    search of planar_peak_search.
 
     Used by the reconstruction convergence study; the radii alternate
     +-0.25 (row signs do not affect singular values).  Returns (radii,
@@ -217,7 +200,7 @@ def optimal_planar_anchors(p):
     # its increasing representative, which argmax meets first; equal anchors
     # leave J_lc singular and score 0
     best = axis[list(np.unravel_index(np.argmax(values), values.shape))]
-    refined, _ = _golden_refine(radii, planar_config_index, best[None], grid_step)
+    refined, _ = _refine_peaks(radii, planar_config_index, best[None], grid_step)
     return radii, np.append(refined[0], 1.0)
 
 

@@ -129,7 +129,7 @@ def test_a2_planar_full_study():
         for pair, (locs, _) in FULL_STUDY_TARGETS.items():
             top = by_pair[pair][0]
             config_peaks = planar_peak_search((*pair, PLANAR_REFERENCE_RADIUS),
-                                              planar_config_index)
+                                              planar_config_index, studies.PLANAR_CONFIG_STEP)
             jac = planar_config_jacobian(
                 np.array([*pair, 0.25]), [top.anchor_1, top.anchor_2, 1.0])
             at_full_peak = noise_amp(jac)

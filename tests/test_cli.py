@@ -1,11 +1,13 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import stringshape
 from stringshape import cli, studies
 from stringshape.cli import main
 from stringshape.configio import read_csv_matrix, write_csv
@@ -225,9 +227,16 @@ def test_unused_seed_key_is_ignored(tmp_path):
     assert main(["shape", str(path), coeffs, "-o", str(tmp_path / "p.csv")]) == 0
 
 
+def _run_cli(*args, **kwargs):
+    """Run the CLI in a child interpreter that imports this copy of the package."""
+    src = os.path.dirname(os.path.dirname(stringshape.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "stringshape.cli", *args], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, **kwargs)
+
+
 def test_unknown_flag_exits_64():
-    proc = subprocess.run([sys.executable, "-m", "stringshape.cli",
-                           "shape", "--no-such-flag"], capture_output=True)
+    proc = _run_cli("shape", "--no-such-flag")
     assert proc.returncode == 64
 
 
@@ -292,8 +301,7 @@ def test_bad_spatial_study_anchors_exit_64(tmp_path, anchors, capsys):
 
 
 def test_help_lists_commands():
-    proc = subprocess.run([sys.executable, "-m", "stringshape.cli", "--help"],
-                          capture_output=True, text=True)
+    proc = _run_cli("--help", text=True)
     assert proc.returncode == 0
     for cmd in ("shape", "lengths", "solve", "planar-study", "routing-opt",
                 "sensitivity-map", "spatial-study"):

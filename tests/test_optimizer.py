@@ -1,4 +1,5 @@
 import functools
+import itertools
 import os
 from dataclasses import replace
 
@@ -102,7 +103,7 @@ def test_improvement_beta():
 def test_planar_config_peaks_match_reference_values():
     # frozen targets for the fixed-radius anchor study (see acceptance A1)
     radii = (0.10, -0.10, PLANAR_REFERENCE_RADIUS)
-    peaks = planar_peak_search(radii, planar_config_index)
+    peaks = planar_peak_search(radii, planar_config_index, studies.PLANAR_CONFIG_STEP)
     assert len(peaks) >= 2
     locs = sorted((round(p.anchors[0], 3), round(p.anchors[1], 3)) for p in peaks[:2])
     assert abs(locs[0][0] - 0.204) < 0.01 and abs(locs[0][1] - 0.772) < 0.01
@@ -112,11 +113,21 @@ def test_planar_config_peaks_match_reference_values():
     assert improvement_beta(peaks[0].value, base) == pytest.approx(64, abs=3)
 
 
-def test_planar_peak_symmetry_under_radius_swap():
-    pk_a = planar_peak_search((0.10, -0.20, PLANAR_REFERENCE_RADIUS), planar_config_index)[0]
-    pk_b = planar_peak_search((-0.20, 0.10, PLANAR_REFERENCE_RADIUS), planar_config_index)[0]
-    assert pk_a.value == pytest.approx(pk_b.value, rel=1e-6)
-    assert pk_a.anchors[0] == pytest.approx(pk_b.anchors[1], abs=1e-3)
+# (0.1, -0.2) and (-0.2, 0.1) have transposed landscapes, and the pattern
+# search's stencil is symmetric: both top peaks reach transposed points.
+@pytest.mark.parametrize("objective", ["config", "tip"])
+def test_planar_peak_symmetry_under_radius_swap(objective):
+    if objective == "config":
+        index, grid_step = planar_config_index, studies.PLANAR_CONFIG_STEP
+    else:
+        index, grid_step = _tip_index(20), studies.PLANAR_FULL_STEP
+    pk_a = planar_peak_search((0.10, -0.20, PLANAR_REFERENCE_RADIUS), index, grid_step)[:2]
+    pk_b = planar_peak_search((-0.20, 0.10, PLANAR_REFERENCE_RADIUS), index, grid_step)[:2]
+    assert len(pk_a) == len(pk_b) == 2
+    for a, b in zip(pk_a, pk_b):
+        assert max(abs(a.anchors[0] - b.anchors[1]),
+                   abs(a.anchors[1] - b.anchors[0])) <= optimizer.REFINE_TOL
+        assert a.value == pytest.approx(b.value, rel=1e-12, abs=0)
 
 
 def test_optimal_planar_anchors_rejects_more_than_four_strings():
@@ -135,39 +146,24 @@ def test_optimal_planar_anchors_p3_matches_table_pattern():
         assert np.all(np.diff(optimal_planar_anchors(p)[1]) > 0), p
 
 
-def _golden_one_start(radii, index, x0, grid_step):
-    """Reference: the golden-section refinement of a single start, with
-    scalar brackets and one index call per point."""
+def _refine_one_start(radii, index, x0, grid_step):
+    """Reference: the pattern search of a single start, with a scalar step
+    and one index call per neighbour."""
     def fn(x):
         return float(index(planar_config_jacobian(radii, [*x, 1.0])))
 
-    lo, hi, span = grid_step, 1.0 - grid_step, 2 * grid_step
-    x = np.array(x0, dtype=float)
-    for _ in range(optimizer.GOLDEN_ROUNDS):
-        for k in range(len(x)):
-            a = max(lo, x[k] - span)
-            b = min(hi, x[k] + span)
-
-            def g(t):
-                y = x.copy()
-                y[k] = t
-                return fn(y)
-
-            c1 = b - optimizer.GOLDEN * (b - a)
-            c2 = a + optimizer.GOLDEN * (b - a)
-            f1, f2 = g(c1), g(c2)
-            while b - a > optimizer.GOLDEN_TOL:
-                if f1 < f2:
-                    a, c1, f1 = c1, c2, f2
-                    c2 = a + optimizer.GOLDEN * (b - a)
-                    f2 = g(c2)
-                else:
-                    b, c2, f2 = c2, c1, f1
-                    c1 = b - optimizer.GOLDEN * (b - a)
-                    f1 = g(c1)
-            x[k] = 0.5 * (a + b)
-        span *= 0.25
-    return x, fn(x)
+    x, h = np.array(x0, dtype=float), grid_step
+    v = fn(x)
+    while h >= optimizer.REFINE_TOL:
+        trials = [np.clip(x + h * np.array(s), grid_step, 1 - grid_step)
+                  for s in itertools.product((-1, 0, 1), repeat=len(x)) if any(s)]
+        f = [fn(t) for t in trials]
+        k = int(np.argmax(f))
+        if f[k] > v:
+            x, v = trials[k], f[k]
+        else:
+            h *= 0.5
+    return x, v
 
 
 def _tip_index(n_samples):
@@ -180,31 +176,37 @@ def _flat_index(jac):
     return np.zeros(jac.shape[:-2])
 
 
-# "flat" ties every comparison, which moves b
+# "flat" ties every comparison, so every start halves its step in place
 @pytest.mark.parametrize("objective, grid_step",
                          [("config", 0.004), ("full", 0.01), ("flat", 0.01)])
-def test_lockstep_golden_refine_matches_one_start_at_a_time(objective, grid_step):
+def test_lockstep_refine_matches_one_start_at_a_time(objective, grid_step):
     radii = (0.10, -0.20, PLANAR_REFERENCE_RADIUS)
     index = {"config": planar_config_index, "flat": _flat_index}.get(objective) or _tip_index(4)
     axis, values = planar_landscape(radii, index, grid_step)
     # the landscape's own maxima, and starts on and next to the grid edges,
-    # whose clipped brackets close in fewer steps
+    # whose stencils are clipped
     starts = np.concatenate([axis[optimizer._local_maxima(values)],
                              axis[[[0, 40], [-1, 20], [1, -2], [0, -1], [50, 1]]]])
-    rows_per_call = []
+    points_per_call = []
 
     def counted(jac):
-        rows_per_call.append(len(jac))
+        points_per_call.append(int(np.prod(jac.shape[:-2])))
         return index(jac)
 
-    x, v = optimizer._golden_refine(radii, counted, starts, grid_step)
+    x, v = optimizer._refine_peaks(radii, counted, starts, grid_step)
     for start, x_k, v_k in zip(starts, x, v):
-        ref_x, ref_v = _golden_one_start(radii, index, start, grid_step)
+        ref_x, ref_v = _refine_one_start(radii, index, start, grid_step)
         np.testing.assert_array_equal(x_k, ref_x)
         assert v_k == ref_v
-    # every call but the first and last of a line search is on the open rows,
-    # which are fewer than all starts once the clipped brackets have closed
-    assert min(rows_per_call) < len(starts) < max(rows_per_call)
+    # one call on the starts, then one on the 8 neighbours of each open start
+    n = len(starts)
+    assert points_per_call[:2] == [n, 8 * n]
+    assert np.all(np.diff(points_per_call[1:]) <= 0)
+    if objective == "flat":
+        # 0.01 / 2^10 < REFINE_TOL <= 0.01 / 2^9
+        assert points_per_call[1:] == [8 * n] * 10
+    else:
+        assert points_per_call[-1] < 8 * n
 
 
 # Grids of 499 and 99 rows end in a partial block; p = 4 has 24 rows a side.

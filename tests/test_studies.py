@@ -100,7 +100,7 @@ def test_planar_config_study_mirror_pair_takes_swapped_peaks():
     # (0.2, -0.1) has the transposed landscape of (0.1, -0.2): its rows are
     # that pair's peaks with the anchors swapped, value for value, with beta
     # against its own evenly spaced baseline, and they agree with a direct
-    # search of its own landscape to within the refinement's bracket.
+    # search of its own landscape to within the refinement's stopping step.
     rows = studies.planar_config_study()
     by_pair = {}
     for row in rows:
@@ -108,7 +108,8 @@ def test_planar_config_study_mirror_pair_takes_swapped_peaks():
     radii = (0.20, -0.10, optimizer.PLANAR_REFERENCE_RADIUS)
     base = optimizer.planar_config_index(
         optimizer.planar_config_jacobian(radii, [1.0 / 3.0, 2.0 / 3.0, 1.0]))
-    direct = optimizer.planar_peak_search(radii, optimizer.planar_config_index)
+    direct = optimizer.planar_peak_search(radii, optimizer.planar_config_index,
+                                          studies.PLANAR_CONFIG_STEP)
     assert len(by_pair[(0.20, -0.10)]) == 2
     for a, b, pk in zip(by_pair[(0.10, -0.20)], by_pair[(0.20, -0.10)], direct):
         assert (b.anchor_1, b.anchor_2, b.value) == (a.anchor_2, a.anchor_1, a.value)
