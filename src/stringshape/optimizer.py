@@ -421,7 +421,12 @@ def _evaluate_chunk(payload):
         return np.moveaxis(channels.reduce(rows), 0, -2)
 
     straight = jlc_at(des_rows[:1], fix_rows[:1], slice(None))[:, 0]
-    sv = np.linalg.svd(straight, compute_uv=False)
+    # a J_lc with an all-zero column is exactly singular and takes no SVD:
+    # its singular values read 0, as untwisted strings and constant-pitch
+    # tendons give zero torsion columns at the straight configuration
+    sv = np.zeros(straight.shape[:-2] + (m,))
+    nonzero = straight.any(axis=-2).all(axis=-1)
+    sv[nonzero] = np.linalg.svd(straight[nonzero], compute_uv=False)
     a0 = aleph_sv(sv)
     bad = a0 < space.epsilon
     keep = np.flatnonzero(~bad)
@@ -494,7 +499,8 @@ def _workspace_aleph(inv, full, kappa_a, x, graded, kappa):
     val = np.empty(gram.shape)
     # only the Gram entries of b are kept, and none past their use
     b = (graded @ inv)[gram]
-    val[gram] = aleph_gram(np.linalg.eigvalsh(b @ np.swapaxes(b, -1, -2)))
+    # a contiguous transpose: stacked matmul takes a slow path on a strided operand
+    val[gram] = aleph_gram(np.linalg.eigvalsh(b @ np.ascontiguousarray(np.swapaxes(b, -1, -2))))
     del b
     # integer gathers read only the entries that take the SVD of W
     at = np.nonzero(~gram)

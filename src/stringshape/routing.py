@@ -76,6 +76,10 @@ class Tabulated:
     r_y_samples: tuple
 
     def __post_init__(self):
+        # tuples of float, so that a path built from arrays compares and
+        # hashes like its tuple form
+        for name in ("s_samples", "r_x_samples", "r_y_samples"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         s, _, _ = np.asarray([self.s_samples, self.r_x_samples, self.r_y_samples], dtype=float)
         if len(s) < 2 or np.any(np.diff(s) <= 0):
             raise ValueError("need at least two strictly increasing sample points")
@@ -121,9 +125,19 @@ class StringSpec:
 def path_velocity(r, dr, u):
     """w' = e3 - r x u + r' from evaluated radial offsets r, their derivatives
     dr and curvatures u, each (..., 3) and broadcast together."""
-    w = dr - np.cross(r, u)
+    w = dr - cross(r, u)
     w[..., 2] += 1.0
     return w
+
+
+def cross(a, b):
+    """a x b of 3-vectors along the last axis of a and b, broadcast together.
+    Each component is np.cross's own difference of two products, so the
+    result equals np.cross(a, b) bit for bit, without its axis handling."""
+    out = np.empty(np.broadcast(a, b).shape, np.result_type(a, b))
+    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.subtract(a[..., i] * b[..., j], a[..., j] * b[..., i], out=out[..., k])
+    return out
 
 
 def tangential_margin(r, u):

@@ -11,6 +11,7 @@ otherwise.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import liegroup
 from .liegroup import E3
-from .routing import ConstantPitch, path_velocity, tangential_margin
+from .routing import ConstantPitch, cross, path_velocity, tangential_margin
 
 
 class NotRealizableError(ValueError):
@@ -59,6 +60,8 @@ class Composite:
     signs: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "members", tuple(self.members))
+        object.__setattr__(self, "signs", tuple(self.signs))
         if len(self.members) != len(self.signs) or not self.members:
             raise ValueError("members and signs must be non-empty and equal length")
         if any(s not in (-1, 1) for s in self.signs):
@@ -96,16 +99,20 @@ class SensorArray:
         """Number of measurement channels."""
         return len(self.direct_indices) + len(self.composites)
 
-    def reduce(self, per_string):
-        """Fold per-string values or rows, strings along the first axis, into
-        measurement channels: direct strings in order, then the composites."""
+    def reduce(self, per_string, axis=0):
+        """Fold per-string values or rows, strings along axis, into measurement
+        channels along that axis: direct strings in order, then the
+        composites."""
         per_string = np.asarray(per_string, dtype=float)
-        direct = [per_string[i] for i in self.direct_indices]
-        comps = [
-            sum(sgn * per_string[i] for sgn, i in zip(comp.signs, comp.members))
-            for comp in self.composites
-        ]
-        return np.array(direct + comps)
+        lead = (slice(None),) * (axis % per_string.ndim)
+        direct = self.direct_indices
+        out = np.empty(per_string.shape[:len(lead)] + (len(direct) + len(self.composites),)
+                       + per_string.shape[len(lead) + 1:])
+        out[lead + (slice(len(direct)),)] = per_string[lead + (direct,)]
+        for k, comp in enumerate(self.composites, len(direct)):
+            out[lead + (k,)] = sum(sgn * per_string[lead + (i,)]
+                                   for sgn, i in zip(comp.signs, comp.members))
+        return out
 
     def is_linear_class(self, basis):
         """Constant J_lc: every path constant-pitch and no torsion columns."""
@@ -210,7 +217,7 @@ def _panel_sums(phi, r, dr, weights, c):
     # row of a stack equals its own (m,) call bit for bit
     w = path_velocity(r, dr, (phi @ c[..., None, :, None])[..., 0])
     speed = np.linalg.norm(w, axis=-1)
-    integrand = np.einsum("...ni,nij->...nj", np.cross(r, w / speed[..., None]), phi)
+    integrand = np.einsum("...ni,nij->...nj", cross(r, w / speed[..., None]), phi)
     integrand *= weights[:, None]
     lead = speed.shape[:-1]
     return ((weights * speed).reshape(lead + (-1, 3)).sum(axis=-1),
@@ -273,23 +280,31 @@ def _check_realizable(cusp_grid, c):
                                  row=int(at[0]) if c.ndim == 2 else None)
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 class _StringTable:
     """The part of every string integral of a sensor array that does not
-    depend on c, built once per call and read by each configuration it
-    evaluates:
+    depend on c, built once per (array, basis) by _string_table and read by
+    every call and configuration that evaluates them:
 
     - Phi, r, r' and the weights at the Gauss-Legendre nodes of every string
       without an exact row, in one array, and each panel's (string, slot) in a
       zero-padded strings x panels layout;
-    - the constant rows and straight lengths of the exact-row strings.
+    - the constant rows and straight lengths of the exact-row strings;
+    - on first use, the cusp grid and the straight measure.
 
-    Each string's values equal span_integrals' over its span bit for bit: the
-    panel sums come from the same _panel_sums, and np.add.accumulate along
-    the padded panel axis adds them in span_integrals' order.
+    Its arrays are read-only.  Each string's values equal span_integrals'
+    over its span bit for bit: the panel sums come from the same
+    _panel_sums, and np.add.accumulate along the padded panel axis adds them
+    in span_integrals' order.
     """
 
     def __init__(self, array, basis):
-        self.array, self.m = array, basis.m
+        self.array, self.basis, self.m = array, basis, basis.m
         strings = array.strings
         spans = [spec.span(basis.length) for spec in strings]
         self.exact = [i for i, spec in enumerate(strings) if has_exact_row(spec.path, basis)]
@@ -306,6 +321,19 @@ class _StringTable:
             self.last_slot = np.array([panel[0] for panel in last])
             self.panel_string = np.repeat(np.arange(len(last)), self.last_slot + 1)
             self.panel_slot = np.concatenate([np.arange(n + 1) for n in self.last_slot])
+            _read_only(self.phi, self.weights, self.r, self.dr, self.last_slot,
+                       self.panel_string, self.panel_slot)
+        _read_only(self.exact_rows, self.exact_base)
+
+    @functools.cached_property
+    def cusp_grid(self):
+        """The _cusp_grid of the array's strings."""
+        return _read_only(*_cusp_grid(self.array.strings, self.basis))
+
+    @functools.cached_property
+    def straight(self):
+        """Channel lengths (p,) and J_lc (p, m) at the straight configuration."""
+        return _read_only(*self.measure(np.zeros(self.m)))
 
     def per_string(self, c):
         """Per-string lengths (..., n_strings) and J_lc rows (..., n_strings, m)
@@ -331,20 +359,29 @@ class _StringTable:
     def measure(self, c):
         """Absolute channel lengths (..., p) and J_lc (..., p, m) at c (m,) or a stack (k, m)."""
         ells, rows = self.per_string(c)
-        return (np.moveaxis(self.array.reduce(np.moveaxis(ells, -1, 0)), 0, -1),
-                np.moveaxis(self.array.reduce(np.moveaxis(rows, -2, 0)), 0, -2))
+        return self.array.reduce(ells, axis=-1), self.array.reduce(rows, axis=-2)
+
+
+# Two tables are kept: a reconstruction study reads its truth lengths on one
+# basis and solves on another, and the stream's set-up and the spatial study
+# alternate the two; a search's designs, each read once or twice in a row,
+# then evict one another and hold at most two tables.
+@functools.lru_cache(maxsize=2)
+def _string_table(array, basis):
+    """The one _StringTable of a (frozen, hashable) array and basis."""
+    return _StringTable(array, basis)
 
 
 def lengths(array, basis, c, reference=Reference.DELTA_FROM_STRAIGHT):
     """Measurement vector (p,) for configuration c, or (k, p) for a stack
-    (k, m), from one string table and one straight pass; NotRealizableError
-    where a string path has a cusp on its span."""
+    (k, m), from the array's string table; NotRealizableError where a string
+    path has a cusp on its span."""
     c = basis.check_stack(c)
-    _check_realizable(_cusp_grid(array.strings, basis), c)
-    table = _StringTable(array, basis)
+    table = _string_table(array, basis)
+    _check_realizable(table.cusp_grid, c)
     vals = table.measure(c)[0]
     if reference is Reference.DELTA_FROM_STRAIGHT:
-        vals = vals - table.measure(np.zeros(basis.m))[0]
+        vals = vals - table.straight[0]
     return vals
 
 
@@ -352,7 +389,7 @@ def config_jacobian(array, basis, c):
     """J_lc (p, m): sensitivity of measurement channels to modal coefficients;
     (k, p, m) for a stack c (k, m).  No cusp check: searches average it over
     configurations strings cannot follow."""
-    return _StringTable(array, basis).measure(basis.check_stack(c))[1]
+    return _string_table(array, basis).measure(basis.check_stack(c))[1]
 
 
 def linear_model(array, basis):
@@ -363,7 +400,7 @@ def linear_model(array, basis):
     """
     if not array.is_linear_class(basis):
         raise ValueError("array is not linear-class (needs constant pitch and no torsion)")
-    return _StringTable(array, basis).measure(np.zeros(basis.m))
+    return tuple(a.copy() for a in _string_table(array, basis).straight)
 
 
 def _magnus_grid(length, s_query, n_steps):
@@ -478,8 +515,9 @@ def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
     if array.p < basis.m:
         raise ValueError(f"underdetermined: p={array.p} channels < m={basis.m} coefficients")
 
+    table = _string_table(array, basis)
     if array.is_linear_class(basis):
-        base, jac = linear_model(array, basis)
+        base, jac = table.straight
         aleph = _solve_aleph(jac, "")
         rhs = measured - base if reference is Reference.ABSOLUTE else measured
         c = np.linalg.lstsq(jac, rhs, rcond=None)[0]
@@ -488,11 +526,10 @@ def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
 
     c = np.zeros(basis.m) if initial is None else basis.check_coeffs(np.asarray(initial, dtype=float)).copy()
 
-    # one string table and cusp grid serve every iterate, and the straight
-    # lengths do not change
-    table, cusp_grid = _StringTable(array, basis), _cusp_grid(array.strings, basis)
-    straight = (table.measure(np.zeros(basis.m))[0]
-                if reference is Reference.DELTA_FROM_STRAIGHT else 0.0)
+    # the array's string table, cusp grid and straight lengths serve every
+    # iterate and every call
+    cusp_grid = table.cusp_grid
+    straight = table.straight[0] if reference is Reference.DELTA_FROM_STRAIGHT else 0.0
 
     def residual(cc):
         _check_realizable(cusp_grid, cc)

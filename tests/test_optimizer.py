@@ -905,6 +905,39 @@ def test_norm_bound_screen_on_a_near_singular_block_warns_nothing(monkeypatch, e
     assert np.all(optimizer._evaluate_chunk(_at_edited_sample(payload))[1] == 0.0)
 
 
+def test_straight_screen_skips_exactly_singular_designs(monkeypatch):
+    # At the straight configuration untwisted strings and constant-pitch
+    # tendons have zero torsion columns, so every n_omega = 0 design of the
+    # soft subspace has a J_lc with an all-zero column.  The kernel gives
+    # those designs no SVD: they read aleph_config = 0 and fail the straight
+    # screen, exactly as the three-SVD kernel has them, and the straight SVD
+    # runs on the other designs alone.
+    space = replace(studies.soft_design_space(), anchor_disks=(3, 6, 9))
+    payload = _full_payload(monkeypatch, space, studies.soft_workspace(4, seed=5))[1]
+    iws, m = payload[3], space.basis.m
+    straight = _reference_jlc(payload)[0]
+    untwisted = np.array(space.twist_rates)[iws] == 0
+    zero_column = ~straight.any(axis=-2).all(axis=-1)
+    assert np.array_equal(zero_column, untwisted) and 0 < untwisted.sum() < len(iws)
+    straight_svds = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        if a.ndim == 3 and a.shape[-1] == m:     # (n_designs, p, m): the straight J_lc
+            straight_svds.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np.linalg, "svd", counted)
+        a0, ag, bad = optimizer._evaluate_chunk(payload)
+    assert straight_svds == [int((~untwisted).sum())]
+    r0, rg, rbad = _three_svd_chunk(payload)
+    np.testing.assert_array_equal(a0, r0)
+    np.testing.assert_array_equal(bad, rbad)
+    assert np.all(a0[untwisted] == 0.0) and bad[untwisted].all() and np.all(ag[untwisted] == 0.0)
+    assert _rel_err(ag, rg)[~bad].max() <= REFERENCE_RTOL
+
+
 def _stiff_with_seventh_channel():
     base = studies.stiff_design_space()
     extra = StringSpec(ConstantPitch(studies.STIFF_STRING_RADIUS, 0.0), studies.STIFF_LENGTH)

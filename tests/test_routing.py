@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stringshape.modal import ModalBasis
-from stringshape.routing import (ConstantPitch, Helical, Mount, StringSpec, Tabulated,
+from stringshape.routing import (ConstantPitch, Helical, Mount, StringSpec, Tabulated, cross,
                                  path_velocity, tangential_margin)
 from stringshape.sensing import NotRealizableError, Reference, SensorArray, lengths
 
@@ -179,3 +179,28 @@ def test_invalid_paths():
         Helical(r_s=0.0, omega=1.0)
     with pytest.raises(ValueError):
         Tabulated((0.0,), (0.1,), (0.0,))
+
+
+def test_cross_matches_numpy_bit_for_bit_on_broadcast_stacks():
+    # (n, 3) against (k, n, 3) and back, with entries over 16 decades, as
+    # path_velocity and the string rows broadcast r against a stack
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(7, 3)) * 10.0 ** rng.uniform(-8, 8, (7, 3))
+    b = rng.normal(size=(4, 7, 3)) * 10.0 ** rng.uniform(-8, 8, (4, 7, 3))
+    for x, y in ((a, b), (b, a), (a, a[::-1]), (b[0], b[1])):
+        ref = np.cross(x, y)
+        got = cross(x, y)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_tabulated_from_arrays_equals_and_hashes_like_tuples():
+    # the samples are stored as tuples of float, so that every array of
+    # Tabulated paths hashes, however they were built
+    s, r_x, r_y = np.array([0.0, 0.1, 0.3]), np.array([0.01, 0.03, 0.02]), np.array([0.0, -0.02, 0.0])
+    tab = Tabulated(s, r_x, r_y)
+    ref = Tabulated(tuple(s.tolist()), tuple(r_x.tolist()), tuple(r_y.tolist()))
+    assert tab == ref and hash(tab) == hash(ref)
+    assert all(type(v) is float for v in tab.s_samples + tab.r_x_samples + tab.r_y_samples)
+    array = SensorArray((StringSpec(tab, 0.2), StringSpec(ref, 0.3)))
+    assert hash(array) == hash(SensorArray((StringSpec(ref, 0.2), StringSpec(tab, 0.3))))
+    np.testing.assert_array_equal(tab.radial_deriv(s), ref.radial_deriv(s))

@@ -12,7 +12,7 @@ from stringshape.sensing import (STAGNATION_TOL, Composite, NotRealizableError, 
                                  solve_shape, span_integrals)
 from stringshape.sensitivity import noise_amp
 from stringshape import liegroup as lg
-from stringshape import studies
+from stringshape import sensing, studies
 
 
 def planar_basis(L=1.0):
@@ -317,8 +317,9 @@ def test_tabulated_panel_rule_against_piecewise_reference():
 
 
 def test_solve_shape_tabulates_once_whatever_its_iterations(monkeypatch):
-    # one string table per solve: Phi is evaluated as often by a 4-iteration
-    # solve as by a 6-iteration one, not once more per residual
+    # one string table per solve that builds it: Phi is evaluated as often by
+    # a 4-iteration solve as by a 6-iteration one, not once more per
+    # residual, and not at all by a solve that finds the table built
     space = studies.soft_design_space()
     basis = space.basis
     array = space.array_for((4, 3, 9, 4), 1)
@@ -328,11 +329,15 @@ def test_solve_shape_tabulates_once_whatever_its_iterations(monkeypatch):
     monkeypatch.setattr(ModalBasis, "matrix", lambda self, s: calls.append(s) or matrix(self, s))
     counts, iterations = [], []
     for meas in measured:
+        sensing._string_table.cache_clear()
         calls.clear()
         iterations.append(solve_shape(array, basis, meas).iterations)
         counts.append(len(calls))
     assert iterations == [4, 6]
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] > 0
+    calls.clear()
+    solve_shape(array, basis, measured[0])
+    assert not calls
 
 
 def test_linear_model_against_brute_quadrature():
@@ -542,6 +547,137 @@ def test_malformed_stacks_raise():
             forward_kinematics(basis, c, [0.1])
         with pytest.raises(ValueError, match="coefficients"):
             body_jacobian_multi(basis, c, [0.1])
+
+
+# ---------------------------------------------------------------------------
+# The string table context: one _StringTable per (array, basis)
+# ---------------------------------------------------------------------------
+
+def _context_cases():
+    """(array, basis, c) of every path kind: helical strings and constant-
+    pitch tendons on a torsion basis, a linear-class constant-pitch array, a
+    Tabulated array built from numpy arrays, and mixed_array's composites."""
+    L = 0.293
+    rng = np.random.default_rng(11)
+    s_k = np.linspace(0.0, L, 6)
+    tabs = []
+    for k, angle in enumerate(np.linspace(0.3, 5.0, 4)):
+        radius = 0.03 + 0.004 * rng.uniform(-1.0, 1.0, 6)
+        phase = angle + 0.4 * np.sin(3.0 * s_k / L + k)
+        tabs.append(StringSpec(Tabulated(s_k, radius * np.cos(phase), radius * np.sin(phase)),
+                               (0.6 + 0.1 * k) * L))
+    small = ModalBasis(x=(0, 1), y=(0, 1), z=(0,), length=L)
+    return [(helical_array(), spatial_basis(), np.array([1.2, -0.4, 0.3, -0.8, 0.5, 0.2, 0.6, -0.3])),
+            (planar_array([0.1, -0.1, 0.25], [0.204, 0.772, 1.0]), planar_basis(),
+             np.array([0.8, -0.5, 0.3])),
+            (SensorArray(tuple(tabs)), ModalBasis(x=(0, 1), y=(0, 1), length=L),
+             np.array([0.9, -0.6, -0.7, 0.4])),
+            (mixed_array(), small, np.array([0.7, 0.3, -0.5, 0.4, 0.6]))]
+
+
+def _context_values(array, basis, c, solve):
+    """Everything the context serves: lengths on both references, J_lc,
+    linear_model where the array is linear-class, and the solve of the
+    lengths at c with its fields, by solve(array, basis, measured)."""
+    delta = lengths(array, basis, c)
+    out = [delta, lengths(array, basis, c, Reference.ABSOLUTE), config_jacobian(array, basis, c)]
+    if array.is_linear_class(basis):
+        out += linear_model(array, basis)
+    sol = solve(array, basis, delta)
+    return out + [sol.c, sol.iterations, sol.residual_norm, sol.aleph_config, sol.status]
+
+
+def _bitwise_equal(new, ref):
+    return all(np.asarray(a).tobytes() == np.asarray(b).tobytes() and np.shape(a) == np.shape(b)
+               for a, b in zip(new, ref, strict=True))
+
+
+def test_string_table_context_matches_fresh_tables():
+    # every value read through the cached context equals one from a freshly
+    # built _StringTable bit for bit: lengths, J_lc and linear_model against
+    # the table's own measure, solve_shape against a solve that builds its
+    # table.  The four arrays, more than the cache holds, interleave, so that
+    # their tables are both found and rebuilt.
+    cases = _context_cases()
+
+    def fresh_solve(array, basis, measured):
+        sensing._string_table.cache_clear()
+        return solve_shape(array, basis, measured)
+
+    refs = []
+    for array, basis, c in cases:
+        table = sensing._StringTable(array, basis)
+        ell, jac = table.measure(c)
+        straight = table.measure(np.zeros(basis.m))
+        ref = [ell - straight[0], ell, jac]
+        if array.is_linear_class(basis):
+            ref += straight
+        refs.append(ref + _context_values(array, basis, c, fresh_solve)[len(ref):])
+        assert _bitwise_equal(_context_values(array, basis, c, fresh_solve), refs[-1])
+    assert sensing._string_table.cache_info().maxsize < len(cases)
+    sensing._string_table.cache_clear()
+    for k in (0, 1, 0, 2, 3, 1, 1, 2, 0, 3, 3):
+        assert _bitwise_equal(_context_values(*cases[k], solve_shape), refs[k])
+    info = sensing._string_table.cache_info()
+    assert info.hits > 0 and info.misses > len(cases)
+
+
+def test_context_returns_arrays_it_does_not_share():
+    # writing into a returned lengths array, J_lc or linear model leaves the
+    # next call unchanged, and the table's own arrays are read-only
+    for array, basis, c in _context_cases()[:2]:
+        for out in (lambda: lengths(array, basis, c),
+                    lambda: lengths(array, basis, c, Reference.ABSOLUTE),
+                    lambda: config_jacobian(array, basis, c)):
+            first = out()
+            expected = first.copy()
+            first[...] = 1e3
+            assert np.array_equal(out(), expected)
+        table = sensing._string_table(array, basis)
+        frozen = [*table.straight, *table.cusp_grid, table.exact_rows, table.exact_base]
+        if table.paneled:
+            frozen += [table.phi, table.r, table.dr, table.weights]
+        assert not any(a.flags.writeable for a in frozen)
+    array, basis = _context_cases()[1][:2]
+    base, jac = linear_model(array, basis)
+    expected = base.copy(), jac.copy()
+    base[...], jac[...] = 1e3, 1e3
+    assert _bitwise_equal(linear_model(array, basis), expected)
+
+
+def test_string_table_built_once_across_frames(monkeypatch):
+    # a stream of frames on one array and basis builds one table, whatever
+    # lengths and solves read it
+    space = studies.soft_design_space()
+    basis = space.basis
+    array = space.array_for((4, 3, 9, 4), 1)
+    c = studies.soft_workspace(1, seed=7).configs[0]
+    init, built = sensing._StringTable.__init__, []
+    monkeypatch.setattr(sensing._StringTable, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    sensing._string_table.cache_clear()
+    measured = lengths(array, basis, np.outer([0.1, 0.4, 0.7, 1.0], c))
+    for meas in measured:
+        solve_shape(array, basis, meas)
+    assert built == [(array, basis)]
+
+
+def test_reduce_along_an_axis_matches_moveaxis():
+    # folding strings along any axis equals moving them to the front,
+    # folding them string by string, and moving the channels back, bit for bit
+    array = mixed_array()
+    n = len(array.strings)
+    rng = np.random.default_rng(4)
+    for shape, axis in (((n,), 0), ((n, 3, 5), 0), ((3, n, 5), 1), ((3, 5, n), -1),
+                        ((3, n, 5), -2), ((2, 3, n, 4), 2)):
+        x = rng.normal(size=shape)
+        front = np.moveaxis(x, axis, 0)
+        folded = ([front[i] for i in array.direct_indices]
+                  + [sum(sgn * front[i] for sgn, i in zip(comp.signs, comp.members))
+                     for comp in array.composites])
+        ref = np.moveaxis(np.array(folded), 0, axis)
+        got = array.reduce(x, axis=axis)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
