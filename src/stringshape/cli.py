@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -52,6 +53,17 @@ def _at_least(low):
             raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
         return value
     return parse
+
+
+def _positive_float(text):
+    """argparse type for positive finite floats, such as a modulus."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not 0.0 < value < np.inf:   # NaN fails it too
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
 
 
 def _number_list(kind):
@@ -196,7 +208,7 @@ def cmd_planar_study(args):
                   [[c["f_x"], c["m_y"]] + [c[f"e_p_{p}"] for p in p_list]
                    + [c[f"e_rot_{p}"] for p in p_list] for c in cases])
         summary = {str(p): stats[p] for p in p_list}
-        with open(out.replace(".csv", "_summary.json"), "w") as fh:
+        with open(os.path.splitext(out)[0] + "_summary.json", "w") as fh:
             json.dump(summary, fh, indent=2)
         for p in p_list:
             print(f"strings={p}: mean e_p = {stats[p]['mean_e_p']:.4f} % "
@@ -358,7 +370,7 @@ def build_parser():
                    help="reconstruction error vs string count on the rod oracle")
     p.add_argument("--samples", type=_at_least(1), default=200)
     p.add_argument("--seed", type=_at_least(0), default=studies.PLANAR_WORKSPACE_SEED)
-    p.add_argument("--modulus", type=float, default=60e9, help="rod modulus (Pa)")
+    p.add_argument("--modulus", type=_positive_float, default=60e9, help="rod modulus (Pa)")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--output-full", default=None)
     p.add_argument("--output-convergence", default=None)

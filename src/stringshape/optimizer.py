@@ -15,8 +15,8 @@ import numpy as np
 
 from .modal import ModalBasis
 from .routing import Helical, Mount, StringSpec
-from .sensing import (SensorArray, aleph_gram, aleph_sv, body_jacobian_multi, full_rank,
-                      span_integrals)
+from .sensing import (SensorArray, StringTable, aleph_gram, aleph_sv, body_jacobian_multi,
+                      full_rank)
 from .sensitivity import map_rank_limited, twist_scaling
 
 PLANAR_REFERENCE_RADIUS = 0.25   # fixed end-anchored tendon, radius in units of L
@@ -290,32 +290,28 @@ class SearchResult:
 
 def _cumulative_rows(space, c):
     """J_lc rows of every string variant at configuration c (m,), or at
-    every row of a stack (n, m), with one span_integrals call per variant.
+    every row of a stack (n, m), from one StringTable call.
 
-    Designed strings get the span_integrals rows from the origin to every
-    disk edge k*L/n_disks; tip-mounted strings read row[end] - row[anchor].
-    Fixed strings take config_jacobian's row over their own span, wherever
-    they are anchored.  Returns (designed_rows (..., n_omega, n_designed,
-    n_disks + 1, m), fixed_rows (..., n_fixed, m)); each row of a stack
-    equals its own (m,) call bit for bit.
+    The table spans every designed string at every twist rate from the
+    origin to every disk edge k*L/n_disks, and every fixed string over its
+    own span, wherever it is anchored; tip-mounted designed strings then
+    read row[end] - row[anchor].  Returns (designed_rows (..., n_omega,
+    n_designed, n_disks + 1, m), fixed_rows (..., n_fixed, m)); each row of
+    a stack equals its own (m,) call bit for bit.
     """
     basis = space.basis
-    lead = c.shape[:-1]
     disk_edges = np.arange(space.n_disks + 1) * basis.length / space.n_disks
-    designed = np.zeros(lead + (len(space.twist_rates), len(space.designed),
-                                len(disk_edges), basis.m))
-    for iw, n_om in enumerate(space.twist_rates):
-        omega = space.omega_of(n_om)
-        for i, dstr in enumerate(space.designed):
-            at_disks = span_integrals(dstr.path_at(omega), basis, c, 0.0, disk_edges)[1]
-            if dstr.mount is Mount.TIP:
-                at_disks = at_disks[..., -1:, :] - at_disks
-            designed[..., iw, i, :, :] = at_disks
-    fixed = np.zeros(lead + (len(space.fixed), basis.m))
-    for k, spec in enumerate(space.fixed):
-        lo, hi = spec.span(basis.length)
-        fixed[..., k, :] = span_integrals(spec.path, basis, c, lo, [hi])[1][..., 0, :]
-    return designed, fixed
+    variants = [dstr.path_at(space.omega_of(n_om))
+                for n_om in space.twist_rates for dstr in space.designed]
+    table = StringTable([(path, 0.0, disk_edges) for path in variants]
+                        + [(spec.path, *spec.span(basis.length)) for spec in space.fixed], basis)
+    rows = table.integrals(c)[1]
+    n_designed = len(variants) * len(disk_edges)
+    designed = rows[..., :n_designed, :].reshape(
+        c.shape[:-1] + (len(space.twist_rates), len(space.designed), len(disk_edges), basis.m))
+    tip = [i for i, dstr in enumerate(space.designed) if dstr.mount is Mount.TIP]
+    designed[..., tip, :, :] = designed[..., tip, -1:, :] - designed[..., tip, :, :]
+    return designed, rows[..., n_designed:, :]
 
 
 # _workspace_aleph takes the graded Gram where a bound on kappa(A) times
@@ -382,7 +378,9 @@ def _evaluate_chunk(payload):
     _graded_rows(X) (see _sample_rows).  The cumulative rows come in 1 + S
     row samples, sample 0 the straight configuration and samples 1..S the
     workspace, or in one row sample, the straight one, where J_lc does not
-    depend on c (a linear-class space).
+    depend on c (a linear-class space).  That one sample is then the
+    workspace too: its J_lc (n, 1, p, m) broadcasts over the S samples of X,
+    and every step below takes it as it takes S samples.
 
     Screen first, score second: the singular values of J_lc at sample 0
     screen every design, and only the designs that pass are evaluated on the
@@ -395,15 +393,13 @@ def _evaluate_chunk(payload):
     BOUND_SLACK, lies on one side of epsilon and kappa_F is finite and at
     most KAPPA_F_MAX at every sample; such samples all pass full_rank.  The
     other designs, or the whole block where inv finds an exactly singular A,
-    take both from the singular values of their J_lc at every sample.  A
-    constant J_lc has the straight index at every sample, so it passes the
-    mean screen and serves every sample with its straight singular values
-    and one inverse.  The one rank rule: a (design, sample) whose J_lc fails
-    full_rank cannot be solved for c and scores 0, whatever m; the identity
-    stands in for its inverse.  Where map_rank_limited(p, m) holds, every
-    index is 0 by the shape of B alone.  Each objective's workspace means
-    come from _workspace_aleph, with kappa_8(A) (see _norm_8) as its bound
-    on kappa(A).
+    take both from the singular values of their J_lc at every sample.  The
+    one rank rule: a (design, sample) whose J_lc fails full_rank cannot be
+    solved for c and scores 0, whatever m; the identity stands in for its
+    inverse.  Where map_rank_limited(p, m) holds, every index is 0 by the
+    shape of B alone.  Each objective's workspace means come from
+    _workspace_aleph, with kappa_8(A) (see _norm_8) as its bound on
+    kappa(A).
     """
     (space, channels, anc, iws, des_rows, fix_rows, jxc, graded, kappa) = payload
     m = space.basis.m
@@ -432,13 +428,10 @@ def _evaluate_chunk(payload):
     keep = np.flatnonzero(~bad)
     ag = np.zeros((len(anc), len(space.s_objectives)))
     p = straight.shape[-2]
-    if len(des_rows) == 1:
-        if map_rank_limited(p, m):
-            return a0, ag, bad
-        # one J_lc per design serves all samples: (n_keep, 1, p, m)
-        jlc, full = straight[keep][:, None], full_rank(sv[keep])[:, None]
-    else:
-        jlc = jlc_at(des_rows[1:], fix_rows[1:], keep)      # (n_keep, S, p, m)
+    # the workspace row samples, or the straight one where J_lc is constant:
+    # its one sample broadcasts over the S samples of X
+    workspace = slice(min(1, len(des_rows) - 1), None)
+    jlc = jlc_at(des_rows[workspace], fix_rows[workspace], keep)   # (n_keep, S or 1, p, m)
     square = np.linalg.qr(jlc, mode="r") if p > m else jlc
     # the two Schatten norms are taken apart, so that at most one of A and
     # its inverse is held beside their temporaries
@@ -448,25 +441,24 @@ def _evaluate_chunk(payload):
         inv = np.linalg.inv(square)
     except np.linalg.LinAlgError:
         inv = None
-    if len(des_rows) > 1:
-        fa = _frobenius(square)
-        # the inverse of a near-singular A may overflow, and an all-zero A
-        # has no inverse: kappa_F is then infinite or NaN, and untrusted
-        with np.errstate(over="ignore", invalid="ignore"):
-            fi = np.inf if inv is None else _frobenius(inv)
-            kappa_f = fa * fi
-            mean_lo = (1.0 / (fi * kappa_f)).mean(axis=1)   # a = 1 / (fi^2 fa)
-        # NaN fails every comparison, so it leaves its design open
-        above = (1.0 - BOUND_SLACK) * mean_lo >= space.epsilon
-        below = (1.0 + BOUND_SLACK) * m * np.sqrt(m) * mean_lo < space.epsilon
-        open_ = ~((kappa_f <= KAPPA_F_MAX).all(axis=1) & (above | below))
-        sv = np.linalg.svd(jlc[open_], compute_uv=False)
-        full = np.ones(jlc.shape[:2], dtype=bool)
-        full[open_] = full_rank(sv)
-        bad[keep] = below
-        bad[keep[open_]] = aleph_sv(sv).mean(axis=1) < space.epsilon
-        if map_rank_limited(p, m):
-            return a0, ag, bad
+    fa = _frobenius(square)
+    # the inverse of a near-singular A may overflow, and an all-zero A has no
+    # inverse: kappa_F is then infinite or NaN, and untrusted
+    with np.errstate(over="ignore", invalid="ignore"):
+        fi = np.inf if inv is None else _frobenius(inv)
+        kappa_f = fa * fi
+        mean_lo = (1.0 / (fi * kappa_f)).mean(axis=1)   # a = 1 / (fi^2 fa)
+    # NaN fails every comparison, so it leaves its design open
+    above = (1.0 - BOUND_SLACK) * mean_lo >= space.epsilon
+    below = (1.0 + BOUND_SLACK) * m * np.sqrt(m) * mean_lo < space.epsilon
+    open_ = ~((kappa_f <= KAPPA_F_MAX).all(axis=1) & (above | below))
+    sv = np.linalg.svd(jlc[open_], compute_uv=False)
+    full = np.ones(jlc.shape[:2], dtype=bool)
+    full[open_] = full_rank(sv)
+    bad[keep] = below
+    bad[keep[open_]] = aleph_sv(sv).mean(axis=1) < space.epsilon
+    if map_rank_limited(p, m):
+        return a0, ag, bad
     if inv is None:
         # an exactly singular A in the block: invert with the identity in place
         inv = np.linalg.inv(np.where(full[..., None, None], square, np.eye(m)))
@@ -635,7 +627,7 @@ def brute_force_search(space, samples, jobs=None):
     samples (the straight configuration, then the S workspace samples), or
     at the straight one alone where every channel's J_lc is constant
     (SensorArray.is_linear_class), as on torsion-free constant-pitch spaces;
-    one span_integrals call per string variant serves all of them.  The
+    one StringTable call over every string variant serves all of them.  The
     body Jacobians X = S J_xc at the objective arc lengths do not depend on
     the design either: their SVD is taken once, and the kernel gets X, its
     graded rows U^T X and kappa(X) (see _graded_rows and _evaluate_chunk).

@@ -39,8 +39,8 @@ class RodSpec:
     elastic_modulus: float
 
     def __post_init__(self):
-        if min(self.length, self.diameter, self.elastic_modulus) <= 0:
-            raise ValueError("rod parameters must be positive")
+        if not all(0.0 < v < np.inf for v in (self.length, self.diameter, self.elastic_modulus)):
+            raise ValueError("rod parameters must be positive and finite")
 
     @property
     def bending_stiffness(self):

@@ -224,35 +224,6 @@ def _panel_sums(phi, r, dr, weights, c):
             integrand.reshape(lead + (-1, 3, phi.shape[-1])).sum(axis=-2))
 
 
-def _path_nodes(path, lo, bounds, length):
-    """Gauss-Legendre nodes, weights, r and r' of a path on the panels of
-    _span_edges, and per bound the index of the panel ending there."""
-    edges, last = _span_edges(lo, bounds, length, path.breakpoints)
-    s, weights = _gauss_legendre(edges)
-    return s, weights, path.radial(s), path.radial_deriv(s), last
-
-
-def span_integrals(path, basis, c, lo, bounds):
-    """Lengths (..., k) and J_lc rows (..., k, m), d(length)/dc, of one string
-    path over [lo, b] for each of k increasing bounds b >= lo, at c (m,) or
-    at every row of a stack (n, m).
-
-    Constant-pitch paths on a torsion-free basis take exact_row and the
-    length b - lo + row @ c; every other path takes running sums of
-    _panel_sums on _span_edges, so a bound's values equal the ones it gives
-    alone wherever the bounds below it lie on the panel grid.  Each row of a
-    stack equals its own (m,) call bit for bit.
-    """
-    if has_exact_row(path, basis):
-        rows = exact_row(path, basis, lo, bounds)
-        ells = np.asarray(bounds, dtype=float) - lo + (rows @ c[..., None])[..., 0]
-        return ells, np.broadcast_to(rows, ells.shape + rows.shape[-1:])
-    s, weights, r, dr, last = _path_nodes(path, lo, bounds, basis.length)
-    speeds, rows = _panel_sums(basis.matrix(s), r, dr, weights, c)
-    return (np.add.accumulate(speeds, axis=-1)[..., last],
-            np.add.accumulate(rows, axis=-2)[..., last, :])
-
-
 def _cusp_grid(strings, basis):
     """r (n_strings, REALIZABILITY_GRID, 3) on uniform points of each string's
     span, and Phi there with its rows flattened and transposed, (m, ...)."""
@@ -286,44 +257,87 @@ def _read_only(*arrays):
     return arrays
 
 
-class _StringTable:
-    """The part of every string integral of a sensor array that does not
-    depend on c, built once per (array, basis) by _string_table and read by
-    every call and configuration that evaluates them:
+class StringTable:
+    """Lengths and J_lc rows, d(length)/dc, of string spans on a basis.  A
+    span (path, lo, bounds) integrates its path over [lo, b] for each of one
+    or more increasing bounds b >= lo; the table gives the values at every
+    bound of every span, in order.
 
-    - Phi, r, r' and the weights at the Gauss-Legendre nodes of every string
-      without an exact row, in one array, and each panel's (string, slot) in a
-      zero-padded strings x panels layout;
-    - the constant rows and straight lengths of the exact-row strings;
-    - on first use, the cusp grid and the straight measure.
+    What does not depend on c is built once, and is read-only:
 
-    Its arrays are read-only.  Each string's values equal span_integrals'
-    over its span bit for bit: the panel sums come from the same
-    _panel_sums, and np.add.accumulate along the padded panel axis adds them
-    in span_integrals' order.
+    - the rows exact_row and straight lengths b - lo of the spans with exact
+      rows (has_exact_row), whose lengths are b - lo + row @ c;
+    - for every other span, Phi, r, r' and the weights at the Gauss-Legendre
+      nodes of its _span_edges panels, all spans in one array, and each
+      panel's (span, slot) in a zero-padded spans x panels layout.
+      np.add.accumulate along the padded slots gives each bound the running
+      sum of its span's _panel_sums up to it, so a bound's values equal the
+      ones it gives alone wherever the bounds below it lie on the panel grid.
+
+    Each span's values equal those of a table of that span alone, and each
+    row of a stack those of its own (m,) call, bit for bit.
     """
 
+    def __init__(self, spans, basis):
+        self.m = basis.m
+        at_exact, rows, base, nodes, slots = [], [np.zeros((0, basis.m))], [[]], [], []
+        for path, lo, bounds in spans:
+            bounds = np.atleast_1d(np.asarray(bounds, dtype=float))
+            at_exact += [has_exact_row(path, basis)] * len(bounds)
+            if at_exact[-1]:
+                rows.append(exact_row(path, basis, lo, bounds))
+                base.append(bounds - lo)
+            else:
+                edges, last = _span_edges(lo, bounds, basis.length, path.breakpoints)
+                s, weights = _gauss_legendre(edges)
+                nodes.append((s, weights, path.radial(s), path.radial_deriv(s)))
+                slots.append(last)
+        at_exact = np.array(at_exact, dtype=bool)
+        self.exact_at, self.paneled_at = np.flatnonzero(at_exact), np.flatnonzero(~at_exact)
+        self.exact_rows, self.exact_base = np.concatenate(rows)[:, None], np.concatenate(base)
+        _read_only(self.exact_at, self.paneled_at, self.exact_rows, self.exact_base)
+        if slots:
+            s, self.weights, self.r, self.dr = map(np.concatenate, zip(*nodes))
+            self.phi = basis.matrix(s)
+            # a span's last bound ends its last panel
+            n_panels = [last[-1] + 1 for last in slots]
+            self.panel_span = np.repeat(np.arange(len(slots)), n_panels)
+            self.panel_slot = np.concatenate([np.arange(n) for n in n_panels])
+            self.bound_span = np.repeat(np.arange(len(slots)), [len(last) for last in slots])
+            self.bound_slot = np.concatenate(slots)
+            _read_only(self.phi, self.weights, self.r, self.dr, self.panel_span,
+                       self.panel_slot, self.bound_span, self.bound_slot)
+
+    def integrals(self, c):
+        """Lengths (..., n_bounds) and J_lc rows (..., n_bounds, m) at every
+        bound of every span, at c (m,) or a stack (k, m)."""
+        lead = c.shape[:-1]
+        ells = np.zeros(lead + (len(self.exact_at) + len(self.paneled_at),))
+        rows = np.zeros(ells.shape + (self.m,))
+        # one (1, m) @ (m, 1) product per exact bound, as a one-bound span takes
+        ells[..., self.exact_at] = (self.exact_base
+                                    + (self.exact_rows @ c[..., None, :, None])[..., 0, 0])
+        rows[..., self.exact_at, :] = self.exact_rows[:, 0]
+        if len(self.paneled_at):
+            speeds, panel_rows = _panel_sums(self.phi, self.r, self.dr, self.weights, c)
+            padded = np.zeros(lead + (self.bound_span[-1] + 1, self.bound_slot.max() + 1,
+                                      self.m + 1))
+            padded[..., self.panel_span, self.panel_slot, :] = np.concatenate(
+                [speeds[..., None], panel_rows], axis=-1)
+            total = np.add.accumulate(padded, axis=-2)[..., self.bound_span, self.bound_slot, :]
+            ells[..., self.paneled_at], rows[..., self.paneled_at, :] = total[..., 0], total[..., 1:]
+        return ells, rows
+
+
+class _SensingContext(StringTable):
+    """The StringTable of a sensor array's strings, one bound per string
+    (its span), built once per (array, basis) by _string_table and read by
+    every call and configuration that evaluates the array; on first use it
+    also holds the cusp grid and the straight measure."""
+
     def __init__(self, array, basis):
-        self.array, self.basis, self.m = array, basis, basis.m
-        strings = array.strings
-        spans = [spec.span(basis.length) for spec in strings]
-        self.exact = [i for i, spec in enumerate(strings) if has_exact_row(spec.path, basis)]
-        self.paneled = [i for i in range(len(strings)) if i not in self.exact]
-        self.exact_rows = np.array([exact_row(strings[i].path, basis, spans[i][0], [spans[i][1]])
-                                    for i in self.exact])   # (n_exact, 1, m)
-        self.exact_base = np.array([spans[i][1] - spans[i][0] for i in self.exact])
-        if self.paneled:
-            s, weights, r, dr, last = zip(*(
-                _path_nodes(strings[i].path, spans[i][0], [spans[i][1]], basis.length)
-                for i in self.paneled))
-            self.phi = basis.matrix(np.concatenate(s))
-            self.weights, self.r, self.dr = map(np.concatenate, (weights, r, dr))
-            self.last_slot = np.array([panel[0] for panel in last])
-            self.panel_string = np.repeat(np.arange(len(last)), self.last_slot + 1)
-            self.panel_slot = np.concatenate([np.arange(n + 1) for n in self.last_slot])
-            _read_only(self.phi, self.weights, self.r, self.dr, self.last_slot,
-                       self.panel_string, self.panel_slot)
-        _read_only(self.exact_rows, self.exact_base)
+        self.array, self.basis = array, basis
+        super().__init__([(spec.path, *spec.span(basis.length)) for spec in array.strings], basis)
 
     @functools.cached_property
     def cusp_grid(self):
@@ -335,30 +349,9 @@ class _StringTable:
         """Channel lengths (p,) and J_lc (p, m) at the straight configuration."""
         return _read_only(*self.measure(np.zeros(self.m)))
 
-    def per_string(self, c):
-        """Per-string lengths (..., n_strings) and J_lc rows (..., n_strings, m)
-        at c (m,) or a stack (k, m)."""
-        lead = c.shape[:-1]
-        ells = np.zeros(lead + (len(self.array.strings),))
-        rows = np.zeros(lead + (len(self.array.strings), self.m))
-        if self.exact:
-            # one (1, m) @ (m, 1) product per string, as span_integrals' row @ c
-            ells[..., self.exact] = (self.exact_base
-                                     + (self.exact_rows @ c[..., None, :, None])[..., 0, 0])
-            rows[..., self.exact, :] = self.exact_rows[:, 0]
-        if self.paneled:
-            speeds, panel_rows = _panel_sums(self.phi, self.r, self.dr, self.weights, c)
-            padded = np.zeros(lead + (len(self.paneled), self.last_slot.max() + 1, self.m + 1))
-            padded[..., self.panel_string, self.panel_slot, :] = np.concatenate(
-                [speeds[..., None], panel_rows], axis=-1)
-            total = np.add.accumulate(padded, axis=-2)[
-                ..., np.arange(len(self.paneled)), self.last_slot, :]
-            ells[..., self.paneled], rows[..., self.paneled, :] = total[..., 0], total[..., 1:]
-        return ells, rows
-
     def measure(self, c):
         """Absolute channel lengths (..., p) and J_lc (..., p, m) at c (m,) or a stack (k, m)."""
-        ells, rows = self.per_string(c)
+        ells, rows = self.integrals(c)
         return self.array.reduce(ells, axis=-1), self.array.reduce(rows, axis=-2)
 
 
@@ -368,8 +361,8 @@ class _StringTable:
 # then evict one another and hold at most two tables.
 @functools.lru_cache(maxsize=2)
 def _string_table(array, basis):
-    """The one _StringTable of a (frozen, hashable) array and basis."""
-    return _StringTable(array, basis)
+    """The one _SensingContext of a (frozen, hashable) array and basis."""
+    return _SensingContext(array, basis)
 
 
 def lengths(array, basis, c, reference=Reference.DELTA_FROM_STRAIGHT):
@@ -490,13 +483,14 @@ class ShapeSolution:
     status: str = "converged"   # or "stagnated"
 
 
-def _solve_aleph(jac, where):
-    """aleph of a solve step's J_lc; SingularDesignError where it is singular."""
-    sv = np.linalg.svd(jac, compute_uv=False)
+def _solve_step(jac, rhs, where):
+    """The least-squares solution of jac @ x = rhs and the aleph of jac,
+    from one SVD; SingularDesignError where jac fails full_rank."""
+    u, sv, vt = np.linalg.svd(jac, full_matrices=False)
     if not full_rank(sv):
         raise SingularDesignError(f"configuration-space Jacobian is singular{where} "
                                   f"(singular values {sv[-1]:.2e} to {sv[0]:.2e})")
-    return float(aleph_sv(sv))
+    return vt.T @ ((u.T @ rhs) / sv), float(aleph_sv(sv))
 
 
 def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
@@ -518,9 +512,8 @@ def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
     table = _string_table(array, basis)
     if array.is_linear_class(basis):
         base, jac = table.straight
-        aleph = _solve_aleph(jac, "")
         rhs = measured - base if reference is Reference.ABSOLUTE else measured
-        c = np.linalg.lstsq(jac, rhs, rcond=None)[0]
+        c, aleph = _solve_step(jac, rhs, "")
         resid = jac @ c - rhs
         return ShapeSolution(c, 1, float(np.linalg.norm(resid)), aleph, True)
 
@@ -540,8 +533,7 @@ def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
     rnorm = np.linalg.norm(res)
     best_c, best_r = c.copy(), rnorm
     for it in range(1, SOLVE_MAX_ITER + 1):
-        aleph = _solve_aleph(jac, f" at iterate {it}")
-        step = np.linalg.lstsq(jac, -res, rcond=None)[0]
+        step, aleph = _solve_step(jac, -res, f" at iterate {it}")
         # Backtracking: halve until the residual norm decreases (<= 20 times).
         alpha = 1.0
         for _ in range(20):

@@ -11,6 +11,7 @@ import stringshape
 from stringshape import cli, studies
 from stringshape.cli import main
 from stringshape.configio import read_csv_matrix, write_csv
+from stringshape.rodsim import RodSpec
 from stringshape.sensing import lengths
 
 PLANAR_ROBOT = {
@@ -330,6 +331,32 @@ def test_planar_study_table1(tmp_path):
 
 def test_planar_study_without_flags_is_usage_error(tmp_path):
     assert main(["planar-study"]) == 64
+
+
+@pytest.mark.parametrize("modulus", ["-1", "0", "nan", "inf", "-inf", "soft"])
+def test_bad_modulus_exits_64(modulus, capsys):
+    # a modulus that is not positive and finite is a usage error, before
+    # any study runs; RodSpec refuses the same values
+    assert _exit_code(["planar-study", "--convergence", f"--modulus={modulus}"]) == 64
+    assert "expected a positive finite number" in capsys.readouterr().err
+    if modulus != "soft":
+        with pytest.raises(ValueError, match="positive and finite"):
+            RodSpec(length=0.3, diameter=0.004, elastic_modulus=float(modulus))
+
+
+def test_convergence_summary_does_not_overwrite_its_csv(tmp_path, monkeypatch):
+    # the summary goes beside the table under the table's stem, whether or
+    # not the table's name ends in .csv
+    stats = {1: {"mean_e_p": 0.5, "max_e_p": 1.5}}
+    cases = [{"f_x": 1.0, "m_y": 0.0, "e_p_1": 0.5, "e_rot_1": 0.01}]
+    monkeypatch.setattr(cli, "convergence_study", lambda rod: (stats, cases))
+    for name in ("conv.txt", "conv.csv", "conv"):
+        out = tmp_path / name
+        assert main(["planar-study", "--convergence", "--output-convergence", str(out)]) == 0
+        assert read_csv_matrix(str(out))[1].tolist() == [[1.0, 0.0, 0.5, 0.01]]
+        summary = json.loads((tmp_path / "conv_summary.json").read_text())
+        assert summary == {"1": stats[1]}
+        (tmp_path / "conv_summary.json").unlink()
 
 
 def test_routing_opt_stiff_smoke(tmp_path):

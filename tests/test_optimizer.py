@@ -15,9 +15,9 @@ from stringshape.optimizer import (PLANAR_REFERENCE_RADIUS, DesignSpace, Designe
                                    planar_full_index, planar_landscape, planar_peak_search,
                                    planar_sample_grams)
 from stringshape.routing import ConstantPitch, Helical, Mount, StringSpec
-from stringshape.sensing import (SIGMA_RATIO_TOL, Composite, SensorArray, aleph_sv,
-                                 config_jacobian, exact_row, full_rank, has_exact_row,
-                                 linear_model, span_integrals)
+from stringshape.sensing import (SIGMA_RATIO_TOL, Composite, SensorArray, StringTable,
+                                 aleph_sv, config_jacobian, exact_row, full_rank,
+                                 has_exact_row, linear_model)
 from stringshape.sensitivity import global_index, noise_amp
 
 
@@ -591,8 +591,8 @@ def test_disk_edge_rows_match_config_jacobian_on_soft_preset(n_omega):
                 base = SensorArray((StringSpec(path, edge, Mount.BASE),))
                 tip = SensorArray((StringSpec(path, edge, Mount.TIP),))
                 assert np.array_equal(designed[iw, i, k], config_jacobian(base, basis, c)[0])
-                assert np.array_equal(span_integrals(path, basis, c, edge, edges[k:])[1][-1],
-                                      config_jacobian(tip, basis, c)[0])
+                from_edge = StringTable([(path, edge, edges[k:])], basis).integrals(c)[1]
+                assert np.array_equal(from_edge[-1], config_jacobian(tip, basis, c)[0])
 
 
 def test_stiff_space_singular_counting():
@@ -1035,12 +1035,12 @@ def test_search_builds_rows_per_sample_where_jlc_moves(monkeypatch):
 
 @pytest.mark.parametrize("name", ["soft", "tiny", "off-grid"])
 def test_stacked_rows_match_one_call_per_configuration(monkeypatch, name):
-    # One span_integrals call per string variant over the whole stack of row
-    # samples gives every configuration's rows bit for bit: on the soft
-    # preset (base-mounted helical strings at both twist rates, constant-pitch
-    # tendons on a basis with torsion), the torsion-free tiny space (exact
-    # rows of tip-mounted strings) and a helical fixed string anchored off
-    # the panel grid.
+    # One StringTable over every string variant, called once on the whole
+    # stack of row samples, gives every configuration's rows bit for bit: on
+    # the soft preset (base-mounted helical strings at both twist rates,
+    # constant-pitch tendons on a basis with torsion), the torsion-free tiny
+    # space (exact rows of tip-mounted strings) and a helical fixed string
+    # anchored off the panel grid.
     if name == "soft":
         space = studies.soft_design_space()
         configs = studies.soft_workspace(3, seed=7).configs
@@ -1051,11 +1051,14 @@ def test_stacked_rows_match_one_call_per_configuration(monkeypatch, name):
             space = replace(space, fixed=(space.fixed[0], spec))
     stack = np.vstack([np.zeros(space.basis.m), configs])
     calls = []
-    integrals = optimizer.span_integrals
-    monkeypatch.setattr(optimizer, "span_integrals",
-                        lambda *args: calls.append(args) or integrals(*args))
+    integrals = StringTable.integrals
+    monkeypatch.setattr(StringTable, "integrals",
+                        lambda table, c: calls.append((table, c)) or integrals(table, c))
     des_rows, fix_rows = optimizer._cumulative_rows(space, stack)
-    assert len(calls) == len(space.twist_rates) * len(space.designed) + len(space.fixed)
+    assert len(calls) == 1 and calls[0][1] is stack
+    n_bounds = len(calls[0][0].exact_at) + len(calls[0][0].paneled_at)
+    assert n_bounds == (len(space.twist_rates) * len(space.designed) * (space.n_disks + 1)
+                        + len(space.fixed))
     assert des_rows.shape == (len(stack), len(space.twist_rates), len(space.designed),
                               space.n_disks + 1, space.basis.m)
     assert fix_rows.shape == (len(stack), len(space.fixed), space.basis.m)

@@ -6,10 +6,10 @@ from stringshape.routing import (ConstantPitch, Helical, Mount, StringSpec, Tabu
                                  path_velocity, tangential_margin)
 from stringshape.rodsim import synthetic_spatial_truth
 from stringshape.sensing import (STAGNATION_TOL, Composite, NotRealizableError, Reference,
-                                 SensorArray, SingularDesignError, aleph_gram, aleph_sv,
-                                 body_jacobian, body_jacobian_multi, config_jacobian,
+                                 SensorArray, SingularDesignError, StringTable, aleph_gram,
+                                 aleph_sv, body_jacobian, body_jacobian_multi, config_jacobian,
                                  forward_kinematics, full_rank, lengths, linear_model,
-                                 solve_shape, span_integrals)
+                                 solve_shape)
 from stringshape.sensitivity import noise_amp
 from stringshape import liegroup as lg
 from stringshape import sensing, studies
@@ -171,7 +171,7 @@ def test_span_rows_at_off_grid_bounds_match_one_bound_rows():
     c = np.random.default_rng(1).uniform(-3.0, 3.0, basis.m)
     path = Helical(r_s=0.035, omega=6.7, alpha=0.8)
     bounds = [0.037, 0.1234, 0.2, 0.2871]
-    ells, rows = span_integrals(path, basis, c, 0.0, bounds)
+    ells, rows = StringTable([(path, 0.0, bounds)], basis).integrals(c)
     assert ells.shape == (4,) and rows.shape == (4, basis.m)
     arrays = [SensorArray((StringSpec(path, b),)) for b in bounds]
     one = np.array([config_jacobian(a, basis, c)[0] for a in arrays])
@@ -187,36 +187,69 @@ def test_span_rows_at_off_grid_bounds_match_one_bound_rows():
 def test_span_integrals_of_a_stack_match_one_call_per_configuration(basis, path):
     # panel sums (either path on the torsion basis, the helix on both) and
     # exact rows (constant pitch on the torsion-free basis): every row of a
-    # (k, m) stack reads its own (m,) call bit for bit
+    # (k, m) stack reads the table's own (m,) call bit for bit
     configs = np.random.default_rng(3).uniform(-2.0, 2.0, (4, basis.m))
-    bounds = [0.037, 0.1234, 0.2, 0.2871]
-    ells, rows = span_integrals(path, basis, configs, 0.02, bounds)
+    table = StringTable([(path, 0.02, [0.037, 0.1234, 0.2, 0.2871])], basis)
+    ells, rows = table.integrals(configs)
     assert ells.shape == (4, 4) and rows.shape == (4, 4, basis.m)
     for c, ell, row in zip(configs, ells, rows):
-        one_ell, one_row = span_integrals(path, basis, c, 0.02, bounds)
+        one_ell, one_row = table.integrals(c)
         assert np.array_equal(ell, one_ell) and np.array_equal(row, one_row)
 
 
 @pytest.mark.parametrize("path", [Helical(r_s=0.035, omega=6.7), ConstantPitch(0.03, 0.01)])
 @pytest.mark.parametrize("lo, bounds", [(0.1, [0.05]), (0.0, [np.nan])])
 def test_span_rows_rejects_bounds_below_lo(path, lo, bounds):
-    # the panel rule and the exact row (torsion-free basis) refuse alike; the
-    # panel rule also needs the bounds in order
+    # the panel rule and the exact row (torsion-free basis) refuse alike when
+    # the table is built; the panel rule also needs the bounds in order
     basis = ModalBasis(x=(0, 1), y=(0, 1), length=0.3)
     with pytest.raises(ValueError):
-        span_integrals(path, basis, np.zeros(basis.m), lo, bounds)
+        StringTable([(path, lo, bounds)], basis)
     if isinstance(path, Helical):
         with pytest.raises(ValueError, match="must not decrease"):
-            span_integrals(path, basis, np.zeros(basis.m), 0.0, [0.2, 0.1])
+            StringTable([(path, 0.0, [0.2, 0.1])], basis)
+
+
+@pytest.mark.parametrize("basis", [spatial_basis(), ModalBasis(x=(0, 1, 2), y=(0, 1, 2), length=0.293)],
+                         ids=["torsion", "torsion-free"])
+def test_table_of_many_spans_matches_one_span_tables(basis):
+    # one table over spans of every kind gives each span the values of a
+    # table of that span alone, bit for bit, at c (m,) and at every row of a
+    # stack: exact rows (constant pitch on the torsion-free basis) and panel
+    # sums, base spans over the disk edges, tip spans from an anchor to L, an
+    # empty span, bounds off the panel grid and on a Tabulated path's
+    # breakpoints
+    L = basis.length
+    tab = Tabulated((0.0, 0.04, 0.11, 0.2, L), (0.03, 0.036, 0.028, 0.034, 0.03),
+                    (0.0, 0.012, 0.02, -0.01, 0.004))
+    edges = np.arange(11) * L / 10
+    spans = [(ConstantPitch(0.03, 0.01), 0.0, edges),
+             (Helical(r_s=0.035, omega=6.7, alpha=0.4), 0.0, edges),
+             (tab, 0.0, edges),
+             (ConstantPitch(-0.02, 0.03), 0.1, L),
+             (Helical(r_s=0.03, omega=-4.0, alpha=2.0), 0.05, [0.0871, 0.2, L]),
+             (tab, 0.0871, [0.11, 0.1234, 0.2, L]),
+             (ConstantPitch(0.0, -0.035), 0.0, [0.0]),
+             (Helical(r_s=0.035, omega=6.7, alpha=3.5), 0.037, [0.037, 0.1234, 0.2871]),
+             (tab, 0.0, 0.15)]
+    configs = np.random.default_rng(6).uniform(-1.0, 1.0, (4, basis.m))
+    table = StringTable(spans, basis)
+    starts = np.cumsum([0] + [np.size(bounds) for _, _, bounds in spans])
+    for c in (configs[0], configs):
+        ells, rows = table.integrals(c)
+        assert ells.shape == c.shape[:-1] + (starts[-1],)
+        for span, lo, hi in zip(spans, starts[:-1], starts[1:]):
+            one_ell, one_row = StringTable([span], basis).integrals(c)
+            assert ells[..., lo:hi].tobytes() == one_ell.tobytes()
+            assert rows[..., lo:hi, :].tobytes() == one_row.tobytes()
 
 
 def _string_by_string(array, basis, c):
     """Absolute channel lengths (p,) and J_lc (p, m) at c (m,), one
-    span_integrals call per string: the reference of the string table."""
+    one-span StringTable per string: the reference of the array's table."""
     ells, rows = [], []
     for spec in array.strings:
-        lo, hi = spec.span(basis.length)
-        ell, row = span_integrals(spec.path, basis, c, lo, [hi])
+        ell, row = StringTable([(spec.path, *spec.span(basis.length))], basis).integrals(c)
         ells.append(ell[0])
         rows.append(row[0])
     return array.reduce(ells), array.reduce(rows)
@@ -244,8 +277,8 @@ def mixed_array(L=0.293):
 def test_string_table_matches_span_integrals(basis):
     # lengths and config_jacobian read one table over all strings, constant-
     # pitch strings taking exact rows on the torsion-free basis; each channel
-    # equals span_integrals string by string, for c (m,) and for every row of
-    # a stack (k, m)
+    # equals one-span tables string by string, for c (m,) and for every row
+    # of a stack (k, m)
     array = mixed_array()
     configs = np.random.default_rng(2).uniform(-1.0, 1.0, (5, basis.m))
     stack_ell = lengths(array, basis, configs, Reference.ABSOLUTE)
@@ -550,7 +583,7 @@ def test_malformed_stacks_raise():
 
 
 # ---------------------------------------------------------------------------
-# The string table context: one _StringTable per (array, basis)
+# The sensing context: one _SensingContext, the array's StringTable, per (array, basis)
 # ---------------------------------------------------------------------------
 
 def _context_cases():
@@ -594,7 +627,7 @@ def _bitwise_equal(new, ref):
 
 def test_string_table_context_matches_fresh_tables():
     # every value read through the cached context equals one from a freshly
-    # built _StringTable bit for bit: lengths, J_lc and linear_model against
+    # built _SensingContext bit for bit: lengths, J_lc and linear_model against
     # the table's own measure, solve_shape against a solve that builds its
     # table.  The four arrays, more than the cache holds, interleave, so that
     # their tables are both found and rebuilt.
@@ -606,7 +639,7 @@ def test_string_table_context_matches_fresh_tables():
 
     refs = []
     for array, basis, c in cases:
-        table = sensing._StringTable(array, basis)
+        table = sensing._SensingContext(array, basis)
         ell, jac = table.measure(c)
         straight = table.measure(np.zeros(basis.m))
         ref = [ell - straight[0], ell, jac]
@@ -634,10 +667,9 @@ def test_context_returns_arrays_it_does_not_share():
             first[...] = 1e3
             assert np.array_equal(out(), expected)
         table = sensing._string_table(array, basis)
-        frozen = [*table.straight, *table.cusp_grid, table.exact_rows, table.exact_base]
-        if table.paneled:
-            frozen += [table.phi, table.r, table.dr, table.weights]
-        assert not any(a.flags.writeable for a in frozen)
+        frozen = [*table.straight, *table.cusp_grid]
+        frozen += [a for a in vars(table).values() if isinstance(a, np.ndarray)]
+        assert len(frozen) >= 8 and not any(a.flags.writeable for a in frozen)
     array, basis = _context_cases()[1][:2]
     base, jac = linear_model(array, basis)
     expected = base.copy(), jac.copy()
@@ -652,8 +684,8 @@ def test_string_table_built_once_across_frames(monkeypatch):
     basis = space.basis
     array = space.array_for((4, 3, 9, 4), 1)
     c = studies.soft_workspace(1, seed=7).configs[0]
-    init, built = sensing._StringTable.__init__, []
-    monkeypatch.setattr(sensing._StringTable, "__init__",
+    init, built = sensing._SensingContext.__init__, []
+    monkeypatch.setattr(sensing._SensingContext, "__init__",
                         lambda self, *args: built.append(args) or init(self, *args))
     sensing._string_table.cache_clear()
     measured = lengths(array, basis, np.outer([0.1, 0.4, 0.7, 1.0], c))
