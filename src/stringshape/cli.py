@@ -66,6 +66,17 @@ def _positive_float(text):
     return value
 
 
+def _finite_float(text):
+    """argparse type for finite floats of either sign, such as a signed radius."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not -np.inf < value < np.inf:   # NaN fails it too
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _number_list(kind):
     """argparse type for comma-separated numbers of one kind."""
     def parse(text):
@@ -292,6 +303,8 @@ def cmd_spatial_study(args):
     if len(anchors) != len(space.designed) or not set(anchors) <= set(space.anchor_disks):
         args.error(f"--anchors needs {len(space.designed)} disks from "
                    f"{min(space.anchor_disks)} to {max(space.anchor_disks)}")
+    if args.n_omega not in space.twist_rates:
+        args.error(f"--n-omega must be one of {', '.join(map(str, space.twist_rates))}")
     array = space.array_for(anchors, args.n_omega)
     cases = synthetic_spatial_truth(truth_basis, array, studies.soft_constraints(),
                                     args.cases, args.seed)
@@ -378,8 +391,8 @@ def build_parser():
 
     p = sub.add_parser("sensitivity-map",
                        help="CSV landscapes of both indices over the anchor grid")
-    p.add_argument("--r1", type=float, default=0.10)
-    p.add_argument("--r2", type=float, default=-0.10)
+    p.add_argument("--r1", type=_finite_float, default=0.10)
+    p.add_argument("--r2", type=_finite_float, default=-0.10)
     p.add_argument("--samples", type=_at_least(1), default=200)
     p.add_argument("--seed", type=_at_least(0), default=studies.PLANAR_WORKSPACE_SEED)
     p.add_argument("--output-config", default="aleph_config_grid.csv")
@@ -404,7 +417,9 @@ def build_parser():
     p.add_argument("--seed", type=_at_least(0), default=20)
     p.add_argument("--anchors", type=_number_list(int), default=None,
                    help="comma-separated anchor disks for the four strings")
-    p.add_argument("--n-omega", type=int, default=1)
+    p.add_argument("--n-omega", type=int, default=1,
+                   help="twist rate of the four strings: one of the soft preset's "
+                        f"twist rates, {' or '.join(map(str, studies.SOFT_TWIST_RATES))}")
     p.add_argument("-o", "--output", default="spatial_study.csv")
     p.add_argument("--output-summary", default="spatial_summary.json")
     p.set_defaults(fn=cmd_spatial_study, error=p.error)

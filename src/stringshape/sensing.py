@@ -12,8 +12,10 @@ otherwise.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,8 +104,11 @@ class SensorArray:
     def reduce(self, per_string, axis=0):
         """Fold per-string values or rows, strings along axis, into measurement
         channels along that axis: direct strings in order, then the
-        composites."""
+        composites.  Without composites the fold is the identity, and the
+        input itself (as a float array) is returned, not a copy."""
         per_string = np.asarray(per_string, dtype=float)
+        if not self.composites:
+            return per_string
         lead = (slice(None),) * (axis % per_string.ndim)
         direct = self.direct_indices
         out = np.empty(per_string.shape[:len(lead)] + (len(direct) + len(self.composites),)
@@ -244,9 +249,9 @@ def _check_realizable(cusp_grid, c):
     """Raise NotRealizableError for the first string that fails the cusp rule
     on its _cusp_grid, in the first such row of a stack."""
     margins = _margins(cusp_grid, c)
-    bad = np.argwhere(~(margins > 0.0))   # NaN fails it too
-    if len(bad):
-        at = tuple(bad[0])
+    passed = margins > 0.0   # NaN fails it too
+    if not passed.all():
+        at = tuple(np.argwhere(~passed)[0])
         raise NotRealizableError(float(margins[at]), string_index=int(at[-1]),
                                  row=int(at[0]) if c.ndim == 2 else None)
 
@@ -314,10 +319,11 @@ class StringTable:
         lead = c.shape[:-1]
         ells = np.zeros(lead + (len(self.exact_at) + len(self.paneled_at),))
         rows = np.zeros(ells.shape + (self.m,))
-        # one (1, m) @ (m, 1) product per exact bound, as a one-bound span takes
-        ells[..., self.exact_at] = (self.exact_base
-                                    + (self.exact_rows @ c[..., None, :, None])[..., 0, 0])
-        rows[..., self.exact_at, :] = self.exact_rows[:, 0]
+        if len(self.exact_at):
+            # one (1, m) @ (m, 1) product per exact bound, as a one-bound span takes
+            ells[..., self.exact_at] = (self.exact_base
+                                        + (self.exact_rows @ c[..., None, :, None])[..., 0, 0])
+            rows[..., self.exact_at, :] = self.exact_rows[:, 0]
         if len(self.paneled_at):
             speeds, panel_rows = _panel_sums(self.phi, self.r, self.dr, self.weights, c)
             padded = np.zeros(lead + (self.bound_span[-1] + 1, self.bound_slot.max() + 1,
@@ -422,18 +428,55 @@ def _magnus_grid(length, s_query, n_steps):
     return starts, widths, source, np.where(on_node, node, n_whole + np.cumsum(~on_node))
 
 
-def _magnus_steps(basis, c, starts, widths):
-    """For a stack c (S, m): the twists eta = [Phi c; e3] (S, n, 2, 6) at both
-    Gauss-Legendre points of every step, from one basis.matrix call; their
-    derivatives d eta / dc (n, 2, 6, m), the same for every configuration;
-    and the Magnus element Psi of every step (S, n, 6)."""
+class _MagnusTable(NamedTuple):
+    """What a pose or body-Jacobian pass over a _magnus_grid needs that does
+    not depend on c, all read-only: each step's width and source edge, each
+    query's edge, and d eta / dc (n, 2, 6, m), eta = [Phi c; e3], at both
+    Gauss-Legendre points of every step."""
+
+    widths: np.ndarray
+    source: np.ndarray
+    at: np.ndarray
+    deta: np.ndarray
+
+
+def _query_key(s_query):
+    """The arc lengths s_query as a flat tuple of floats: _magnus_table's key."""
+    return tuple(np.asarray(s_query, dtype=float).ravel().tolist())
+
+
+# Four tables are kept, at about 77 kB each on the soft basis at 100 steps
+# (d eta / dc is n x 2 x 6 x m doubles): a reconstruction study takes tip
+# poses on its truth basis and on its solve basis, and a search's J_xc at
+# all its objectives may be followed by global_index at each objective alone
+# (three on the soft preset).
+@functools.lru_cache(maxsize=4)
+def _magnus_table(basis, s_query, n_steps):
+    """The one _MagnusTable of the _magnus_grid of the arc lengths s_query
+    (a _query_key) at n_steps on a (frozen, hashable) basis, with Phi at every
+    Gauss-Legendre point from one basis.matrix call.  Queries outside [0, L]
+    raise ValueError and cache nothing."""
+    starts, widths, source, at = _magnus_grid(basis.length, s_query, n_steps)
     n = len(starts)
     s = starts[:, None] + liegroup.GL_POINTS * widths[:, None]
     deta = np.zeros((n, 2, 6, basis.m))
     deta[:, :, :3] = basis.matrix(s.ravel()).reshape(n, 2, 3, basis.m)
-    eta = (deta @ c[:, None, None, :, None])[..., 0]
+    return _MagnusTable(*_read_only(widths, source, at, deta))
+
+
+def _magnus_steps(table, c):
+    """For a stack c (S, m): the twists eta (S, n, 2, 6) at both Gauss-Legendre
+    points of every step of a _magnus_table, and the Magnus element Psi of
+    every step (S, n, 6)."""
+    eta = (table.deta @ c[:, None, None, :, None])[..., 0]
     eta[..., 3:] = E3
-    return eta, deta, liegroup.magnus_element(eta[..., 0, :], eta[..., 1, :], widths)
+    return eta, liegroup.magnus_element(eta[..., 0, :], eta[..., 1, :], table.widths)
+
+
+def _at_queries(chain, table, stacked):
+    """The values of an edge-major chain (n + 1, S, ...) at a _magnus_table's
+    queries: (S, k, ...) for a stack, (k, ...) for one configuration."""
+    return np.moveaxis(chain[table.at], 0, 1).copy() if stacked else chain[table.at, 0]
 
 
 def body_jacobian(basis, c, s, n_steps=100):
@@ -446,22 +489,28 @@ def body_jacobian_multi(basis, c, s_list, n_steps=100):
     """J_xc (k, 6, m) at the arc lengths s_list, or (S, k, 6, m) for a stack
     c (S, m), in one pass over the Magnus grid of _magnus_grid for the whole
     stack: Ad(exp(-Psi)) chains with dexp(Psi) of the exact dPsi/dc, one
-    batched product per step."""
+    batched product per step, written in place."""
     c = basis.check_stack(c)
-    starts, widths, source, at = _magnus_grid(basis.length, s_list, n_steps)
-    eta, deta, psi = _magnus_steps(basis, np.atleast_2d(c), starts, widths)
+    table = _magnus_table(basis, _query_key(s_list), n_steps)
+    eta, psi = _magnus_steps(table, np.atleast_2d(c))
+    deta = table.deta
     gain = liegroup.dexp_se3(psi, liegroup.magnus_element_diff(
-        eta[..., 0, :], eta[..., 1, :], deta[:, 0], deta[:, 1], widths))
+        eta[..., 0, :], eta[..., 1, :], deta[:, 0], deta[:, 1], table.widths))
     # Ad(exp(-Psi)) = [[R^T, 0], [hat(-R^T p) R^T, R^T]] for exp(Psi) = (R, p)
     step = liegroup.exp_se3(psi)
     rot_t = np.swapaxes(step[..., :3, :3], -1, -2)
     back = np.zeros(psi.shape[:-1] + (6, 6))
     back[..., :3, :3] = back[..., 3:, 3:] = rot_t
     back[..., 3:, :3] = liegroup.hat(-(rot_t @ step[..., :3, 3:])[..., 0]) @ rot_t
-    jac = np.zeros((len(psi), len(widths) + 1, 6, basis.m))
-    for i, src in enumerate(source):
-        jac[:, i + 1] = back[:, i] @ jac[:, src] + gain[:, i]
-    return jac[:, at] if c.ndim == 2 else jac[0, at]
+    # edge-major, so that each edge is one block and no product copies its
+    # operands to rule out overlap with its output
+    jac = np.zeros((len(table.widths) + 1, len(psi), 6, basis.m))
+    edges = list(jac)
+    for src, edge, back_i, gain_i in zip(table.source.tolist(), edges[1:],
+                                         np.moveaxis(back, 1, 0), np.moveaxis(gain, 1, 0)):
+        np.matmul(back_i, edges[src], out=edge)
+        edge += gain_i
+    return _at_queries(jac, table, c.ndim == 2)
 
 
 # Residual norm, per unit L, below which a no-descent exit is round-off: soft
@@ -481,6 +530,12 @@ class ShapeSolution:
     aleph_config: float
     linear: bool
     status: str = "converged"   # or "stagnated"
+
+
+def _norm(v):
+    """The 2-norm of a vector, by np.linalg.norm's own formula for one,
+    sqrt(v @ v), without its wrapper."""
+    return math.sqrt(v @ v)
 
 
 def _solve_step(jac, rhs, where):
@@ -515,7 +570,7 @@ def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
         rhs = measured - base if reference is Reference.ABSOLUTE else measured
         c, aleph = _solve_step(jac, rhs, "")
         resid = jac @ c - rhs
-        return ShapeSolution(c, 1, float(np.linalg.norm(resid)), aleph, True)
+        return ShapeSolution(c, 1, _norm(resid), aleph, True)
 
     c = np.zeros(basis.m) if initial is None else basis.check_coeffs(np.asarray(initial, dtype=float)).copy()
 
@@ -530,7 +585,7 @@ def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
         return ell - straight - measured, j_lc
 
     res, jac = residual(c)
-    rnorm = np.linalg.norm(res)
+    rnorm = _norm(res)
     best_c, best_r = c.copy(), rnorm
     for it in range(1, SOLVE_MAX_ITER + 1):
         step, aleph = _solve_step(jac, -res, f" at iterate {it}")
@@ -543,7 +598,7 @@ def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
             except NotRealizableError:
                 alpha *= 0.5
                 continue
-            rn_t = np.linalg.norm(res_t)
+            rn_t = _norm(res_t)
             if rn_t < rnorm:
                 break
             alpha *= 0.5
@@ -554,7 +609,7 @@ def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
         c, res, jac, rnorm = trial, res_t, jac_t, rn_t
         if rnorm < best_r:
             best_c, best_r = c.copy(), rnorm
-        if np.linalg.norm(alpha * step) <= SOLVE_STEP_TOL:
+        if _norm(alpha * step) <= SOLVE_STEP_TOL:
             return ShapeSolution(c, it, float(rnorm), aleph, False)
     raise SolverError(f"no convergence after {SOLVE_MAX_ITER} iterations "
                       f"(residual {best_r:.3e})", best_c=best_c, residual_norm=float(best_r))
@@ -563,12 +618,14 @@ def solve_shape(array, basis, measured, reference=Reference.DELTA_FROM_STRAIGHT,
 def forward_kinematics(basis, c, s_query, n_steps=100):
     """Poses (k, 4, 4) at the arc lengths s_query, or (S, k, 4, 4) for a stack
     c (S, m), base frame at identity, as the product of exp(Psi) over the
-    Magnus grid of _magnus_grid, one batched product per step."""
+    Magnus grid of _magnus_grid, one batched product per step, written in
+    place."""
     c = basis.check_stack(c)
-    starts, widths, source, at = _magnus_grid(basis.length, s_query, n_steps)
-    step = liegroup.exp_se3(_magnus_steps(basis, np.atleast_2d(c), starts, widths)[2])
-    poses = np.zeros((len(step), len(widths) + 1, 4, 4))
-    poses[:, 0] = np.eye(4)
-    for i, src in enumerate(source):
-        poses[:, i + 1] = poses[:, src] @ step[:, i]
-    return poses[:, at] if c.ndim == 2 else poses[0, at]
+    table = _magnus_table(basis, _query_key(s_query), n_steps)
+    step = liegroup.exp_se3(_magnus_steps(table, np.atleast_2d(c))[1])
+    poses = np.empty((len(table.widths) + 1, len(step), 4, 4))
+    poses[0] = np.eye(4)
+    edges = list(poses)
+    for src, edge, step_i in zip(table.source.tolist(), edges[1:], np.moveaxis(step, 1, 0)):
+        np.matmul(edges[src], step_i, out=edge)
+    return _at_queries(poses, table, c.ndim == 2)

@@ -208,6 +208,7 @@ SOFT_STRING_RADIUS = 0.035
 SOFT_TENDON_RADIUS = 0.0375
 SOFT_CHARACTERISTIC_LENGTH = 0.0375
 SOFT_HOLE_ANGLE = 2.0 * np.pi / 32.0
+SOFT_TWIST_RATES = (0, 1)              # n_omega: hole angles per subsegment
 SOFT_BEND_LIMIT = np.deg2rad(10.0)     # per subsegment
 SOFT_TWIST_LIMIT = np.deg2rad(7.5)     # per subsegment
 SOFT_STRING_ANGLES = (45.0, 135.0, 225.0, 315.0)
@@ -231,7 +232,7 @@ def soft_fixed_tendons():
     )
 
 
-def soft_design_space(twist_rates=(0, 1)):
+def soft_design_space(twist_rates=SOFT_TWIST_RATES):
     """20,000-design space: four helical strings, ten disks, two twist rates."""
     basis = soft_basis()
     designed = tuple(

@@ -12,7 +12,7 @@ from stringshape import cli, studies
 from stringshape.cli import main
 from stringshape.configio import read_csv_matrix, write_csv
 from stringshape.rodsim import RodSpec
-from stringshape.sensing import lengths
+from stringshape.sensing import SOLVE_STEP_TOL, lengths
 
 PLANAR_ROBOT = {
     "version": 1,
@@ -301,6 +301,27 @@ def test_bad_spatial_study_anchors_exit_64(tmp_path, anchors, capsys):
     assert "--anchors" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_omega", ["5", "-1", "2"])
+def test_spatial_study_twist_rate_outside_the_preset_exits_64(tmp_path, n_omega, capsys):
+    # the soft preset's strings take twist rates 0 and 1 only
+    assert _exit_code(["spatial-study", "--cases", "1", f"--n-omega={n_omega}",
+                       "-o", str(tmp_path / "s.csv"),
+                       "--output-summary", str(tmp_path / "s.json")]) == 64
+    assert "--n-omega must be one of 0, 1" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("radius", ["--r1=nan", "--r2=inf", "--r1=-inf", "--r2=wide"])
+def test_non_finite_radii_exit_64(tmp_path, radius, capsys):
+    # NaN or infinite radii used to reach the eigensolver and exit 1 with a
+    # LinAlgError traceback; they are usage errors, a negative radius is not
+    assert _exit_code(["sensitivity-map", radius, "--samples", "2",
+                       "--output-config", str(tmp_path / "c.csv"),
+                       "--output-full", str(tmp_path / "f.csv")]) == 64
+    assert "expected a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_help_lists_commands():
     proc = _run_cli("--help", text=True)
     assert proc.returncode == 0
@@ -476,3 +497,31 @@ def test_shape_csv_of_preset_robots_is_pinned(tmp_path, monkeypatch, preset, s_v
     n_points = 21 if s_values is None else len(s_values.split(","))
     assert len(out.read_text().splitlines()) == 1 + 7 * n_points
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SHAPE_CSV_SHA256[preset, s_values]
+
+
+def test_solve_warm_start_matches_cold_in_fewer_iterations(tmp_path):
+    # frames along straight lines between four admissible soft keyframes,
+    # each row started from the previous row's solution: the same
+    # coefficients as cold starts from straight, within the solver's step
+    # tolerance, in no more Gauss-Newton iterations in total (77 against 95)
+    robot = tmp_path / "robot.json"
+    robot.write_text(json.dumps(_preset_robot("soft")))
+    keys = studies.soft_workspace(4, 0).configs
+    t = np.linspace(0.0, 1.0, 6, endpoint=False)[:, None]
+    frames = np.concatenate([a + t * (b - a) for a, b in zip(keys[:-1], keys[1:])] + [keys[-1:]])
+    coeffs, ell = tmp_path / "coeffs.csv", tmp_path / "ell.csv"
+    write_csv(str(coeffs), [f"c_{i}" for i in range(frames.shape[1])], frames.tolist())
+    assert main(["lengths", str(robot), str(coeffs), "-o", str(ell)]) == 0
+    solved, iterations = {}, {}
+    for mode, extra in (("cold", []), ("warm", ["--warm-start"])):
+        out, diag = tmp_path / f"{mode}.csv", tmp_path / f"{mode}.json"
+        assert main(["solve", str(robot), str(ell), "-o", str(out),
+                     "--diagnostics", str(diag), *extra]) == 0
+        solved[mode] = read_csv_matrix(str(out))[1][:, 1:]
+        rows = json.loads(diag.read_text())["rows"]
+        assert all(row["status"] == "converged" for row in rows)
+        iterations[mode] = sum(row["iterations"] for row in rows)
+    assert solved["warm"].shape == frames.shape
+    assert np.linalg.norm(solved["warm"] - solved["cold"], axis=1).max() <= SOLVE_STEP_TOL
+    np.testing.assert_allclose(solved["warm"], frames, rtol=0, atol=1e-9)
+    assert iterations["warm"] <= iterations["cold"]

@@ -5,7 +5,7 @@ from stringshape.modal import ModalBasis, identity_basis
 from stringshape.routing import (ConstantPitch, Helical, Mount, StringSpec, Tabulated,
                                  path_velocity, tangential_margin)
 from stringshape.rodsim import synthetic_spatial_truth
-from stringshape.sensing import (STAGNATION_TOL, Composite, NotRealizableError, Reference,
+from stringshape.sensing import (SOLVE_STEP_TOL, STAGNATION_TOL, Composite, NotRealizableError, Reference,
                                  SensorArray, SingularDesignError, StringTable, aleph_gram,
                                  aleph_sv, body_jacobian, body_jacobian_multi, config_jacobian,
                                  forward_kinematics, full_rank, lengths, linear_model,
@@ -571,6 +571,104 @@ def test_stacked_poses_and_jacobians_match_row_by_row(case):
     np.testing.assert_array_equal(body_jacobian(basis, configs, 0.4037 * L), jac[:, 2])
 
 
+def _per_step_reference(basis, c, s_query, n_steps=100):
+    """Poses (S, k, 4, 4) and J_xc (S, k, 6, m) of a stack c (S, m) as
+    forward_kinematics and body_jacobian_multi took them before their Magnus
+    table: the grid, Phi and d eta / dc built on every call, and each step's
+    product allocated anew and copied into its edge, configurations first."""
+    starts, widths, source, at = sensing._magnus_grid(basis.length, s_query, n_steps)
+    n = len(starts)
+    s = starts[:, None] + lg.GL_POINTS * widths[:, None]
+    deta = np.zeros((n, 2, 6, basis.m))
+    deta[:, :, :3] = basis.matrix(s.ravel()).reshape(n, 2, 3, basis.m)
+    eta = (deta @ c[:, None, None, :, None])[..., 0]
+    eta[..., 3:] = lg.E3
+    psi = lg.magnus_element(eta[..., 0, :], eta[..., 1, :], widths)
+    step = lg.exp_se3(psi)
+    poses = np.zeros((len(c), n + 1, 4, 4))
+    poses[:, 0] = np.eye(4)
+    for i, src in enumerate(source):
+        poses[:, i + 1] = poses[:, src] @ step[:, i]
+    gain = lg.dexp_se3(psi, lg.magnus_element_diff(
+        eta[..., 0, :], eta[..., 1, :], deta[:, 0], deta[:, 1], widths))
+    rot_t = np.swapaxes(step[..., :3, :3], -1, -2)
+    back = np.zeros(psi.shape[:-1] + (6, 6))
+    back[..., :3, :3] = back[..., 3:, 3:] = rot_t
+    back[..., 3:, :3] = lg.hat(-(rot_t @ step[..., :3, 3:])[..., 0]) @ rot_t
+    jac = np.zeros((len(c), n + 1, 6, basis.m))
+    for i, src in enumerate(source):
+        jac[:, i + 1] = back[:, i] @ jac[:, src] + gain[:, i]
+    return poses[:, at], jac[:, at]
+
+
+@pytest.mark.parametrize("case", ["stiff", "soft", "planar", "truth"])
+def test_magnus_table_chains_match_the_per_step_loops(case):
+    # the in-place chains over the cached table compute the same products in
+    # the same order as the per-step loops: equal bit for bit, for one
+    # configuration and for a stack, at grid nodes and between them, and
+    # again when the table is found in the cache
+    basis, configs = _stack_cases()[case]
+    L = basis.length
+    for s_query in ([0.0, 0.4 * L, L, 0.61 * L], [0.4 * L, 0.4037 * L, L, 0.0, 0.9999 * L]):
+        for c in (configs, configs[:1]):
+            ref_poses, ref_jac = _per_step_reference(basis, c, s_query)
+            for _ in range(2):
+                poses = forward_kinematics(basis, c, s_query)
+                jac = body_jacobian_multi(basis, c, s_query)
+                assert poses.flags.c_contiguous and jac.flags.c_contiguous
+                assert np.array_equal(poses, ref_poses) and np.array_equal(jac, ref_jac)
+            assert np.array_equal(forward_kinematics(basis, c[0], s_query), ref_poses[0])
+            assert np.array_equal(body_jacobian_multi(basis, c[0], s_query), ref_jac[0])
+
+
+def test_magnus_table_built_once_per_query_set(monkeypatch):
+    # poses and J_xc at one query set, for any c, read one table: Phi is
+    # evaluated once by the first call and not at all by the next ones; a new
+    # query set or a new n_steps builds a table of its own
+    basis, configs = _stack_cases()["soft"]
+    L = basis.length
+    matrix, calls = ModalBasis.matrix, []
+    monkeypatch.setattr(ModalBasis, "matrix", lambda self, s: calls.append(s) or matrix(self, s))
+    sensing._magnus_table.cache_clear()
+    for c in (configs[0], configs, configs[1], configs[0]):
+        forward_kinematics(basis, c, [0.4 * L, L])
+        body_jacobian_multi(basis, c, np.array([0.4 * L, L]))
+    assert len(calls) == 1
+    forward_kinematics(basis, configs[0], [L])
+    body_jacobian(basis, configs[0], L)
+    assert len(calls) == 2
+    forward_kinematics(basis, configs[0], [L], n_steps=50)
+    assert len(calls) == 3
+    info = sensing._magnus_table.cache_info()
+    assert (info.misses, info.currsize) == (3, 3)
+
+
+def test_magnus_table_refuses_bad_queries_and_is_read_only():
+    # NaN and out-of-range queries raise as before and leave nothing in the
+    # cache; a table's arrays cannot be written, and writing into returned
+    # poses or J_xc leaves the next call unchanged
+    basis = spatial_basis()
+    L = basis.length
+    sensing._magnus_table.cache_clear()
+    for s_query in ([np.nan], [0.5 * L, L + L / 100], [-L / 100]):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="outside"):
+                forward_kinematics(basis, np.zeros(8), s_query)
+            with pytest.raises(ValueError, match="outside"):
+                body_jacobian_multi(basis, np.zeros(8), s_query)
+    assert sensing._magnus_table.cache_info().currsize == 0
+    c = np.random.default_rng(17).uniform(-2.0, 2.0, 8)
+    for fn in (forward_kinematics, body_jacobian_multi):
+        first = fn(basis, c, [0.3 * L, L])
+        expected = first.copy()
+        first[...] = 1e3
+        assert np.array_equal(fn(basis, c, [0.3 * L, L]), expected)
+    table = sensing._magnus_table(basis, (0.3 * L, L), 100)
+    assert sensing._magnus_table.cache_info().currsize == 1
+    assert table.deta.shape == (100, 2, 6, basis.m)
+    assert not any(a.flags.writeable for a in table)
+
+
 def test_malformed_stacks_raise():
     basis = spatial_basis()
     bad_row = np.zeros((2, 8))
@@ -712,6 +810,49 @@ def test_reduce_along_an_axis_matches_moveaxis():
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
+def test_reduce_without_composites_is_the_identity():
+    # with no composite every string is its own channel: reduce returns its
+    # input itself, along any axis, and a list as one float array
+    array = helical_array()
+    x = np.random.default_rng(5).normal(size=(3, len(array.strings), 4))
+    for axis in (1, -2):
+        assert array.reduce(x, axis=axis) is x
+    listed = array.reduce(list(x[0]))
+    assert listed.dtype == float and np.array_equal(listed, x[0])
+
+
+def test_check_realizable_names_first_failing_string_and_row(monkeypatch):
+    # margins, by row: fails at string 2 in row 1, at strings 0 and 1 in row
+    # 2, and as NaN at string 1 in row 3.  The first failing row of a stack
+    # is named, within it the first failing string, and one configuration
+    # names its string without a row; passing margins raise nothing
+    margins = np.array([[0.5, 0.4, 0.3], [0.5, 0.4, -0.2], [-0.1, -0.3, 0.2],
+                        [0.5, np.nan, 0.2]])
+    # c (k, 1) or (1,) holds the margin rows it reads
+    monkeypatch.setattr(sensing, "_margins", lambda grid, c: margins[c[..., 0].astype(int)])
+
+    def failure(*rows, stacked=True):
+        c = np.array(rows, dtype=float)[:, None] if stacked else np.array(rows, dtype=float)
+        with pytest.raises(NotRealizableError) as info:
+            sensing._check_realizable(None, c)
+        return info.value.row, info.value.string_index, info.value.margin
+
+    assert failure(0, 1, 2, 3) == (1, 2, -0.2)
+    assert failure(0, 2, 3) == (1, 0, -0.1)
+    row, string, margin = failure(0, 0, 3)
+    assert (row, string) == (2, 1) and np.isnan(margin)
+    assert failure(2, stacked=False) == (None, 0, -0.1)
+    sensing._check_realizable(None, np.zeros((3, 1)))
+    sensing._check_realizable(None, np.zeros(1))
+
+
+def test_norm_is_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(6)
+    for n in (1, 3, 8, 12, 100):
+        v = rng.normal(size=n) * 10.0 ** rng.integers(-12, 12)
+        assert sensing._norm(v) == np.linalg.norm(v)
+
+
 # ---------------------------------------------------------------------------
 # solve_shape
 # ---------------------------------------------------------------------------
@@ -757,6 +898,37 @@ def test_round_off_no_descent_exit_is_converged():
     sol = solve_shape(array, basis, meas, initial=c_true)
     assert sol.status == "converged"
     assert sol.residual_norm <= STAGNATION_TOL * basis.length
+
+
+def test_solve_shape_warm_started_from_the_previous_frame():
+    # frames along straight lines between admissible soft keyframes, each
+    # solve started from the previous solution: the cold solutions within the
+    # solver's step tolerance, in no more Gauss-Newton iterations in total,
+    # and the initial guess is not written into
+    space = studies.soft_design_space()
+    basis = space.basis
+    array = space.array_for((4, 3, 9, 4), 1)
+    keys = studies.soft_workspace(4, 0).configs
+    t = np.linspace(0.0, 1.0, 6, endpoint=False)[:, None]
+    frames = np.concatenate([a + t * (b - a) for a, b in zip(keys[:-1], keys[1:])] + [keys[-1:]])
+    measured = lengths(array, basis, frames)
+    cold = [solve_shape(array, basis, meas) for meas in measured]
+    warm, initial = [], None
+    for meas in measured:
+        guess = None if initial is None else initial.copy()
+        warm.append(solve_shape(array, basis, meas, initial=initial))
+        if initial is not None:
+            assert np.array_equal(initial, guess)
+        initial = warm[-1].c
+    for w, c, truth in zip(warm, cold, frames):
+        assert w.status == c.status == "converged" and not w.linear
+        assert np.linalg.norm(w.c - c.c) <= SOLVE_STEP_TOL
+        assert np.linalg.norm(w.c - truth) <= 1e-9
+    assert sum(w.iterations for w in warm) <= sum(c.iterations for c in cold)
+    # started at its own answer, a solve takes one iteration and stays there
+    again = solve_shape(array, basis, measured[5], initial=warm[5].c)
+    assert again.iterations == 1
+    assert np.linalg.norm(again.c - warm[5].c) <= SOLVE_STEP_TOL
 
 
 def test_stagnation_is_reported():
